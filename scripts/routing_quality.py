@@ -17,29 +17,8 @@ import sys
 
 from quantir import TranspileConfig, transpile
 from quantir.bench import random_circuit
-from quantir.circuit import Circuit, flatten
-from quantir.gates import CLS_2Q
-from quantir.topology import CouplingGraph, build
-
-
-def naive_swap_count(circuit: Circuit, graph: CouplingGraph) -> int:
-    """Per-gate shortest-path walk from the identity layout."""
-    l2p = list(range(graph.num_qubits))
-    p2l = list(range(graph.num_qubits))
-    swaps = 0
-    for ins in flatten(circuit).body:
-        if ins.kind.opclass != CLS_2Q:
-            continue
-        a, b = l2p[ins.qubits[0]], l2p[ins.qubits[1]]
-        while graph.distance(a, b) > 1:
-            step = min(nb for nb in graph.neighbors(a)
-                       if graph.distance(nb, b) < graph.distance(a, b))
-            la, ls = p2l[a], p2l[step]
-            l2p[la], l2p[ls] = step, a
-            p2l[a], p2l[step] = ls, la
-            a = step
-            swaps += 1
-    return swaps
+from quantir.sabre import naive_swap_count
+from quantir.topology import build
 
 
 def main(argv=None) -> int:

@@ -11,10 +11,13 @@ measurements are generated.
 ``run_transmission_bench`` sweeps one of circuit count, circuit depth, or
 qubit count while holding the other two fixed, and for every (value, format)
 pair times whole-batch encode (circuit objects -> transmitted bytes) and
-decode (bytes -> circuit objects), reporting the median over repetitions
-plus the serialized size and total gate count.  Text formats serialize one
-UTF-8 document per circuit; the binary formats use a single multi-circuit
-stream.  Timing runs single-threaded so points are comparable.
+decode (bytes -> circuit objects whose bodies have all been iterated),
+reporting the median over repetitions plus the serialized size and total
+gate count.  Every repetition encodes a batch freshly built from the same
+seeds, outside the timer, so no encode reuses columns packed by an earlier
+one.  Text formats serialize one UTF-8 document per circuit; the binary
+formats use a single multi-circuit stream.  Timing runs single-threaded so
+points are comparable.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import csv
 import random
 import statistics
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from . import bis, originir
@@ -182,18 +186,20 @@ def run_transmission_bench(config: BenchConfig) -> list[BenchRow]:
         count = value if config.sweep == "circuit_count" else config.fixed_circuit_count
         depth = value if config.sweep == "circuit_depth" else config.fixed_depth
         qubits = value if config.sweep == "qubit_count" else config.fixed_qubits
-        batch = [random_circuit(qubits, depth, rng.randrange(2 ** 63))
-                 for _ in range(count)]
-        gate_count = sum(len(c) for c in batch)
+        seeds = [rng.randrange(2 ** 63) for _ in range(count)]
         for fmt in config.formats:
             encode, decode = _CODECS[fmt]
             enc_times, dec_times = [], []
             payload = decoded = None
             for _ in range(config.repetitions):
+                # fresh circuits every time: no packed columns cached yet
+                batch = [random_circuit(qubits, depth, s) for s in seeds]
                 t0 = time.perf_counter()
                 payload = encode(batch)
                 t1 = time.perf_counter()
                 decoded = decode(payload)
+                for c in decoded:
+                    deque(c.body, maxlen=0)
                 t2 = time.perf_counter()
                 enc_times.append(t1 - t0)
                 dec_times.append(t2 - t1)
@@ -201,7 +207,8 @@ def run_transmission_bench(config: BenchConfig) -> list[BenchRow]:
                 raise BenchError(f"{fmt} round trip lost circuits")
             rows.append(BenchRow(value, fmt, statistics.median(enc_times),
                                  statistics.median(dec_times),
-                                 _payload_size(payload), gate_count))
+                                 _payload_size(payload),
+                                 sum(len(c) for c in batch)))
     return rows
 
 

@@ -16,19 +16,29 @@ raw 8-byte doubles.  BARRIER stores a qubit-count varint (both modes) before
 its indices.  Record sizes, uncompressed: plain 1q 5, rotation 13, U3 29,
 two-qubit 9, measure 9; compressed with 1-byte varints: 2, 10, 26, 3, 3.
 
-Encode and decode run on the packed column form of flat circuits: offsets are
-computed for all records up front and fields move as bulk array copies.
-Decoding first walks record offsets assuming the fixed-size fast shape and
-verifies the assumption afterwards (any multi-byte varint exposes a
-continuation bit at a checked position); streams that don't fit -- barriers,
-indices >= 128, padded varints -- take a careful per-record path.  Every
-malformed input raises a :class:`BisDecodeError` subclass carrying the byte
-``offset``.
+Encode and decode run on the packed column form of flat circuits.  A
+record-layout table gives each mode's fixed-size record shape (u32 index
+fields, or one-byte varints), so one encoder and one gatherer serve both
+modes: offsets are computed for all records up front and fields move as
+bulk array copies.  Decoding walks record offsets assuming the fixed shape,
+then checks the assumption (any multi-byte varint exposes a continuation
+bit at a checked position) and every operand.  Circuits that don't fit --
+barriers, compressed indices >= 128, padded varints -- or that hold any bad
+operand take a careful per-record path.  Every malformed input raises a
+:class:`BisDecodeError` subclass carrying the byte ``offset`` of the first
+fault in byte order.
+
+:func:`decode` and :class:`StreamDecoder` share one per-circuit decoder, so
+both readers raise the same error at the same offset.  The stream decoder
+itself only sizes circuits as bytes arrive; it reports a circuit's operand
+errors once that circuit is complete, or at :meth:`StreamDecoder.finish`,
+rather than when the bad record arrives.
 """
 from __future__ import annotations
 
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,27 +142,43 @@ def _read_varint(data, o: int, end: int) -> tuple[int, int]:
     raise VarintTooLong("varint longer than 5 octets", start)
 
 
-# -- per-class record geometry ------------------------------------------------
+# -- record layouts -----------------------------------------------------------
 
-# record length by opcode, 0 = no fixed size (barrier) or invalid opcode
-_U_STEP = [0] * 256
-_C_STEP = [0] * 256
-for _op in KIND_BY_OPCODE:
-    _cls = _op >> 5
-    if _cls < 5:
-        _U_STEP[_op] = (5, 13, 29, 9, 9)[_cls]
-        _C_STEP[_op] = (2, 10, 26, 3, 3)[_cls]
+_BARRIER = 0xA0
+# per opcode class: index fields and angle bytes; class 5 (barrier) has no fixed shape
+_NIDX_BY_CLASS = np.array([1, 1, 1, 2, 2, 0, 0, 0], dtype=np.int64)
+_ANGLE_BYTES_BY_CLASS = np.array([0, 8, 24, 0, 0, 0, 0, 0], dtype=np.int64)
 
-_ULEN_BY_CLASS = np.array([5, 13, 29, 9, 9, 0, 0, 0], dtype=np.int64)
-_CLEN_BY_CLASS = np.array([2, 10, 26, 3, 3, 0, 0, 0], dtype=np.int64)
-_PCOUNT_BY_CLASS = np.array([0, 1, 3, 0, 0, 0, 0, 0], dtype=np.int64)
 
-_R1_4 = np.arange(1, 5)
-_R5_9 = np.arange(5, 9)
-_R5_13 = np.arange(5, 13)
-_R5_29 = np.arange(5, 29)
-_R2_10 = np.arange(2, 10)
-_R2_26 = np.arange(2, 26)
+class _Layout(NamedTuple):
+    """Fixed-size record shape of one mode.
+
+    The opcode is at 0, the first index at 1, the second index or the angles
+    at ``1 + width``.  The shape holds only indices below ``limit``.
+    """
+
+    itype: str          # index field dtype
+    width: int          # bytes per index field
+    limit: int
+    lens: np.ndarray    # record length by opcode class, 0 = no fixed size
+    step: list          # record length by opcode, 0 = barrier or unknown opcode
+    varints: list       # index varints by opcode (compressed mode only)
+
+
+def _layout(itype: str, limit: int, compress: bool) -> _Layout:
+    width = np.dtype(itype).itemsize
+    lens = np.where(_NIDX_BY_CLASS > 0,
+                    1 + width * _NIDX_BY_CLASS + _ANGLE_BYTES_BY_CLASS, 0)
+    step = [0] * 256
+    varints = [0] * 256
+    for op in KIND_BY_OPCODE:
+        step[op] = int(lens[op >> 5])
+        varints[op] = int(_NIDX_BY_CLASS[op >> 5]) if compress else 0
+    return _Layout(itype, width, limit, lens, step, varints)
+
+
+# indexed by the compressed flag; a compressed index below 128 is one octet
+_LAYOUTS = (_layout("<u4", 1 << 32, False), _layout("u1", 128, True))
 
 _PACK_U32 = struct.Struct("<I").pack
 _PACK_D = struct.Struct("<d").pack
@@ -161,72 +187,39 @@ _UNPACK_D = struct.Struct("<d").unpack_from
 _UNPACK_3D = struct.Struct("<ddd").unpack_from
 
 
+def _angle_bytes(starts, cls):
+    """Positions of every angle byte, in record order, given where each
+    record's angles start and the records' opcode classes."""
+    n = _ANGLE_BYTES_BY_CLASS[cls]
+    ends = np.cumsum(n)
+    return np.repeat(starts - (ends - n), n) + np.arange(int(ends[-1]))
+
+
 # -- encoding -----------------------------------------------------------------
 
-def _encode_records_uncompressed(out: bytearray, cols: _Columns) -> None:
+def _encode_records(out: bytearray, cols: _Columns, compress: bool) -> None:
     n = len(cols)
     if n == 0:
         return
-    code = cols.code
-    cls = code >> 5
-    if (cls == 5).any():
-        _encode_records_loop(out, cols, compress=False)
+    layout = _LAYOUTS[compress]
+    cls = cols.code >> 5
+    # b is -1 where a record has no second index
+    if (cls == 5).any() or max(cols.a.max(), cols.b.max()) >= layout.limit:
+        _encode_records_loop(out, cols, compress)
         return
-    lens = _ULEN_BY_CLASS[cls]
+    two = cls >= 3
+    w = layout.width
+    field = 1 + np.arange(w)
+    lens = layout.lens[cls]
     ends = np.cumsum(lens)
     offs = ends - lens
     buf = np.zeros(int(ends[-1]), dtype=np.uint8)
-    buf[offs] = code
-    buf[offs[:, None] + _R1_4] = cols.a.astype("<u4").view(np.uint8).reshape(n, 4)
-    m34 = cls >= 3
-    if m34.any():
-        buf[offs[m34][:, None] + _R5_9] = (
-            cols.b[m34].astype("<u4").view(np.uint8).reshape(-1, 4))
-    pc = _PCOUNT_BY_CLASS[cls]
-    if cols.params.size:
-        p8 = cols.params.astype("<f8", copy=False).view(np.uint8).reshape(-1, 8)
-        pstart = np.cumsum(pc) - pc
-        rot = cls == 1
-        if rot.any():
-            buf[offs[rot][:, None] + _R5_13] = p8[pstart[rot]]
-        u3 = cls == 2
-        if u3.any():
-            rows = p8[pstart[u3][:, None] + np.arange(3)].reshape(-1, 24)
-            buf[offs[u3][:, None] + _R5_29] = rows
-    out += buf.tobytes()
-
-
-def _encode_records_compressed(out: bytearray, cols: _Columns) -> None:
-    n = len(cols)
-    if n == 0:
-        return
-    code = cols.code
-    cls = code >> 5
-    m34 = cls >= 3
-    small = (not (cls == 5).any()) and bool((cols.a < 128).all()) \
-        and (not m34.any() or bool((cols.b[m34] < 128).all()))
-    if not small:
-        _encode_records_loop(out, cols, compress=True)
-        return
-    lens = _CLEN_BY_CLASS[cls]
-    ends = np.cumsum(lens)
-    offs = ends - lens
-    buf = np.zeros(int(ends[-1]), dtype=np.uint8)
-    buf[offs] = code
-    buf[offs + 1] = cols.a
-    if m34.any():
-        buf[offs[m34] + 2] = cols.b[m34]
-    pc = _PCOUNT_BY_CLASS[cls]
-    if cols.params.size:
-        p8 = cols.params.astype("<f8", copy=False).view(np.uint8).reshape(-1, 8)
-        pstart = np.cumsum(pc) - pc
-        rot = cls == 1
-        if rot.any():
-            buf[offs[rot][:, None] + _R2_10] = p8[pstart[rot]]
-        u3 = cls == 2
-        if u3.any():
-            rows = p8[pstart[u3][:, None] + np.arange(3)].reshape(-1, 24)
-            buf[offs[u3][:, None] + _R2_26] = rows
+    buf[offs] = cols.code
+    buf[offs[:, None] + field] = cols.a.astype(layout.itype).view(np.uint8).reshape(n, w)
+    buf[offs[two][:, None] + w + field] = (
+        cols.b[two].astype(layout.itype).view(np.uint8).reshape(-1, w))
+    buf[_angle_bytes(offs + 1 + w, cls)] = (
+        cols.params.astype("<f8", copy=False).view(np.uint8))
     out += buf.tobytes()
 
 
@@ -277,10 +270,7 @@ def _encode_circuit(out: bytearray, c: Circuit, compress: bool) -> None:
     _write_varint(out, flat.num_qubits)
     _write_varint(out, flat.num_cbits)
     _write_varint(out, len(cols))
-    if compress:
-        _encode_records_compressed(out, cols)
-    else:
-        _encode_records_uncompressed(out, cols)
+    _encode_records(out, cols, compress)
 
 
 def encode(circuits, *, compress: bool = False) -> bytes:
@@ -301,17 +291,15 @@ def encode(circuits, *, compress: bool = False) -> bytes:
 
 # -- decoding: careful per-record path ----------------------------------------
 
-def _parse_record(data, o: int, end: int, nq: int, nc: int, compress: bool,
-                  code: list, a: list, b: list, params: list, extra: list) -> int:
-    """Parse one record at ``o``, append its columns, return the next offset."""
-    if o >= end:
-        raise Truncated("record runs past end of data", o)
-    rec_off = o
-    op = data[o]
-    o += 1
-    if _U_STEP[op] == 0 and op != 0xA0:
-        raise UnknownOpcode(f"unknown opcode 0x{op:02X}", rec_off)
-    cls = op >> 5
+def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
+                     compress: bool) -> tuple[_Columns, int]:
+    """Parse ``m`` records one by one; raises at the first fault in byte order."""
+    step = _LAYOUTS[0].step
+    code: list = []
+    a: list = []
+    b: list = []
+    params: list = []
+    extra: list = []
 
     def read_index(limit: int, what: str) -> int:
         nonlocal o
@@ -327,63 +315,47 @@ def _parse_record(data, o: int, end: int, nq: int, nc: int, compress: bool,
             raise BadOperand(f"{what} {v} out of range for {limit}", field)
         return v
 
-    if cls == 5:  # barrier
-        cnt_off = o
-        cnt, o = _read_varint(data, o, end)
-        if cnt < 1:
-            raise BadOperand("barrier needs at least one qubit", cnt_off)
-        qs = []
-        for _ in range(cnt):
-            qs.append(read_index(nq, "qubit index"))
-        if len(set(qs)) != cnt:
-            raise BadOperand("barrier qubits must be distinct", cnt_off)
-        code.append(op)
-        a.append(cnt)
-        b.append(-1)
-        extra.extend(qs)
-        return o
-
-    q0 = read_index(nq, "qubit index")
-    if cls == 0:
-        code.append(op)
-        a.append(q0)
-        b.append(-1)
-        return o
-    if cls == 1 or cls == 2:
-        width = 8 if cls == 1 else 24
-        if o + width > end:
-            raise Truncated("angle runs past end of data", o)
-        vals = _UNPACK_D(data, o) if cls == 1 else _UNPACK_3D(data, o)
-        for k, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise BadOperand("angle is not finite", o + 8 * k)
-        code.append(op)
-        a.append(q0)
-        b.append(-1)
-        params.extend(vals)
-        return o + width
-    if cls == 3:
-        field = o
-        q1 = read_index(nq, "qubit index")
-        if q1 == q0:
-            raise BadOperand("two-qubit gate operands must be distinct", field)
-    else:  # measure
-        q1 = read_index(nc, "cbit index")
-    code.append(op)
-    a.append(q0)
-    b.append(q1)
-    return o
-
-
-def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
-                     compress: bool) -> tuple[_Columns, int]:
-    code: list = []
-    a: list = []
-    b: list = []
-    params: list = []
-    extra: list = []
     for _ in range(m):
-        o = _parse_record(data, o, end, nq, nc, compress, code, a, b, params, extra)
+        if o >= end:
+            raise Truncated("record runs past end of data", o)
+        op = data[o]
+        if step[op] == 0 and op != _BARRIER:
+            raise UnknownOpcode(f"unknown opcode 0x{op:02X}", o)
+        o += 1
+        cls = op >> 5
+        if cls == 5:
+            cnt_off = o
+            cnt, o = _read_varint(data, o, end)
+            if cnt < 1:
+                raise BadOperand("barrier needs at least one qubit", cnt_off)
+            qs = [read_index(nq, "qubit index") for _ in range(cnt)]
+            if len(set(qs)) != cnt:
+                raise BadOperand("barrier qubits must be distinct", cnt_off)
+            q0, q1 = cnt, -1
+            extra += qs
+        else:
+            q0 = read_index(nq, "qubit index")
+            q1 = -1
+        if cls == 1 or cls == 2:
+            width = 8 if cls == 1 else 24
+            if o + width > end:
+                raise Truncated("angle runs past end of data", o)
+            vals = _UNPACK_D(data, o) if cls == 1 else _UNPACK_3D(data, o)
+            for k, v in enumerate(vals):
+                if not math.isfinite(v):
+                    raise BadOperand("angle is not finite", o + 8 * k)
+            params += vals
+            o += width
+        elif cls == 3:
+            field = o
+            q1 = read_index(nq, "qubit index")
+            if q1 == q0:
+                raise BadOperand("two-qubit gate operands must be distinct", field)
+        elif cls == 4:
+            q1 = read_index(nc, "cbit index")
+        code.append(op)
+        a.append(q0)
+        b.append(q1)
     cols = _Columns(
         np.array(code, dtype=np.uint8),
         np.array(a, dtype=np.int64),
@@ -414,117 +386,43 @@ def _walk_offsets(data, o: int, end: int, m: int, step_lut) -> tuple[list, int] 
     return offs, o
 
 
-def _validate_fast(arr, offs, cls, a, b, params, nq, nc, a_off: int, b_off: int,
-                   p_off: int) -> None:
-    ok = a < nq
-    if not ok.all():
-        r = int(np.argmin(ok))
-        raise BadOperand(f"qubit index {int(a[r])} out of range for {nq}",
-                         int(offs[r]) + a_off)
-    m3 = cls == 3
-    if m3.any():
-        b3 = b[m3]
-        a3 = a[m3]
-        bad = (b3 >= nq) | (b3 == a3)
-        if bad.any():
-            r = int(np.flatnonzero(m3)[int(np.argmax(bad))])
-            msg = ("two-qubit gate operands must be distinct"
-                   if b[r] == a[r] else f"qubit index {int(b[r])} out of range for {nq}")
-            raise BadOperand(msg, int(offs[r]) + b_off)
-    m4 = cls == 4
-    if m4.any():
-        b4 = b[m4]
-        if (b4 >= nc).any():
-            r = int(np.flatnonzero(m4)[int(np.argmax(b4 >= nc))])
-            raise BadOperand(f"cbit index {int(b[r])} out of range for {nc}",
-                             int(offs[r]) + b_off)
-    if params.size:
-        fin = np.isfinite(params)
-        if not fin.all():
-            p = int(np.argmin(fin))
-            pend = np.cumsum(_PCOUNT_BY_CLASS[cls])
-            r = int(np.searchsorted(pend, p, side="right"))
-            pstart = int(pend[r]) - int(_PCOUNT_BY_CLASS[cls[r]])
-            raise BadOperand("angle is not finite",
-                             int(offs[r]) + p_off + 8 * (p - pstart))
+def _gather(arr, offs_list, m: int, nq: int, nc: int, layout: _Layout) -> _Columns | None:
+    """Columns of ``m`` fixed-shape records at ``offs_list``.
 
-
-def _gather_uncompressed(arr, offs_list, m: int, nq: int, nc: int) -> _Columns:
+    None if the shape does not hold (a multi-byte varint) or any operand is
+    bad; the careful path then decodes the circuit or reports its first fault.
+    """
     offs = np.fromiter(offs_list, dtype=np.int64, count=m)
-    codes = arr[offs]
-    cls = codes >> 5
-    a = arr[offs[:, None] + _R1_4].view("<u4").ravel().astype(np.int64)
-    bcol = np.full(m, -1, dtype=np.int64)
-    m34 = cls >= 3
-    if m34.any():
-        bcol[m34] = arr[offs[m34][:, None] + _R5_9].view("<u4").ravel()
-    pc = _PCOUNT_BY_CLASS[cls]
-    total_p = int(pc.sum())
-    params = np.empty(total_p, dtype=np.float64)
-    if total_p:
-        pstart = np.cumsum(pc) - pc
-        rot = cls == 1
-        if rot.any():
-            params[pstart[rot]] = arr[offs[rot][:, None] + _R5_13].view("<f8").ravel()
-        u3 = cls == 2
-        if u3.any():
-            params[pstart[u3][:, None] + np.arange(3)] = (
-                arr[offs[u3][:, None] + _R5_29].view("<f8").reshape(-1, 3))
-    _validate_fast(arr, offs, cls, a, bcol, params, nq, nc, 1, 5, 5)
-    return _Columns(codes, a, bcol, params,
-                    np.empty(0, dtype=np.int64))
-
-
-def _gather_compressed(arr, offs_list, m: int, nq: int, nc: int) -> _Columns | None:
-    offs = np.fromiter(offs_list, dtype=np.int64, count=m)
-    codes = arr[offs]
-    cls = codes >> 5
-    a8 = arr[offs + 1]
-    if (a8 & 0x80).any():
-        return None  # multi-byte or padded varint: careful path
-    m34 = cls >= 3
-    bcol = np.full(m, -1, dtype=np.int64)
-    if m34.any():
-        b8 = arr[offs[m34] + 2]
-        if (b8 & 0x80).any():
-            return None
-        bcol[m34] = b8
-    a = a8.astype(np.int64)
-    pc = _PCOUNT_BY_CLASS[cls]
-    total_p = int(pc.sum())
-    params = np.empty(total_p, dtype=np.float64)
-    if total_p:
-        pstart = np.cumsum(pc) - pc
-        rot = cls == 1
-        if rot.any():
-            params[pstart[rot]] = arr[offs[rot][:, None] + _R2_10].view("<f8").ravel()
-        u3 = cls == 2
-        if u3.any():
-            params[pstart[u3][:, None] + np.arange(3)] = (
-                arr[offs[u3][:, None] + _R2_26].view("<f8").reshape(-1, 3))
-    _validate_fast(arr, offs, cls, a, bcol, params, nq, nc, 1, 2, 2)
-    return _Columns(codes, a, bcol, params, np.empty(0, dtype=np.int64))
+    code = arr[offs]
+    cls = code >> 5
+    w = layout.width
+    field = 1 + np.arange(w)
+    a = arr[offs[:, None] + field].view(layout.itype).ravel().astype(np.int64)
+    two = cls >= 3
+    b = np.full(m, -1, dtype=np.int64)
+    b[two] = arr[offs[two][:, None] + w + field].view(layout.itype).ravel()
+    params = arr[_angle_bytes(offs + 1 + w, cls)].view("<f8")
+    qlim = min(nq, layout.limit)
+    q2 = cls == 3
+    if ((a >= qlim).any() or (b[q2] >= qlim).any() or (b[q2] == a[q2]).any()
+            or (b[cls == 4] >= min(nc, layout.limit)).any()
+            or not np.isfinite(params).all()):
+        return None
+    return _Columns(code, a, b, params, np.empty(0, dtype=np.int64))
 
 
 def _decode_circuit(data, arr, o: int, end: int, compress: bool) -> tuple[Circuit, int]:
-    hdr = o
+    """Decode the circuit block at ``o``: the one decoder behind both readers."""
     nq, o = _read_varint(data, o, end)
     nc, o = _read_varint(data, o, end)
     m, o = _read_varint(data, o, end)
-    min_rec = 2 if compress else 5
-    if m > (end - o) // min_rec:
-        raise Truncated(
-            f"{m} records declared but only {end - o} bytes remain", hdr)
+    layout = _LAYOUTS[compress]
     cols = None
-    new_o = o
     if m:
-        walked = _walk_offsets(data, o, end, m, _C_STEP if compress else _U_STEP)
+        walked = _walk_offsets(data, o, end, m, layout.step)
         if walked is not None:
             offs_list, new_o = walked
-            if compress:
-                cols = _gather_compressed(arr, offs_list, m, nq, nc)
-            else:
-                cols = _gather_uncompressed(arr, offs_list, m, nq, nc)
+            cols = _gather(arr, offs_list, m, nq, nc, layout)
     if cols is None:
         cols, new_o = _careful_records(data, o, end, m, nq, nc, compress)
     return Circuit._from_columns(nq, nc, cols), new_o
@@ -559,10 +457,6 @@ def decode(data) -> list[Circuit]:
     end = len(data)
     arr = np.frombuffer(data, dtype=np.uint8)
     compress, count, o = _parse_stream_header(data, end)
-    # each circuit needs at least its three header varint bytes
-    if count > (end - o) // 3:
-        raise Truncated(
-            f"{count} circuits declared but only {end - o} bytes remain", o)
     out = []
     for _ in range(count):
         c, o = _decode_circuit(data, arr, o, end, compress)
@@ -640,108 +534,153 @@ class StreamEncoder:
         return None
 
 
+def _shifted(err: BisDecodeError, base: int) -> BisDecodeError:
+    """``err`` with its buffer offset moved ``base`` bytes into the stream."""
+    msg = str(err).rsplit(" (at byte ", 1)[0]
+    return type(err)(msg, err.offset + base)
+
+
 class StreamDecoder:
     """Incremental decoder: feed chunks, collect circuits as they complete.
 
     ``feed`` buffers input and returns every circuit completed so far;
-    ``finish`` raises :class:`Truncated` if the stream stopped mid-way.
-    Bytes after the declared circuit count raise :class:`TrailingBytes`.
+    ``finish`` raises if the stream stopped mid-way (:class:`Truncated`, or
+    an earlier fault in the unfinished circuit).  Bytes after the declared
+    circuit count raise :class:`TrailingBytes`.
+
+    A length-only scan finds where the pending circuit ends; once all its
+    records are in, it is decoded by the same per-circuit decoder as
+    :func:`decode`, so every error matches :func:`decode`'s class and
+    absolute offset.  Operand errors therefore surface when their circuit is
+    complete, or at :meth:`finish`.
     """
 
-    _WANT_HEADER, _WANT_CIRCUIT, _DONE = range(3)
-
     def __init__(self):
-        self._buf = bytearray()
+        self._buf = bytearray()  # from the pending circuit (or stream header) on
         self._consumed = 0  # absolute offset of _buf[0] in the stream
-        self._state = self._WANT_HEADER
-        self._compress = False
-        self._remaining = 0
-        # in-progress circuit
-        self._have_sizes = False
-        self._nq = self._nc = self._m = 0
-        self._records_done = 0
-        self._cols: tuple[list, list, list, list, list] | None = None
+        self._compress: bool | None = None  # None until the header is in
+        self._remaining = 0  # circuits not yet decoded
+        # scan cursor in _buf; records left to size in the pending circuit
+        # (-1 before its header); index varints, then raw bytes, left in the
+        # current record
+        self._pos = 0
+        self._left = -1
+        self._varints = 0
+        self._skip = 0
+
+    def _drop(self, n: int) -> None:
+        del self._buf[:n]
+        self._consumed += n
+        self._pos -= n
+
+    def _scan(self) -> bool:
+        """Size the pending circuit from the cursor on; True once it is complete.
+
+        Reads only opcodes, barrier counts and varint continuation bits.  The
+        cursor stops after the last whole field, so a circuit split across
+        feeds is scanned once.
+        """
+        buf = self._buf
+        end = len(buf)
+        layout = _LAYOUTS[self._compress]
+        step, varint_lut = layout.step, layout.varints
+        o, left, varints, skip = self._pos, self._left, self._varints, self._skip
+        try:
+            if left < 0:  # circuit header: num_qubits, num_cbits, record count
+                _, h = _read_varint(buf, o, end)
+                _, h = _read_varint(buf, h, end)
+                left, o = _read_varint(buf, h, end)
+            while True:
+                while varints:
+                    _, o = _read_varint(buf, o, end)
+                    varints -= 1
+                if skip:
+                    if o + skip > end:
+                        skip -= end - o
+                        o = end
+                        return False
+                    o += skip
+                    skip = 0
+                if not left:
+                    return True
+                if o >= end:
+                    return False
+                op = buf[o]
+                n = step[op]
+                if n:
+                    varints = varint_lut[op]
+                    skip = n - 1 - varints
+                    o += 1
+                elif op == _BARRIER:
+                    cnt, o = _read_varint(buf, o + 1, end)
+                    if self._compress:
+                        varints = cnt
+                    else:
+                        skip = 4 * cnt
+                else:
+                    raise UnknownOpcode(f"unknown opcode 0x{op:02X}", o)
+                left -= 1
+        except Truncated:
+            return False
+        finally:
+            self._pos, self._left, self._varints, self._skip = o, left, varints, skip
 
     def feed(self, data) -> list[Circuit]:
         self._buf += data
-        out: list[Circuit] = []
-        buf = self._buf
-        end = len(buf)
-        pos = 0
-
-        def absolutize(err: BisDecodeError) -> BisDecodeError:
-            msg = str(err).rsplit(" (at byte ", 1)[0]
-            return type(err)(msg, err.offset + self._consumed)
-
+        if self._compress is None:
+            try:
+                self._compress, self._remaining, self._pos = \
+                    _parse_stream_header(self._buf, len(self._buf))
+            except Truncated:
+                return []
+            self._drop(self._pos)
+        ends: list[int] = []
+        fault = None
         try:
-            while True:
-                if self._state == self._DONE:
-                    if pos < end:
-                        raise TrailingBytes(
-                            f"{end - pos} trailing bytes after last circuit", pos)
-                    break
-                if self._state == self._WANT_HEADER:
-                    try:
-                        self._compress, self._remaining, pos = \
-                            _parse_stream_header(buf, end)
-                    except Truncated:
-                        break  # need more bytes
-                    self._state = (self._WANT_CIRCUIT if self._remaining
-                                   else self._DONE)
-                    continue
-                # WANT_CIRCUIT
-                if not self._have_sizes:
-                    try:
-                        nq, o = _read_varint(buf, pos, end)
-                        nc, o = _read_varint(buf, o, end)
-                        m, o = _read_varint(buf, o, end)
-                    except Truncated:
-                        break
-                    self._nq, self._nc, self._m = nq, nc, m
-                    self._have_sizes = True
-                    self._records_done = 0
-                    self._cols = ([], [], [], [], [])
-                    pos = o
-                code, a, b, params, extra = self._cols
-                while self._records_done < self._m:
-                    try:
-                        pos = _parse_record(buf, pos, end, self._nq, self._nc,
-                                            self._compress, code, a, b, params,
-                                            extra)
-                    except Truncated:
-                        raise _NeedMore from None
-                    self._records_done += 1
-                cols = _Columns(
-                    np.array(code, dtype=np.uint8),
-                    np.array(a, dtype=np.int64),
-                    np.array(b, dtype=np.int64),
-                    np.array(params, dtype=np.float64),
-                    np.array(extra, dtype=np.int64),
-                )
-                out.append(Circuit._from_columns(self._nq, self._nc, cols))
-                self._have_sizes = False
-                self._cols = None
-                self._remaining -= 1
-                if not self._remaining:
-                    self._state = self._DONE
-        except _NeedMore:
-            pass
+            while len(ends) < self._remaining and self._scan():
+                ends.append(self._pos)
+                self._left = -1
         except BisDecodeError as e:
-            raise absolutize(e) from None
-        # drop consumed bytes; keep unconsumed tail
-        del self._buf[:pos]
-        self._consumed += pos
-        return out
-
-    def finish(self) -> None:
-        if self._state != self._DONE:
-            raise Truncated("stream ended before the declared circuits",
-                            self._consumed + len(self._buf))
-        if self._buf:
+            fault = e
+        out: list[Circuit] = []
+        if ends or fault is not None:
+            chunk = bytes(self._buf)
+            arr = np.frombuffer(chunk, dtype=np.uint8)
+            o = 0
+            try:
+                for stop in ends:
+                    c, o = _decode_circuit(chunk, arr, o, stop, self._compress)
+                    out.append(c)
+                if fault is not None:
+                    # reports an earlier bad operand, else the scan's fault
+                    _decode_circuit(chunk, arr, o, len(chunk), self._compress)
+                    raise fault
+            except BisDecodeError as e:
+                raise _shifted(e, self._consumed) from None
+            self._remaining -= len(ends)
+            self._drop(o)
+        if not self._remaining and self._buf:
             raise TrailingBytes(
                 f"{len(self._buf)} trailing bytes after last circuit",
                 self._consumed)
+        return out
 
-
-class _NeedMore(Exception):
-    pass
+    def finish(self) -> None:
+        if self._compress is not None and not self._remaining:
+            if self._buf:
+                raise TrailingBytes(
+                    f"{len(self._buf)} trailing bytes after last circuit",
+                    self._consumed)
+            return
+        # the stream stopped mid-way: read the tail as decode would
+        tail = bytes(self._buf)
+        try:
+            if self._compress is None:
+                _parse_stream_header(tail, len(tail))
+            else:
+                _decode_circuit(tail, np.frombuffer(tail, dtype=np.uint8), 0,
+                                len(tail), self._compress)
+        except BisDecodeError as e:
+            raise _shifted(e, self._consumed) from None
+        raise Truncated("stream ended before the declared circuits",
+                        self._consumed + len(tail))

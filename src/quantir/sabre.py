@@ -23,12 +23,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit import Circuit, Instruction, depth
+from .circuit import Circuit, Instruction, depth, flatten
 from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 from .topology import CouplingGraph
 
-__all__ = ["Layout", "SabreConfig", "RoutingError", "sabre_route", "sabre_layout"]
+__all__ = ["Layout", "SabreConfig", "RoutingError", "sabre_route", "sabre_layout",
+           "naive_swap_count"]
 
 
 class RoutingError(ValueError):
@@ -106,6 +107,13 @@ class SabreConfig:
     extended_weight: float = 0.5
     decay_delta: float = 0.001
     decay_reset_interval: int = 5
+
+    def __post_init__(self):
+        for name, low in (("layout_trials", 1), ("extended_set_size", 0),
+                          ("extended_weight", 0), ("decay_delta", 0),
+                          ("decay_reset_interval", 1)):
+            if not getattr(self, name) >= low:  # also rejects NaN
+                raise ValueError(f"{name} must be >= {low}")
 
 
 def _extended_set(dag: CircuitDag, front, size: int) -> list[int]:
@@ -275,7 +283,7 @@ def sabre_layout(dag: CircuitDag, graph: CouplingGraph,
     rng = random.Random(seed)
     rev_dag = CircuitDag(dag.reversed_circuit())
     best = None
-    for trial in range(max(1, config.layout_trials)):
+    for trial in range(config.layout_trials):
         l0 = Layout.shuffled(graph.num_qubits, rng)
         _, l1 = sabre_route(dag, graph, l0, config)
         _, l2 = sabre_route(rev_dag, graph, l1, config)
@@ -284,3 +292,28 @@ def sabre_layout(dag: CircuitDag, graph: CouplingGraph,
         if best is None or key < best[0]:
             best = (key, l2)
     return best[1]
+
+
+def naive_swap_count(circuit: Circuit, graph: CouplingGraph) -> int:
+    """Baseline router: swaps a per-gate shortest-path walk inserts.
+
+    From the identity layout, each two-qubit gate's first operand walks
+    toward the second along a shortest path (lowest-numbered neighbour first)
+    until the two are adjacent.
+    """
+    l2p = list(range(graph.num_qubits))
+    p2l = list(range(graph.num_qubits))
+    swaps = 0
+    for ins in flatten(circuit).body:
+        if ins.kind.opclass != CLS_2Q:
+            continue
+        a, b = l2p[ins.qubits[0]], l2p[ins.qubits[1]]
+        while graph.distance(a, b) > 1:
+            step = min(nb for nb in graph.neighbors(a)
+                       if graph.distance(nb, b) < graph.distance(a, b))
+            la, ls = p2l[a], p2l[step]
+            l2p[la], l2p[ls] = step, a
+            p2l[a], p2l[step] = ls, la
+            a = step
+            swaps += 1
+    return swaps

@@ -37,16 +37,12 @@ class TranspileError(ValueError):
 
 @dataclass(frozen=True)
 class TranspileConfig:
-    """Pipeline knobs; routing fields mirror :class:`SabreConfig`."""
+    """Pipeline knobs; ``routing`` holds the router's own."""
 
     level: int = 1
     basis: str = "none"
     seed: int = 0
-    layout_trials: int = 4
-    extended_set_size: int = 20
-    extended_weight: float = 0.5
-    decay_delta: float = 0.001
-    decay_reset_interval: int = 5
+    routing: SabreConfig = SabreConfig()
 
     def __post_init__(self):
         if self.level not in LEVELS:
@@ -55,25 +51,9 @@ class TranspileConfig:
         if self.basis not in BASES:
             raise TranspileError(f"basis must be one of {BASES}, "
                                  f"got {self.basis!r}")
-        if self.layout_trials < 1:
-            raise TranspileError("layout_trials must be >= 1")
-        if self.extended_set_size < 0:
-            raise TranspileError("extended_set_size must be >= 0")
-        if self.extended_weight < 0:
-            raise TranspileError("extended_weight must be >= 0")
-        if self.decay_delta < 0:
-            raise TranspileError("decay_delta must be >= 0")
-        if self.decay_reset_interval < 1:
-            raise TranspileError("decay_reset_interval must be >= 1")
 
     def sabre(self) -> SabreConfig:
-        return SabreConfig(
-            layout_trials=self.layout_trials,
-            extended_set_size=self.extended_set_size,
-            extended_weight=self.extended_weight,
-            decay_delta=self.decay_delta,
-            decay_reset_interval=self.decay_reset_interval,
-        )
+        return self.routing
 
 
 @dataclass(frozen=True)

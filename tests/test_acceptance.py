@@ -19,6 +19,7 @@ from quantir.gates import CLS_2Q, GateKind
 from quantir.metrics import circuit_metrics
 from quantir.profiler import profile, report_dot, report_gprof
 from quantir.qasm2 import UnsupportedFeature, emit_qasm2, import_qasm2
+from quantir.sabre import naive_swap_count
 from quantir.sim import equivalent
 from quantir.topology import CouplingGraph, full, linear, random_topology, square
 from quantir.transpile import TranspileConfig, transpile
@@ -293,33 +294,13 @@ def test_c08_profiler_shares_edge_labels_and_dot():
 
 # -- 9: routing quality --------------------------------------------------------------
 
-def _naive_swap_count(c: Circuit, graph: CouplingGraph) -> int:
-    """Per-gate shortest-path walk baseline from the identity layout."""
-    l2p = list(range(graph.num_qubits))
-    p2l = list(range(graph.num_qubits))
-    swaps = 0
-    for ins in flatten(c).body:
-        if ins.kind.opclass != CLS_2Q:
-            continue
-        a, b = l2p[ins.qubits[0]], l2p[ins.qubits[1]]
-        while graph.distance(a, b) > 1:
-            step = min(nb for nb in graph.neighbors(a)
-                       if graph.distance(nb, b) < graph.distance(a, b))
-            la, ls = p2l[a], p2l[step]
-            l2p[la], l2p[ls] = step, a
-            p2l[a], p2l[step] = ls, la
-            a = step
-            swaps += 1
-    return swaps
-
-
 def test_c09_sabre_beats_naive_router_and_respects_lower_bound():
     graph = linear(6)
     wins = 0
     for seed in range(50):
         c = random_circuit(6, 30, seed=seed)
         result = transpile(c, graph, TranspileConfig(level=0, seed=seed))
-        if result.stats.swaps_inserted <= _naive_swap_count(c, graph):
+        if result.stats.swaps_inserted <= naive_swap_count(c, graph):
             wins += 1
     assert wins >= 45, f"routing beat the naive baseline on only {wins}/50 seeds"
 

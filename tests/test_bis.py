@@ -236,6 +236,15 @@ class TestDecodeErrors:
         with pytest.raises(BadOperand):
             decode(bytes(stream))
 
+    def test_first_fault_in_byte_order(self):
+        c = Circuit(2, 1).measure(0, 0).h(1)
+        data = bytearray(encode([c]))
+        data[17] = 5  # cbit 5 of 1, in the first record
+        data[22] = 9  # qubit 9 of 2, in the second
+        with pytest.raises(BadOperand) as e:
+            decode(bytes(data))
+        assert e.value.offset == 17
+
     def test_errors_carry_offset(self):
         for data, kind in [
             (b"NOPE\x01\x00\x00\x00\x00", BadMagic),
@@ -339,6 +348,24 @@ class TestStreamDecoder:
             dec.feed(bytes(bad[11:]))
         assert e.value.offset == 12
 
+    def test_operand_error_waits_for_whole_circuit(self):
+        bad = bytearray(encode([Circuit(1).h(0).x(0)]))
+        bad[13] = 9  # H q[9] in a 1-qubit circuit
+        dec = StreamDecoder()
+        assert dec.feed(bytes(bad[:-1])) == []
+        with pytest.raises(BadOperand) as e:
+            dec.feed(bytes(bad[-1:]))
+        assert e.value.offset == 13
+
+    def test_finish_reports_operand_error_before_truncation(self):
+        bad = bytearray(encode([Circuit(1).h(0).x(0)]))
+        bad[13] = 9
+        dec = StreamDecoder()
+        dec.feed(bytes(bad[:-1]))
+        with pytest.raises(BadOperand) as e:
+            dec.finish()
+        assert e.value.offset == 13
+
     def test_bad_magic_streaming(self):
         dec = StreamDecoder()
         with pytest.raises(BadMagic):
@@ -355,6 +382,64 @@ class TestStreamDecoder:
             got.extend(dec.feed(data[i:i + chunk]))
         dec.finish()
         assert got == [flatten(c) for c in cs]
+
+
+@st.composite
+def wide_circuits(draw):
+    """Over 128 qubits, so compressed indices take multi-byte varints."""
+    n = draw(st.integers(min_value=129, max_value=300))
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    c = Circuit(n, 2)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        q0, q1 = draw(qubit), draw(qubit)
+        if q0 == q1:
+            c.rz(q0, 0.25)
+        else:
+            c.cnot(q0, q1)
+    c.barrier(*sorted(set(draw(st.lists(qubit, min_size=1, max_size=5)))))
+    c.measure(draw(qubit), 1)
+    return c
+
+
+def _outcome(read):
+    """Decoded circuits, or the error's class and absolute offset."""
+    try:
+        return read()
+    except BisDecodeError as e:
+        return type(e), e.offset
+
+
+def _stream_read(data: bytes, cuts) -> list:
+    dec = StreamDecoder()
+    got = []
+    prev = 0
+    for cut in sorted(cuts) + [len(data)]:
+        got.extend(dec.feed(data[prev:cut]))
+        prev = cut
+    dec.finish()
+    return got
+
+
+class TestStreamMatchesDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_splits_match_one_shot(self, data):
+        cs = data.draw(st.lists(
+            st.one_of(circuits(max_len=10, measures=True), wide_circuits()),
+            max_size=3))
+        blob = bytearray(encode(cs, compress=data.draw(st.booleans())))
+        at = st.integers(min_value=0, max_value=len(blob) - 1)
+        damage = data.draw(st.sampled_from(["none", "corrupt", "truncate"]))
+        if damage == "corrupt":
+            for i in data.draw(st.lists(at, min_size=1, max_size=4)):
+                blob[i] ^= data.draw(st.integers(min_value=1, max_value=255))
+        elif damage == "truncate":
+            del blob[data.draw(at):]
+        blob = bytes(blob)
+        cuts = data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(blob)), max_size=8))
+        assert _outcome(lambda: _stream_read(blob, cuts)) == \
+            _outcome(lambda: decode(blob))
 
 
 class TestEncodeErrors:

@@ -161,6 +161,27 @@ def test_stall_safeguard_config_reachable():
     assert routed_fidelity(c, routed, [0, 1, 2, 3], list(final)) > 1 - 1e-9
 
 
+
+# -- config --------------------------------------------------------------------
+
+def test_config_defaults():
+    cfg = SabreConfig()
+    assert cfg.layout_trials == 4 and cfg.extended_set_size == 20
+    assert cfg.extended_weight == 0.5 and cfg.decay_delta == 0.001
+    assert cfg.decay_reset_interval == 5
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"layout_trials": 0}, {"extended_set_size": -1},
+    {"extended_weight": -0.1}, {"decay_delta": -1e-9},
+    {"decay_reset_interval": 0},
+    {"extended_weight": -1}, {"extended_weight": float("nan")},
+])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        SabreConfig(**kwargs)
+
+
 # -- oracle equivalence across topologies ------------------------------------
 
 TOPOLOGIES = [

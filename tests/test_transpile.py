@@ -8,7 +8,7 @@ from quantir import topology
 from quantir.bis import encode
 from quantir.circuit import Circuit, depth, flatten, gate_counts
 from quantir.gates import CLS_2Q, GateKind
-from quantir.sabre import Layout
+from quantir.sabre import Layout, SabreConfig
 from quantir.sim import routed_fidelity
 from quantir.transpile import (TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
@@ -48,16 +48,12 @@ def random_circuit(n, length, seed, p2=0.4):
 def test_config_defaults():
     cfg = TranspileConfig()
     assert cfg.level == 1 and cfg.basis == "none" and cfg.seed == 0
-    assert cfg.layout_trials == 4 and cfg.extended_set_size == 20
-    assert cfg.extended_weight == 0.5 and cfg.decay_delta == 0.001
-    assert cfg.decay_reset_interval == 5
+    assert cfg.routing == SabreConfig()
+    assert cfg.sabre() is cfg.routing
 
 
 @pytest.mark.parametrize("kwargs", [
     {"level": 3}, {"level": -1}, {"basis": "clifford"},
-    {"layout_trials": 0}, {"extended_set_size": -1},
-    {"extended_weight": -0.1}, {"decay_delta": -1e-9},
-    {"decay_reset_interval": 0},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(TranspileError):
