@@ -1,4 +1,5 @@
 """Routing and placement: layouts, swap insertion, oracle equivalence."""
+import hashlib
 import random
 
 import pytest
@@ -261,3 +262,243 @@ def test_layout_helps_on_structured_circuit():
     lay = sabre_layout(CircuitDag(c), g, seed=0)
     routed, _ = sabre_route(CircuitDag(c), g, lay)
     assert gate_counts(routed).get(GateKind.SWAP, 0) <= 2
+
+
+# -- golden routing output ---------------------------------------------------------
+# sha256 of the chosen initial layout and of the routed body plus final layout,
+# for fixed circuits, seeds and configs.  Routing output is part of the
+# contract (deterministic per (seed, config), byte for byte): a router change
+# that alters any of these is a behaviour change, not a speed-up.
+
+GOLDEN_GRAPHS = {
+    "heavy_hex:3": lambda: topology.heavy_hex(3),
+    "heavy_hex:5": lambda: topology.heavy_hex(5),
+    "square:16": lambda: topology.square(16),
+    "square:49": lambda: topology.square(49),
+    "linear:7": lambda: topology.linear(7),
+    "full:6": lambda: topology.full(6),
+    "random:20": lambda: topology.random_topology(20, seed=3),
+}
+
+GOLDEN_CONFIGS = {
+    "default": SabreConfig(),
+    "no-ext": SabreConfig(extended_set_size=0),
+    "decay": SabreConfig(extended_weight=2.0, decay_delta=0.1,
+                         decay_reset_interval=2),
+}
+
+GOLDEN = {
+    "heavy_hex:3/full/default": (
+        "3f147044f6707dd26ac5dd10311d82817d423a5f66940ba3e464a5a56710219b",
+        "b9dc200986b85562749e4d5e981cc61ebccc6216bd5ae80438c30afcd2e9a527"),
+    "heavy_hex:3/full/no-ext": (
+        "7dc98f2431b9eb64b2e8a5698ac8b00b324bcacd9595612638971988b0466cfd",
+        "2c3399c2f5efe4ee4e2971d9254bc07c5b91c7b74f35f38e1c9ff87d1a98050e"),
+    "heavy_hex:3/full/decay": (
+        "79541f2c180f6e4e3a4e6d10fc202777a815ec952338207f7b45408a0abdcb21",
+        "d1e36c1d20ddf39f1cc34f6b02e91776a1e31f4d058ad68df43bdb05a464ab76"),
+    "heavy_hex:3/part/default": (
+        "1aee863b6c73478652fb1d929bab148cf7c272118ccaa79cb7fe9c7f83ce781e",
+        "ad6680747b0b9a10eb9ddecb403f6a437e1482558a1441d12fe101b4b6fa435a"),
+    "heavy_hex:3/part/no-ext": (
+        "9abcbfbf221cf1a70223e268614d014a26f7fe1776e1dab3b741cfa6a3844226",
+        "89345e46fc6f1007c7ea1cbecc4626cafdec8b54d1c29e649032e317704d8fbd"),
+    "heavy_hex:3/part/decay": (
+        "97b8a8f4601bb6a4058377734ae1a9117d426b56e99cf229f75a55d7220001ff",
+        "8b681202be4f58a5115a3459f5101cb151efaf8e54870a5a86778311a1690b7a"),
+    "heavy_hex:5/full/default": (
+        "2b8054dff2f62982f489e3aef45f94c9ae2388677374f58dfce6f951a942ccb9",
+        "a6e6f321f8423d12a0ef51257879a0476efcb70742a3a5bae119bd9dfb27a0f0"),
+    "heavy_hex:5/full/no-ext": (
+        "f2bbb7b83b204c485f2530d907b97d696229e63a741f7043fc510c569ff17942",
+        "a6d2a506b04e2bc3f83ebb640be2200a8857d661638c2525f363449d0975b0eb"),
+    "heavy_hex:5/full/decay": (
+        "5c4a9a74b8d408d470f3830ea49f437a2d0db658666ff352af181d5d53727e5c",
+        "4b6eb9420ce498fed9a38c24c6bbbf85c0a2be20e194ab3ed81aaac5f73fc173"),
+    "heavy_hex:5/part/default": (
+        "7aa3cdf8baf47a50e4743dc8ad57e523cb10afed828de1e9dd8b4ab4fe597522",
+        "98d5aa547896869e26b3d40258a29323111e771bc4738c26c02495df109f049e"),
+    "heavy_hex:5/part/no-ext": (
+        "a0279565db417e539094738a84a6b8cf31e6d68c728740e4b2ad77a5d7681a3e",
+        "5f85af6dd90cb1752eec987bcc8b65e176ee351ee0b0e5729922313be9e6c6a5"),
+    "heavy_hex:5/part/decay": (
+        "d8963ab53be8249717d9d395b70634bebd3cabe14b5f94d3e392db663bc11b9c",
+        "00e5531c01ea5d2fd9e4c0ce9c3bce44dcc77a5d8d0286f1faa41f099f6605d1"),
+    "square:16/full/default": (
+        "4c6aadf268506be21ada011d55de64bddde23d066a068741de8f5222c7c18b39",
+        "47c5c81510709cdad054c7d7d6f806a8923ec9c550a392216c51b50e0979c974"),
+    "square:16/full/no-ext": (
+        "288e689fca2b5f00242c9ef0908a0f8aeee4e20069efcf45afa2dc3e2d9560c2",
+        "7048c0b57b0035292cbae28036948586b9b1f221d2b600eb54adbc3baa57b84d"),
+    "square:16/full/decay": (
+        "3532522c7930c72dbd2ddeafaf40c0a0766a4c57f592f2a5041f65980736d0b7",
+        "fbdd00fc7d3e54b23598ca1d34ab39d0cca13414a4e2a0311b0a977db4a0bea2"),
+    "square:16/part/default": (
+        "47a2d01c60e72a3e5ca6c08c4bf54619869bc5339ce1a7cf5f2a71b027057712",
+        "52b24617b36380eee8b2e93147e06d2906fe79f1f962743a4b132ca1e4c55cd1"),
+    "square:16/part/no-ext": (
+        "760809192619cf0bb98168976b1d6ea1cf60edbca760df42d1ac4b42deecf557",
+        "c431ff9d84215616b14bd36f324fc6b124605e5b4a93adfae9038c80209407df"),
+    "square:16/part/decay": (
+        "fec7b89acc035627674caf4512714bb29a630dc39c07528a5c0732aa87614ad0",
+        "4f6d9c9ac9ac5b3529d280609a3ec61a3c806fe590ec0d390730dc21e30012fa"),
+    "square:49/full/default": (
+        "6a8f7bc2c1538c1f22db595b90cf2fccd3c230e5f303004cd3332a2a703b1677",
+        "2b0ccc3ed8162e140f0d324160bc4e0b640c844a4b6d28ccf21b7f819cf13fdc"),
+    "square:49/full/no-ext": (
+        "ed9b1d9c748d574fcc511174c40140b1b4c63df905fa32712ffe0559c7f825a4",
+        "0ee33e96db22e7a774c5e8ac338b8f38a615d2e312a84673dcb6957667f9a956"),
+    "square:49/full/decay": (
+        "895a7429229625888a03ac2963062fe1bde39941f214fcd57d696c091e0ea452",
+        "67ddf075de4679905f80613416997059f557ab24fe1277c8dd68b9609bc85b6a"),
+    "square:49/part/default": (
+        "99371cf387ac4e1c85d5314d090a7145905f91a38b3fb7b277bc1f36befed7fa",
+        "7a6810dddb0bb47f871a29f8d8e30f0c5e61d64aa8b97b53a09b3fa4652dbc29"),
+    "square:49/part/no-ext": (
+        "f3a11f7231d5e62cc4228bb45dae737c861b73b6ae0ce6d704a8df03a26c96a6",
+        "977dc8a696e626c66dc92572f644c6320335144baf907d143627d7aa820d6da0"),
+    "square:49/part/decay": (
+        "0de8a724c0e853e33ad692e78396947617cb0ce91bc054df99c6bfa6349f7ac8",
+        "a3b0d5d07272c415c552df37919495971bb69d9b19c5cf04b5e2471914e02b25"),
+    "linear:7/full/default": (
+        "e0e3fcb118d2001505d8fb248dbec753c2a7391de67f39d14b95cb0819658554",
+        "733a4f0a16fcd3fadf1989240dfdee5f2dd16ba543521024e675ab65514a9bec"),
+    "linear:7/full/no-ext": (
+        "7eb27b667145832a807f7c37c9121be0df0f6e2c178ad69294aa8f6475d2ad02",
+        "3cb11374c93d837dd72154b487f53c1f6a1e85330c2452f11d90fa97ae3a7961"),
+    "linear:7/full/decay": (
+        "90fb0bcb06810670ef04f63da590cf7df987492d6bc88955a531c74f0e51fd6d",
+        "469c11f27928911ee3bfa027aeaf5ccb1bd654123bb0c68ce3817441a140dd04"),
+    "linear:7/part/default": (
+        "b96033d5b10253a65cc9c50dbb9fd59ad49eaf05ebee1da4d7fbd5c9ad495e50",
+        "7df63112ce1eadb92fbb846c3ef41e424dcbfe789a65c79444efa29cf73a2fbd"),
+    "linear:7/part/no-ext": (
+        "0bf2a15fd5e485b4da4bd79787856754434a286c936aea6fb33b476fae20c294",
+        "b57c9b72dbd62ff41dc513c924c7db6c4c094367f13637ad5f9677e6327af201"),
+    "linear:7/part/decay": (
+        "235b6b48e80ee792b11af98fdcbaf181440cd8eefa4e1d1d3b1709e1225a34dc",
+        "7e18442c17408e9bd8b15a172017501b6597c1e122053146c00079f4fc6171e5"),
+    "full:6/full/default": (
+        "90ee8dca2e3ac20eab8d8c65739389ff89f380697afc52ca3bd06b7c9463285f",
+        "3481dc8964cb6f1d5732a0f675313b098c0ecfabe4a2777c73dd09c1414dfcf2"),
+    "full:6/full/no-ext": (
+        "90ee8dca2e3ac20eab8d8c65739389ff89f380697afc52ca3bd06b7c9463285f",
+        "59fc90e9cf505c2921ee4507e05a5c6a652761cee923c6ec768418b2223c17d2"),
+    "full:6/full/decay": (
+        "90ee8dca2e3ac20eab8d8c65739389ff89f380697afc52ca3bd06b7c9463285f",
+        "5386debcabb71d497864570b383cb31a98c5a68b858085728c2fd5d69e6747e3"),
+    "full:6/part/default": (
+        "90ee8dca2e3ac20eab8d8c65739389ff89f380697afc52ca3bd06b7c9463285f",
+        "a841b53ba6b5da284907fc61eed970a1f7d43d854c5387ef184f2571b1164eac"),
+    "full:6/part/no-ext": (
+        "90ee8dca2e3ac20eab8d8c65739389ff89f380697afc52ca3bd06b7c9463285f",
+        "36920d17cb32398789f002a05b417c4fcc5961639e65ddd86f9bcc1a93cd85d5"),
+    "full:6/part/decay": (
+        "90ee8dca2e3ac20eab8d8c65739389ff89f380697afc52ca3bd06b7c9463285f",
+        "7618732ec0ef410ec03a258384b9545a6efa278f25faae215b05eae67ac02725"),
+    "random:20/full/default": (
+        "b52a8448e05070e38243b2497beb77855218dd3fb45aef60ef2d3866923d6d56",
+        "c913c85ffa7f59bf4c67db8c6070e57524bc8ffa77bc7435c128a36ef5799f56"),
+    "random:20/full/no-ext": (
+        "5caa1e0b087d141d243fb08854eccaa1bfaf92f8ac29aefc9bef564a8ee4f9e1",
+        "b4eced24c5846b18212ba308e7edf84d6d46679781925f092e2b8d2b9bb055d5"),
+    "random:20/full/decay": (
+        "1c417d88f0631340c210633f375576516313fe1939c3e8bc19e17fcac27917b8",
+        "b850cc3410e73c14a24dfb69b9f26e4736129cd50e589360ee5dd90ad0a4e00c"),
+    "random:20/part/default": (
+        "e6a29d389b6d9ae9691d4fd39f6acc30978078dc41c72dff923bdcb95d19c654",
+        "210e3127229b70d32826d120e3860fe542ad6f30b218b1da0dc14f89e9056cd7"),
+    "random:20/part/no-ext": (
+        "aed5b36e1907645a384297755cb75ea1e490751a1654a72522af39a5cde04f48",
+        "9d8e0b4ba00b67a1ef5869d994af50849a46f02da44071c14bed09a8267e35d6"),
+    "random:20/part/decay": (
+        "d8c351d724ec06ba7355b51fa2e5d111c5e966fb8a9eb8e317e607dc7fd2e6e6",
+        "13691a23c6397c4ad0b61cff691b555e27ebb5ee44b1f45784b8da8cb4c8c2a5"),
+}
+
+
+def _golden_circuit(width: int, layers: int, seed: int) -> Circuit:
+    """Random layers of 1q/rotation/2q gates, a mid barrier, trailing measures."""
+    rng = random.Random(seed)
+    c = Circuit(width, width)
+    for layer in range(layers):
+        order = list(range(width))
+        rng.shuffle(order)
+        while order:
+            q = order.pop()
+            roll = rng.random()
+            if order and roll < 0.4:
+                c.append_gate(rng.choice([GateKind.CNOT, GateKind.CZ,
+                                          GateKind.SWAP]), (q, order.pop()))
+            elif roll < 0.7:
+                c.append_gate(rng.choice([GateKind.RX, GateKind.RZ]), (q,),
+                              (rng.uniform(-3, 3),))
+            else:
+                c.append_gate(rng.choice([GateKind.H, GateKind.T, GateKind.X1]),
+                              (q,), dagger=rng.random() < 0.2)
+        if layer == layers // 2 and width >= 3:
+            c.barrier(*rng.sample(range(width), 3))
+    for q in range(0, width, 2):
+        c.measure(q, q)
+    return c
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _route_sha(routed: Circuit, final: Layout) -> str:
+    return _sha([(ins.kind.name, ins.qubits, ins.params, ins.cbit, ins.dagger)
+                 for ins in routed.body], list(final))
+
+
+def _golden_cases():
+    for gname in GOLDEN_GRAPHS:
+        for wname in ("full", "part"):
+            for cname in GOLDEN_CONFIGS:
+                yield f"{gname}/{wname}/{cname}"
+
+
+def _golden_run(case: str):
+    gname, wname, cname = case.split("/")
+    graph = GOLDEN_GRAPHS[gname]()
+    n = graph.num_qubits
+    width = n if wname == "full" else n - max(1, n // 4)
+    layers = 4 if n > 30 else 12
+    c = _golden_circuit(width, layers, seed=len(case))
+    dag = CircuitDag(c)
+    cfg = GOLDEN_CONFIGS[cname]
+    lay = sabre_layout(dag, graph, cfg, seed=7)
+    routed, final = sabre_route(dag, graph, lay, cfg)
+    return _sha(list(lay)), _route_sha(routed, final)
+
+
+@pytest.mark.parametrize("case", list(_golden_cases()))
+def test_golden_routing(case):
+    assert _golden_run(case) == GOLDEN[case]
+
+
+# Found by a random search: with no decay, reset after every swap and a heavily
+# weighted two-gate extended set, the router oscillates on a line until the
+# stall fallback (after max(50, 10 * n) swaps without progress) walks the
+# oldest blocked gate together.
+STALL_CASE = ([(3, 0), (2, 0), (0, 4), (0, 2), (2, 3)], [3, 2, 4, 1, 0],
+              SabreConfig(extended_set_size=2, extended_weight=10.0,
+                          decay_delta=0.0, decay_reset_interval=1))
+GOLDEN_STALL = "faebc3a400ec506a18095b82b98bd5af5cbf8d22a18a87ce3aaf969ce1999afe"
+
+
+def test_golden_routing_through_stall_fallback():
+    pairs, lay, cfg = STALL_CASE
+    c = Circuit(5)
+    for a, b in pairs:
+        c.cnot(a, b)
+    graph = topology.linear(5)
+    routed, final = sabre_route(CircuitDag(c), graph, Layout(lay), cfg)
+    assert gate_counts(routed)[GateKind.SWAP] >= 50
+    assert _coupled(routed, graph)
+    assert routed_fidelity(c, routed, lay, list(final)) > 1 - 1e-9
+    assert _route_sha(routed, final) == GOLDEN_STALL
