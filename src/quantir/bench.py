@@ -15,9 +15,12 @@ decode (bytes -> circuit objects whose bodies have all been iterated),
 reporting the median over repetitions plus the serialized size and total
 gate count.  Every repetition encodes a batch freshly built from the same
 seeds, outside the timer, so no encode reuses columns packed by an earlier
-one.  Text formats serialize one UTF-8 document per circuit; the binary
-formats use a single multi-circuit stream.  Timing runs single-threaded so
-points are comparable.
+one.  After the last repetition, outside the timers, the decoded batch must
+equal the encoded one for both binary modes and the text IR; QASM output
+rewrites gates by design (u1/u2/u3 forms, SWAP as three ``cx``), so for it
+only the circuit count is checked.  Text formats serialize one UTF-8
+document per circuit; the binary formats use a single multi-circuit stream.
+Timing runs single-threaded so points are comparable.
 """
 from __future__ import annotations
 
@@ -170,6 +173,10 @@ _CODECS = {
 }
 
 
+# formats whose decode reproduces the encoded circuits exactly
+_EXACT = frozenset({"bis_compressed", "bis_uncompressed", "originir"})
+
+
 def _payload_size(payload) -> int:
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
@@ -205,6 +212,8 @@ def run_transmission_bench(config: BenchConfig) -> list[BenchRow]:
                 dec_times.append(t2 - t1)
             if len(decoded) != count:
                 raise BenchError(f"{fmt} round trip lost circuits")
+            if fmt in _EXACT and decoded != batch:
+                raise BenchError(f"{fmt} round trip changed a circuit")
             rows.append(BenchRow(value, fmt, statistics.median(enc_times),
                                  statistics.median(dec_times),
                                  _payload_size(payload),

@@ -455,6 +455,28 @@ def _expand(items, block_dagger: bool, out: Circuit) -> None:
             out._append_fast(_resolve(el, block_dagger))
 
 
+def split_trailing_measures(c: Circuit) -> tuple[Circuit, list[Instruction]]:
+    """The flat circuit without its trailing MEASURE run, and that run.
+
+    Raises CircuitError if a measurement sits anywhere else.  Without a
+    trailing measurement the circuit part is ``flatten(c)`` itself.
+    """
+    flat = flatten(c)
+    body = flat.body
+    cut = len(body)
+    while cut and body[cut - 1].kind is GateKind.MEASURE:
+        cut -= 1
+    if cut == len(body):
+        gates = flat
+    else:
+        gates = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
+        gates._items = body[:cut]
+        gates._dagger_fixups = flat._dagger_fixups
+    if any(ins.kind is GateKind.MEASURE for ins in gates.body):
+        raise CircuitError("measurement must be final")
+    return gates, body[cut:]
+
+
 def depth(c: Circuit) -> int:
     """Greedy-layering depth over qubit wires (empty circuit: 0).
 

@@ -3,6 +3,8 @@
 Node ``i`` is the i-th body instruction.  Edges follow program order along
 every wire an instruction touches: qubit wires for gates and barriers, and
 the classical wire for measurements.  Body order is a topological order.
+``pairs[i]`` holds the two logical operands of a two-qubit gate node and is
+None for every other node, so the router never re-derives gate classes.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ __all__ = ["CircuitDag"]
 class CircuitDag:
     """Dependency structure of a flat circuit."""
 
-    __slots__ = ("circuit", "body", "preds", "succs")
+    __slots__ = ("circuit", "body", "preds", "succs", "pairs")
 
     def __init__(self, circuit: Circuit):
         flat = flatten(circuit)
@@ -42,6 +44,8 @@ class CircuitDag:
                 last_c[cb] = i
         self.preds = preds
         self.succs = succs
+        self.pairs = [ins.qubits if ins.kind.opclass == CLS_2Q else None
+                      for ins in body]
 
     def __len__(self) -> int:
         return len(self.body)
@@ -55,8 +59,7 @@ class CircuitDag:
         return [i for i, p in enumerate(self.preds) if not p]
 
     def two_qubit_nodes(self) -> list[int]:
-        return [i for i, ins in enumerate(self.body)
-                if ins.kind.opclass == CLS_2Q]
+        return [i for i, pair in enumerate(self.pairs) if pair is not None]
 
     def reversed_circuit(self) -> Circuit:
         """The body in reverse order (gates unchanged), for reverse routing."""

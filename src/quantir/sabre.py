@@ -15,7 +15,26 @@ smallest edge, so routing is fully deterministic.
 Placement runs a few trials: from a random initial permutation, route the
 circuit forward, route its reversal back (yielding a layout adapted to both
 ends), then score a final forward pass by inserted swaps and depth.  The best
-trial's layout is returned.
+trial's layout is returned; ``transpile`` also keeps that trial's final
+forward pass as its route instead of routing the layout a second time.
+
+The per-swap cost follows the gates on the two swapped wires, not the whole
+front times the candidate count (after LightSABRE, Zou et al.,
+arXiv:2409.08368):
+
+* the extended set depends on the front alone, so it is rebuilt only when a
+  gate executes; a swap that executes nothing keeps it;
+* a swap on (a, b) moves only the gates with an operand on a or b, so each
+  candidate scores as the integer front and extended-set distance sums,
+  taken once per decision, plus those gates' distance deltas;
+* after a swap only the front gates on the two swapped wires are re-checked
+  for execution; every other front gate is still blocked.
+
+Distances are integers, so these sums equal a float re-sum over every gate
+exactly: scores, tie-breaks and the routed output are the same, byte for
+byte, as routing that applies each candidate swap and re-sums the front and
+extended set.  ``transpile`` of a 57-qubit depth-60 circuit on ``heavy_hex:5``
+at level 2 went from about 6 s to about 1.6 s (README, Transpiler).
 """
 from __future__ import annotations
 
@@ -118,7 +137,7 @@ class SabreConfig:
 
 def _extended_set(dag: CircuitDag, front, size: int) -> list[int]:
     """Up to ``size`` upcoming two-qubit gates, BFS order from the front."""
-    body = dag.body
+    pairs = dag.pairs
     succs = dag.succs
     ext: list[int] = []
     seen = set(front)
@@ -130,7 +149,7 @@ def _extended_set(dag: CircuitDag, front, size: int) -> list[int]:
                 continue
             seen.add(v)
             queue.append(v)
-            if body[v].kind.opclass == CLS_2Q:
+            if pairs[v] is not None:
                 ext.append(v)
                 if len(ext) >= size:
                     break
@@ -158,87 +177,118 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
 
     body = dag.body
     succs = dag.succs
+    pairs = dag.pairs
     indeg = dag.pred_counts()
     front = set(dag.front_layer())
     dist = graph.distance_matrix().tolist()
-    l2p = layout._l2p
+    edges = [[(p, nb) if p < nb else (nb, p) for nb in graph.neighbors(p)]
+             for p in range(n_phys)]
+    l2p, p2l = layout._l2p, layout._p2l
     out = Circuit(n_phys, circ.num_cbits)
     emit = out._append_fast
     raw = Instruction._raw
 
-    decay = [1.0] * n_phys
-    swaps_since_reset = 0
-    swaps_since_progress = 0
     stall_limit = max(50, 10 * n_phys)
     w = config.extended_weight
     delta = config.decay_delta
+    front_pairs = None
+    ready = sorted(front)  # front nodes whose executability may have changed
 
     while front:
         # execute everything executable, in node order
         executed = False
-        queue = deque(sorted(front))
+        queue = deque(ready)
         while queue:
             node = queue.popleft()
-            if node not in front:
-                continue
             ins = body[node]
-            qs = ins.qubits
-            if len(qs) == 2 and ins.kind.opclass == CLS_2Q \
-                    and dist[l2p[qs[0]]][l2p[qs[1]]] != 1:
-                continue  # blocked two-qubit gate
+            pair = pairs[node]
+            if pair is not None:
+                p0, p1 = l2p[pair[0]], l2p[pair[1]]
+                if dist[p0][p1] != 1:
+                    continue  # blocked two-qubit gate
+                qs = (p0, p1)
+            else:
+                qs = tuple([l2p[q] for q in ins.qubits])
             front.discard(node)
-            emit(raw(ins.kind, tuple(l2p[q] for q in qs), ins.params,
-                     ins.cbit, ins.dagger))
+            emit(raw(ins.kind, qs, ins.params, ins.cbit, ins.dagger))
             executed = True
             for s in succs[node]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     front.add(s)
                     queue.append(s)
-        if executed:
+        if not front:
+            break
+        if executed or front_pairs is None:
+            # A new front: reset decay and rebuild what depends on the front
+            # alone.  Per logical wire, its front node, the other operand of
+            # that gate, and the other operands of its extended-set gates.
             decay = [1.0] * n_phys
             swaps_since_reset = 0
             swaps_since_progress = 0
-        if not front:
-            break
+            front_list = sorted(front)
+            front_pairs = [pairs[node] for node in front_list]
+            front_node = [-1] * n_phys
+            front_mate = [-1] * n_phys
+            for node, (q0, q1) in zip(front_list, front_pairs):
+                front_node[q0] = front_node[q1] = node
+                front_mate[q0], front_mate[q1] = q1, q0
+            ext_pairs = [pairs[node] for node in
+                         _extended_set(dag, front_list, config.extended_set_size)]
+            ext_mates = [[] for _ in range(n_phys)]
+            for q0, q1 in ext_pairs:
+                ext_mates[q0].append(q1)
+                ext_mates[q1].append(q0)
+            inv_f = 1.0 / len(front_pairs)
+            inv_e = 1.0 / len(ext_pairs) if ext_pairs else 0.0
 
         # every front gate is a blocked two-qubit gate: insert one SWAP
-        front_list = sorted(front)
         if swaps_since_progress >= stall_limit:
             # safeguard: march the oldest blocked gate together greedily
-            g = body[front_list[0]]
-            p0, p1 = l2p[g.qubits[0]], l2p[g.qubits[1]]
+            p0, p1 = l2p[front_pairs[0][0]], l2p[front_pairs[0][1]]
             step = min(graph.neighbors(p0), key=lambda nb: (dist[nb][p1], nb))
             best_edge = (p0, step) if p0 < step else (step, p0)
         else:
-            active = set()
-            for node in front_list:
-                g = body[node]
-                active.add(l2p[g.qubits[0]])
-                active.add(l2p[g.qubits[1]])
+            # A swap on (a, b) moves only the gates with an operand on a or b,
+            # so each candidate scores as the integer base sum plus those
+            # gates' distance deltas.  Distances are integers, so the float
+            # scores equal a full re-sum's bit for bit.
             candidates = set()
-            for p in active:
-                for nb in graph.neighbors(p):
-                    candidates.add((p, nb) if p < nb else (nb, p))
-            ext = _extended_set(dag, front_list, config.extended_set_size)
+            base_f = 0
+            for q0, q1 in front_pairs:
+                p0, p1 = l2p[q0], l2p[q1]
+                base_f += dist[p0][p1]
+                candidates.update(edges[p0])
+                candidates.update(edges[p1])
+            base_e = 0
+            for q0, q1 in ext_pairs:
+                base_e += dist[l2p[q0]][l2p[q1]]
             best_edge = None
             best_score = None
-            inv_f = 1.0 / len(front_list)
-            inv_e = 1.0 / len(ext) if ext else 0.0
             for a, b in sorted(candidates):
-                layout.swap_physical(a, b)
-                s = 0.0
-                for node in front_list:
-                    g = body[node]
-                    s += dist[l2p[g.qubits[0]]][l2p[g.qubits[1]]]
+                la, lb = p2l[a], p2l[b]
+                da, db = dist[a], dist[b]
+                s = base_f
+                m = front_mate[la]
+                if m >= 0 and m != lb:
+                    o = l2p[m]
+                    s += db[o] - da[o]
+                m = front_mate[lb]
+                if m >= 0 and m != la:
+                    o = l2p[m]
+                    s += da[o] - db[o]
                 score = s * inv_f
-                if ext:
-                    s = 0.0
-                    for node in ext:
-                        g = body[node]
-                        s += dist[l2p[g.qubits[0]]][l2p[g.qubits[1]]]
+                if ext_pairs:
+                    s = base_e
+                    for m in ext_mates[la]:
+                        if m != lb:
+                            o = l2p[m]
+                            s += db[o] - da[o]
+                    for m in ext_mates[lb]:
+                        if m != la:
+                            o = l2p[m]
+                            s += da[o] - db[o]
                     score += w * s * inv_e
-                layout.swap_physical(a, b)  # undo
                 score *= decay[a] if decay[a] >= decay[b] else decay[b]
                 if best_score is None or score < best_score:
                     best_score = score
@@ -253,25 +303,23 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
         if swaps_since_reset >= config.decay_reset_interval:
             decay = [1.0] * n_phys
             swaps_since_reset = 0
+        # only front gates on the two swapped wires can have become executable
+        ready = sorted({front_node[p2l[a]], front_node[p2l[b]]} - {-1})
 
     return out, layout
 
 
-def _swap_cost(original: Circuit, routed: Circuit) -> int:
-    def count(c: Circuit) -> int:
-        n = 0
-        for ins in c.body:
-            if ins.kind is GateKind.SWAP:
-                n += 1
-        return n
-
-    return count(routed) - count(original)
+def _swap_count(c: Circuit) -> int:
+    return sum(1 for ins in c.body if ins.kind is GateKind.SWAP)
 
 
-def sabre_layout(dag: CircuitDag, graph: CouplingGraph,
-                 config: SabreConfig = SabreConfig(),
-                 seed: int = 0) -> Layout:
-    """Pick an initial layout by bidirectional routing trials."""
+def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,
+                seed: int) -> tuple[Layout, Circuit, Layout]:
+    """Layout trials; the winner's initial layout and its forward route.
+
+    The last forward pass of each trial is exactly the route ``transpile``
+    needs for that trial's layout, so the winner's is kept, not recomputed.
+    """
     circ = dag.circuit
     if circ.num_qubits > graph.num_qubits:
         raise RoutingError(
@@ -279,19 +327,28 @@ def sabre_layout(dag: CircuitDag, graph: CouplingGraph,
             f"{graph.num_qubits}")
     if not dag.two_qubit_nodes():
         # nothing to place; any permutation routes identically
-        return Layout.identity(graph.num_qubits)
+        initial = Layout.identity(graph.num_qubits)
+        return (initial, *sabre_route(dag, graph, initial, config))
     rng = random.Random(seed)
     rev_dag = CircuitDag(dag.reversed_circuit())
+    own_swaps = _swap_count(circ)
     best = None
     for trial in range(config.layout_trials):
         l0 = Layout.shuffled(graph.num_qubits, rng)
         _, l1 = sabre_route(dag, graph, l0, config)
         _, l2 = sabre_route(rev_dag, graph, l1, config)
-        routed, _ = sabre_route(dag, graph, l2, config)
-        key = (_swap_cost(circ, routed), depth(routed), trial)
+        routed, final = sabre_route(dag, graph, l2, config)
+        key = (_swap_count(routed) - own_swaps, depth(routed), trial)
         if best is None or key < best[0]:
-            best = (key, l2)
-    return best[1]
+            best = (key, l2, routed, final)
+    return best[1:]
+
+
+def sabre_layout(dag: CircuitDag, graph: CouplingGraph,
+                 config: SabreConfig = SabreConfig(),
+                 seed: int = 0) -> Layout:
+    """Pick an initial layout by bidirectional routing trials."""
+    return _best_trial(dag, graph, config, seed)[0]
 
 
 def naive_swap_count(circuit: Circuit, graph: CouplingGraph) -> int:

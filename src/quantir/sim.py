@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Instruction, flatten
+from .circuit import Circuit, Instruction, flatten, split_trailing_measures
 from .gates import GateKind
 
 MAX_SIM_QUBITS = 12
@@ -164,20 +164,7 @@ def permute_state(state: np.ndarray, l2p, n: int) -> np.ndarray:
 
 def strip_trailing_measures(c: Circuit) -> Circuit:
     """Drop the trailing MEASURE suffix; error if a measure sits mid-body."""
-    flat = flatten(c)
-    body = flat.body
-    cut = len(body)
-    while cut and body[cut - 1].kind is GateKind.MEASURE:
-        cut -= 1
-    for ins in body[:cut]:
-        if ins.kind is GateKind.MEASURE:
-            raise CircuitError("measurement must be final")
-    if cut == len(body):
-        return flat
-    out = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
-    for ins in body[:cut]:
-        out._append_fast(ins)
-    return out
+    return split_trailing_measures(c)[0]
 
 
 def routed_fidelity(original: Circuit, routed: Circuit, initial_layout,

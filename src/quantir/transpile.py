@@ -17,12 +17,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .circuit import Circuit, Instruction, depth, flatten
+from .circuit import (Circuit, Instruction, depth, flatten,
+                      split_trailing_measures)
 from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 from .passes import (BASES, cancel_adjacent_inverses, decompose_to_basis,
                      expand_swaps, merge_adjacent_rotations)
-from .sabre import Layout, SabreConfig, sabre_layout, sabre_route
+from .sabre import Layout, SabreConfig, _best_trial, _swap_count
 from .topology import CouplingGraph
 
 __all__ = ["TranspileConfig", "TranspileStats", "TranspileResult",
@@ -86,10 +87,6 @@ def preprocess(circuit: Circuit, config: TranspileConfig) -> Circuit:
     return decompose_to_basis(flat, config.basis)
 
 
-def _swap_count(c: Circuit) -> int:
-    return sum(1 for ins in c.body if ins.kind is GateKind.SWAP)
-
-
 def _two_q_count(c: Circuit) -> int:
     return sum(1 for ins in c.body if ins.kind.opclass == CLS_2Q)
 
@@ -114,19 +111,9 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
     flat = flatten(circuit)
     depth_before = depth(flat)
 
-    pre = preprocess(flat, config)
     # split off the (validated trailing) measurements; they are re-attached
     # at the end, re-targeted through the final layout
-    body = pre.body
-    cut = len(body)
-    while cut > 0 and body[cut - 1].kind is GateKind.MEASURE:
-        cut -= 1
-    measures = body[cut:]
-    if measures:
-        gates = Circuit(pre.num_qubits, pre.num_cbits, name=pre.name)
-        for ins in body[:cut]:
-            gates._append_fast(ins)
-        pre = gates
+    pre, measures = split_trailing_measures(preprocess(flat, config))
 
     if config.level >= 1:
         pre = merge_adjacent_rotations(pre)
@@ -134,9 +121,7 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         pre = cancel_adjacent_inverses(pre)
 
     dag = CircuitDag(pre)
-    sabre_cfg = config.sabre()
-    initial = sabre_layout(dag, graph, sabre_cfg, seed=config.seed)
-    routed, final = sabre_route(dag, graph, initial, sabre_cfg)
+    initial, routed, final = _best_trial(dag, graph, config.sabre(), config.seed)
     swaps_inserted = _swap_count(routed) - _swap_count(pre)
 
     out = routed

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from hypothesis import strategies as st
 
-from quantir.circuit import Circuit
+from quantir.circuit import Circuit, Instruction, flatten
 from quantir.gates import GateKind
 
 PARAMLESS_1Q = [GateKind.I, GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
@@ -65,6 +66,51 @@ def ghz(n: int = 3) -> Circuit:
     for i in range(n - 1):
         c.cnot(i, i + 1)
     return c
+
+
+def check_routing(circuit: Circuit, graph, routed: Circuit, initial, final) -> None:
+    """Replay a routed circuit onto logical wires; assert it routes ``circuit``.
+
+    Walking the routed body, each gate mapped back through the current layout
+    must be the next input gate on every qubit wire (and classical bit) it
+    touches.  Any other gate must be a SWAP the router inserted; it moves the
+    layout.  Every two-qubit gate sits on a coupling edge.  At the end every
+    input gate has been matched and the layout equals ``final``.  Linear time,
+    no statevector, so it works at any width.
+    """
+    body = flatten(circuit).body
+    p2l = [0] * graph.num_qubits
+    for logical, phys in enumerate(initial):
+        p2l[phys] = logical
+    wires = [deque() for _ in range(graph.num_qubits)]
+    cbits = [deque() for _ in range(circuit.num_cbits)]
+    for i, ins in enumerate(body):
+        for q in ins.qubits:
+            wires[q].append(i)
+        if ins.cbit is not None:
+            cbits[ins.cbit].append(i)
+    for k, ins in enumerate(routed.body):
+        if len(ins.qubits) == 2 and ins.kind is not GateKind.BARRIER:
+            assert graph.has_edge(*ins.qubits), f"routed gate {k} {ins!r} is off the coupling graph"
+        logical = tuple(p2l[p] for p in ins.qubits)
+        i = wires[logical[0]][0] if wires[logical[0]] else None
+        if (i is not None and all(wires[q] and wires[q][0] == i for q in logical)
+                and (ins.cbit is None or cbits[ins.cbit] and cbits[ins.cbit][0] == i)
+                and body[i] == Instruction(ins.kind, logical, ins.params, ins.cbit,
+                                           ins.dagger)):
+            for q in logical:
+                wires[q].popleft()
+            if ins.cbit is not None:
+                cbits[ins.cbit].popleft()
+            continue
+        assert ins.kind is GateKind.SWAP, \
+            f"routed gate {k} {ins!r} is not the next input gate on its wires"
+        a, b = ins.qubits
+        p2l[a], p2l[b] = p2l[b], p2l[a]
+    left = sum(map(len, wires))
+    assert not left, f"{left} input gate operands never appeared in the routed circuit"
+    assert all(final.phys(q) == p for p, q in enumerate(p2l)), \
+        "replayed layout differs from the final layout"
 
 
 def parse_dot(text: str):

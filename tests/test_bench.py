@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from quantir import bis
+from quantir import bench, bis
 from quantir.bench import (
     CSV_HEADER, FORMATS, SWEEPS, BenchConfig, BenchError, BenchRow,
     random_circuit, run_transmission_bench, write_csv,
 )
-from quantir.circuit import depth, gate_counts
+from quantir.circuit import Circuit, depth, gate_counts
 from quantir.gates import CLS_2Q, CLS_ROT, GateKind
 
 ONE_Q = {GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S,
@@ -189,6 +189,23 @@ def test_formats_subset_respected():
                       formats=("originir",), **DESK)
     rows = run_transmission_bench(cfg)
     assert len(rows) == 1 and rows[0].format == "originir"
+
+
+@pytest.mark.parametrize("fmt", ["bis_compressed", "bis_uncompressed", "originir"])
+def test_round_trip_that_drops_a_gate_is_rejected(monkeypatch, fmt):
+    encode, decode = bench._CODECS[fmt]
+
+    def lossy(payload):
+        out = decode(payload)
+        body = out[-1].body
+        out[-1] = Circuit(out[-1].num_qubits, out[-1].num_cbits)
+        out[-1].extend(body[:-1])
+        return out
+
+    monkeypatch.setitem(bench._CODECS, fmt, (encode, lossy))
+    cfg = BenchConfig(sweep="circuit_count", sweep_values=[3], formats=(fmt,), **DESK)
+    with pytest.raises(BenchError, match="changed a circuit"):
+        run_transmission_bench(cfg)
 
 
 # -- CSV --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from quantir.circuit import (
     Circuit, CircuitError, Instruction, SubcircuitInstance,
-    dagger_instruction, depth, flatten, gate_counts,
+    dagger_instruction, depth, flatten, gate_counts, split_trailing_measures,
 )
 from quantir.gates import GateKind, KIND_BY_OPCODE, X1_DAGGER_OPCODE
 
@@ -172,6 +172,30 @@ class TestFlatten:
     def test_x1_dagger_survives_flatten(self):
         flat = flatten(Circuit(1).sub(Circuit(1).x1(0), dagger=True))
         assert flat.body[0].kind is GateKind.X1 and flat.body[0].dagger
+
+
+class TestSplitTrailingMeasures:
+    def test_splits_off_the_trailing_run(self):
+        c = Circuit(2, 3, name="m").h(0).sub(Circuit(2).cnot(0, 1), dagger=True)
+        c.measure(1, 2).measure(0, 0)
+        gates, measures = split_trailing_measures(c)
+        assert gates == Circuit(2, 3).h(0).cnot(0, 1)
+        assert gates.name == "m"
+        assert measures == [Instruction(GateKind.MEASURE, (1,), cbit=2),
+                            Instruction(GateKind.MEASURE, (0,), cbit=0)]
+
+    def test_without_measures_returns_the_flat_circuit(self):
+        c = Circuit(2).h(0).cnot(0, 1)
+        gates, measures = split_trailing_measures(c)
+        assert gates is c and measures == []
+
+    def test_measure_only(self):
+        gates, measures = split_trailing_measures(Circuit(1).measure(0, 0))
+        assert len(gates) == 0 and len(measures) == 1
+
+    def test_mid_circuit_measure_rejected(self):
+        with pytest.raises(CircuitError, match="measurement must be final"):
+            split_trailing_measures(Circuit(2).measure(0, 0).h(1).measure(1, 1))
 
 
 class TestDepth:

@@ -5,14 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantir.circuit import Circuit, depth, flatten, gate_counts
+from quantir.circuit import Circuit, Instruction, depth, flatten, gate_counts
 from quantir.dag import CircuitDag
 from quantir.gates import CLS_2Q, GateKind
 from quantir.sabre import Layout, RoutingError, SabreConfig, sabre_layout, sabre_route
 from quantir.sim import routed_fidelity
 from quantir import topology
 
-from conftest import circuits
+from conftest import check_routing, circuits
 
 
 # -- Layout ----------------------------------------------------------------
@@ -226,6 +226,66 @@ def test_routing_oracle_property(c):
     routed, final = sabre_route(CircuitDag(c), graph, Layout.identity(4))
     assert _coupled(routed, graph)
     assert routed_fidelity(c, routed, [0, 1, 2, 3], list(final)) > 1 - 1e-9
+
+
+# -- routing replay check ---------------------------------------------------------
+
+def _replay_example():
+    graph = topology.square(9)
+    c = _golden_circuit(7, 8, seed=1)
+    lay = Layout.identity(9)
+    routed, final = sabre_route(CircuitDag(c), graph, lay)
+    assert gate_counts(routed)[GateKind.SWAP] > gate_counts(c)[GateKind.SWAP]
+    return c, graph, routed, lay, final
+
+
+def _with_body(routed: Circuit, body) -> Circuit:
+    out = Circuit(routed.num_qubits, routed.num_cbits)
+    out.extend(body)
+    return out
+
+
+def test_replay_accepts_router_output():
+    check_routing(*_replay_example())
+
+
+def _first(body, kind):
+    return next(k for k, ins in enumerate(body) if ins.kind is kind)
+
+
+@pytest.mark.parametrize("fault", ["drop", "reorder", "param", "off-edge", "final"])
+def test_replay_rejects_a_faulty_route(fault):
+    c, graph, routed, lay, final = _replay_example()
+    body = list(routed.body)
+    if fault == "drop":
+        del body[_first(body, GateKind.CNOT)]
+    elif fault == "reorder":
+        # the first two gates that share a wire, exchanged
+        k = next(k for k in range(1, len(body))
+                 if set(body[k].qubits) & set(body[k - 1].qubits)
+                 and body[k] != body[k - 1])
+        body[k - 1], body[k] = body[k], body[k - 1]
+    elif fault == "param":
+        k = _first(body, GateKind.RZ)
+        ins = body[k]
+        body[k] = Instruction(ins.kind, ins.qubits, (ins.params[0] + 1e-12,))
+    elif fault == "off-edge":
+        body.insert(0, Instruction(GateKind.SWAP, (0, 8)))
+    else:
+        final = final.copy()
+        final.swap_physical(0, 1)
+    with pytest.raises(AssertionError):
+        check_routing(c, graph, _with_body(routed, body), lay, final)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuits(max_qubits=6, max_len=30, measures=True, barriers=True),
+       st.integers(min_value=0, max_value=50))
+def test_replay_property(c, seed):
+    graph = topology.random_topology(6, extra_edge_fraction=0.2, seed=seed)
+    lay = Layout.shuffled(6, random.Random(seed))
+    routed, final = sabre_route(CircuitDag(c), graph, lay)
+    check_routing(c, graph, routed, lay, final)
 
 
 # -- placement ----------------------------------------------------------------

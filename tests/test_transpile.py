@@ -1,10 +1,11 @@
 """Full pipeline: levels, bases, layouts, stats, determinism."""
+import importlib
 import math
 import random
 
 import pytest
 
-from quantir import topology
+from quantir import sabre, topology
 from quantir.bis import encode
 from quantir.circuit import Circuit, depth, flatten, gate_counts
 from quantir.gates import CLS_2Q, GateKind
@@ -13,6 +14,11 @@ from quantir.sim import routed_fidelity
 from quantir.transpile import (TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
                                transpile)
+
+from conftest import check_routing
+
+# the package re-exports the function ``transpile`` under the module's name
+transpile_mod = importlib.import_module("quantir.transpile")
 
 PI = math.pi
 
@@ -249,3 +255,51 @@ def test_seed_changes_can_change_layout():
                                TranspileConfig(seed=s)).initial_layout)
                for s in range(6)}
     assert len(layouts) > 1
+
+
+# -- routing replay at device width ------------------------------------------------
+
+@pytest.mark.parametrize("name", ["heavy_hex:5", "square:49"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_route_replays_to_the_routed_dag_at_device_width(monkeypatch, name, level):
+    # the 12-qubit statevector oracle cannot check these widths; the replay can
+    kind, n = name.split(":")
+    graph = topology.build(kind, int(n))
+    width = graph.num_qubits
+    c = random_circuit(width, 4 * width, seed=level)
+    c.barrier(*range(0, width, 3))
+    c.extend(random_circuit(width, width, seed=level + 10).body)
+    for q in range(width):
+        c.measure(q, q)
+    routes = []
+    real = transpile_mod._best_trial
+
+    def spy(dag, *args):
+        initial, routed, final = real(dag, *args)
+        snapshot = Circuit(routed.num_qubits, routed.num_cbits)
+        snapshot.extend(routed.body)
+        routes.append((dag.circuit, initial, snapshot, final))
+        return initial, routed, final
+
+    monkeypatch.setattr(transpile_mod, "_best_trial", spy)
+    res = transpile(c, graph, TranspileConfig(level=level))
+    (routed_input, initial, routed, final), = routes
+    check_routing(routed_input, graph, routed, initial, final)
+    assert initial == res.initial_layout and final == res.final_layout
+    assert coupled(res.circuit, graph)
+
+
+def test_winning_trial_route_is_not_recomputed(monkeypatch):
+    calls = []
+    real = sabre.sabre_route
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sabre, "sabre_route", counting)
+    # also count a direct call from the pipeline, should one come back
+    monkeypatch.setattr(transpile_mod, "sabre_route", counting, raising=False)
+    cfg = TranspileConfig(routing=SabreConfig(layout_trials=3))
+    transpile(random_circuit(5, 40, seed=2), GRAPHS["linear"], cfg)
+    assert len(calls) == 3 * 3  # forward, reverse, forward per trial; no extra route
