@@ -466,14 +466,12 @@ def split_trailing_measures(c: Circuit) -> tuple[Circuit, list[Instruction]]:
     cut = len(body)
     while cut and body[cut - 1].kind is GateKind.MEASURE:
         cut -= 1
-    if cut == len(body):
-        gates = flat
-    else:
-        gates = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
-        gates._items = body[:cut]
-        gates._dagger_fixups = flat._dagger_fixups
-    if any(ins.kind is GateKind.MEASURE for ins in gates.body):
+    if any(ins.kind is GateKind.MEASURE for ins in body[:cut]):
         raise CircuitError("measurement must be final")
+    if cut == len(body):
+        return flat, []
+    gates = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
+    gates._items = body[:cut]  # flat: no sub-circuits, no dagger flags to resolve
     return gates, body[cut:]
 
 

@@ -18,9 +18,9 @@ ends), then score a final forward pass by inserted swaps and depth.  The best
 trial's layout is returned; ``transpile`` also keeps that trial's final
 forward pass as its route instead of routing the layout a second time.
 
-The per-swap cost follows the gates on the two swapped wires, not the whole
-front times the candidate count (after LightSABRE, Zou et al.,
-arXiv:2409.08368):
+Scoring a candidate swap costs work in proportion to the gates on its two
+wires, not to the size of the front and extended set (after LightSABRE, Zou
+et al., arXiv:2409.08368):
 
 * the extended set depends on the front alone, so it is rebuilt only when a
   gate executes; a swap that executes nothing keeps it;
@@ -34,7 +34,8 @@ Distances are integers, so these sums equal a float re-sum over every gate
 exactly: scores, tie-breaks and the routed output are the same, byte for
 byte, as routing that applies each candidate swap and re-sums the front and
 extended set.  ``transpile`` of a 57-qubit depth-60 circuit on ``heavy_hex:5``
-at level 2 went from about 6 s to about 1.6 s (README, Transpiler).
+at level 2 runs about 4x faster for it: 9.4 s before, 2.2 s after, on a
+2-core Intel Xeon VM (README, Transpiler, has the command).
 """
 from __future__ import annotations
 
