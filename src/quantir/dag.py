@@ -9,7 +9,7 @@ None for every other node, so the router never re-derives gate classes.
 from __future__ import annotations
 
 from .circuit import Circuit, flatten
-from .gates import CLS_2Q
+from .gates import GateKind
 
 __all__ = ["CircuitDag"]
 
@@ -26,10 +26,16 @@ class CircuitDag:
         n = len(body)
         preds: list[list[int]] = [[] for _ in range(n)]
         succs: list[list[int]] = [[] for _ in range(n)]
+        pairs: list[tuple[int, int] | None] = [None] * n
         last_q = [-1] * flat.num_qubits
         last_c = [-1] * flat.num_cbits
+        barrier = GateKind.BARRIER
         for i, ins in enumerate(body):
-            for q in ins.qubits:
+            qs = ins.qubits
+            # two operands: a two-qubit gate, or a barrier that happens to span two
+            if len(qs) == 2 and ins.kind is not barrier:
+                pairs[i] = qs
+            for q in qs:
                 p = last_q[q]
                 if p >= 0 and (not succs[p] or succs[p][-1] != i):
                     succs[p].append(i)
@@ -44,8 +50,7 @@ class CircuitDag:
                 last_c[cb] = i
         self.preds = preds
         self.succs = succs
-        self.pairs = [ins.qubits if ins.kind.opclass == CLS_2Q else None
-                      for ins in body]
+        self.pairs = pairs
 
     def __len__(self) -> int:
         return len(self.body)
