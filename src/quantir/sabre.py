@@ -34,7 +34,7 @@ Distances are integers, so these sums equal a float re-sum over every gate
 exactly: scores, tie-breaks and the routed output are the same, byte for
 byte, as routing that applies each candidate swap and re-sums the front and
 extended set.  ``transpile`` of a 57-qubit depth-60 circuit on ``heavy_hex:5``
-at level 2 runs about 4x faster for it: 9.4 s before, 2.2 s after, on a
+at level 2 runs about 4x faster for it: 8.3 s before, 2.1 s after, on a
 2-core Intel Xeon VM (README, Transpiler, has the command).
 """
 from __future__ import annotations
