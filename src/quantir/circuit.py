@@ -5,7 +5,10 @@ elements.  Flat bodies (instructions only) are additionally kept in a packed
 columnar form -- an opcode byte array plus operand/parameter arrays -- so
 that serialization and structural equality run as bulk array operations.
 The packed columns and the Instruction list are two views of the same body;
-each is built lazily from the other and cached.
+each is built lazily from the other and cached.  Instructions are immutable,
+so a body built from columns (as after decoding) holds one shared instance
+per distinct parameter-free row (1Q, 2Q, MEASURE): equal such rows in one
+body are the same object.  Rotation, U3 and BARRIER rows are built per row.
 """
 from __future__ import annotations
 
@@ -69,21 +72,21 @@ class Instruction:
                 raise CircuitError("MEASURE cannot be daggered")
         elif cbit is not None:
             raise CircuitError(f"{kind.name} takes no classical bit")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "cbit", cbit)
-        object.__setattr__(self, "dagger", bool(dagger))
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        _set_cbit(self, cbit)
+        _set_dagger(self, bool(dagger))
 
     @classmethod
     def _raw(cls, kind, qubits, params, cbit, dagger):
         # trusted constructor for pre-validated data (decode, unpack)
-        self = object.__new__(cls)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "cbit", cbit)
-        object.__setattr__(self, "dagger", dagger)
+        self = _new(cls)
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        _set_cbit(self, cbit)
+        _set_dagger(self, dagger)
         return self
 
     def __setattr__(self, name, value):
@@ -91,9 +94,9 @@ class Instruction:
 
     @property
     def opcode(self) -> int:
-        if self.dagger and self.kind is GateKind.X1:
+        if self.dagger and self.kind is _X1:
             return X1_DAGGER_OPCODE
-        return self.kind.value
+        return self.kind.opcode
 
     def __eq__(self, other):
         if not isinstance(other, Instruction):
@@ -114,6 +117,14 @@ class Instruction:
         if self.dagger:
             bits.append("dag")
         return "<" + " ".join(bits) + ">"
+
+
+# The slots' own setters bypass Instruction.__setattr__, which raises.
+_new = object.__new__
+_set_kind, _set_qubits, _set_params, _set_cbit, _set_dagger = (
+    Instruction.__dict__[name].__set__ for name in Instruction.__slots__)
+_X1 = GateKind.X1
+_MEASURE = GateKind.MEASURE
 
 
 def dagger_instruction(ins: Instruction) -> Instruction:
@@ -201,30 +212,31 @@ class _Columns:
                 and self.extra.tobytes() == other.extra.tobytes())
 
 
-_PARAMS_PER_CLASS = (0, 1, 3, 0, 0, 0, 0, 0)
-
-
 def _pack_body(body) -> _Columns:
     code: list[int] = []
     a: list[int] = []
     b: list[int] = []
     params: list[float] = []
     extra: list[int] = []
+    code_app, a_app, b_app = code.append, a.append, b.append
     for ins in body:
-        cls = ins.kind.opclass
-        code.append(ins.opcode)
+        kind = ins.kind
+        cls = kind.opclass
+        code_app(X1_DAGGER_OPCODE if ins.dagger and kind is _X1 else kind.opcode)
+        qubits = ins.qubits
         if cls == CLS_BARRIER:
-            a.append(len(ins.qubits))
-            b.append(-1)
-            extra.extend(ins.qubits)
+            a_app(len(qubits))
+            b_app(-1)
+            extra.extend(qubits)
+            continue
+        a_app(qubits[0])
+        if cls == CLS_2Q:
+            b_app(qubits[1])
+        elif cls == CLS_MEASURE:
+            b_app(ins.cbit)
         else:
-            a.append(ins.qubits[0])
-            if cls == CLS_2Q:
-                b.append(ins.qubits[1])
-            elif cls == CLS_MEASURE:
-                b.append(ins.cbit)
-            else:
-                b.append(-1)
+            b_app(-1)
+            if cls != CLS_1Q:
                 params.extend(ins.params)
     return _Columns(
         np.array(code, dtype=np.uint8),
@@ -239,28 +251,37 @@ def _unpack_body(cols: _Columns) -> list[Instruction]:
     out: list[Instruction] = []
     app = out.append
     raw = Instruction._raw
+    # parameter-free rows (classes 1Q, 2Q, MEASURE) are fully named by
+    # (opcode, a, b): each distinct row is built once and shared, which is
+    # safe because instructions are immutable
+    shared: dict[tuple, Instruction] = {}
+    lookup = shared.get
     params = cols.params.tolist()
     extra = cols.extra.tolist()
     pi = 0
     xi = 0
-    for op, av, bv in zip(cols.code.tolist(), cols.a.tolist(), cols.b.tolist()):
-        kind = KIND_BY_OPCODE[op]
-        cls = op >> 5
-        if cls == CLS_1Q:
-            app(raw(kind, (av,), (), None, op == X1_DAGGER_OPCODE))
-        elif cls == CLS_ROT:
-            app(raw(kind, (av,), (params[pi],), None, False))
-            pi += 1
-        elif cls == CLS_U3:
-            app(raw(kind, (av,), tuple(params[pi:pi + 3]), None, False))
-            pi += 3
-        elif cls == CLS_2Q:
-            app(raw(kind, (av, bv), (), None, False))
-        elif cls == CLS_MEASURE:
-            app(raw(kind, (av,), (), bv, False))
-        else:
-            app(raw(kind, tuple(extra[xi:xi + av]), (), None, False))
-            xi += av
+    for row in zip(cols.code.tolist(), cols.a.tolist(), cols.b.tolist()):
+        ins = lookup(row)
+        if ins is None:
+            op, av, bv = row
+            kind = KIND_BY_OPCODE[op]
+            cls = op >> 5
+            if cls == CLS_1Q:
+                ins = shared[row] = raw(kind, (av,), (), None, op == X1_DAGGER_OPCODE)
+            elif cls == CLS_2Q:
+                ins = shared[row] = raw(kind, (av, bv), (), None, False)
+            elif cls == CLS_MEASURE:
+                ins = shared[row] = raw(kind, (av,), (), bv, False)
+            elif cls == CLS_ROT:
+                ins = raw(kind, (av,), (params[pi],), None, False)
+                pi += 1
+            elif cls == CLS_U3:
+                ins = raw(kind, (av,), tuple(params[pi:pi + 3]), None, False)
+                pi += 3
+            else:
+                ins = raw(kind, tuple(extra[xi:xi + av]), (), None, False)
+                xi += av
+        app(ins)
     return out
 
 
@@ -323,16 +344,17 @@ class Circuit:
 
     def append(self, item) -> None:
         if isinstance(item, Instruction):
+            n = self.num_qubits
             for q in item.qubits:
-                if not 0 <= q < self.num_qubits:
+                if not 0 <= q < n:
                     raise CircuitError(
-                        f"qubit {q} out of range for {self.num_qubits}-qubit circuit")
-            if item.kind is GateKind.MEASURE and not 0 <= item.cbit < self.num_cbits:
+                        f"qubit {q} out of range for {n}-qubit circuit")
+            kind = item.kind
+            if kind is _MEASURE and not 0 <= item.cbit < self.num_cbits:
                 raise CircuitError(
                     f"cbit {item.cbit} out of range for {self.num_cbits} cbits")
-            body = self.body
-            body.append(item)
-            if item.dagger and item.kind is not GateKind.X1:
+            self.body.append(item)
+            if item.dagger and kind is not _X1:
                 self._dagger_fixups += 1
         elif isinstance(item, SubcircuitInstance):
             sub = item.circuit
@@ -360,7 +382,7 @@ class Circuit:
     def _append_fast(self, ins: Instruction) -> None:
         # for internal passes: operands already validated against this width
         self._items.append(ins)
-        if ins.dagger and ins.kind is not GateKind.X1:
+        if ins.dagger and ins.kind is not _X1:
             self._dagger_fixups += 1
 
     # gate builders; each returns self so circuits can be chained together
@@ -464,9 +486,9 @@ def split_trailing_measures(c: Circuit) -> tuple[Circuit, list[Instruction]]:
     flat = flatten(c)
     body = flat.body
     cut = len(body)
-    while cut and body[cut - 1].kind is GateKind.MEASURE:
+    while cut and body[cut - 1].kind is _MEASURE:
         cut -= 1
-    if any(ins.kind is GateKind.MEASURE for ins in body[:cut]):
+    if any(ins.kind is _MEASURE for ins in body[:cut]):
         raise CircuitError("measurement must be final")
     if cut == len(body):
         return flat, []

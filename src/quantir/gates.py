@@ -2,9 +2,10 @@
 
 The enum value of each kind doubles as its wire opcode in the binary
 instruction stream: the high 3 bits are the operand class, the low 5 bits
-the id within that class.  The daggered X1 is not a separate kind (it is an
-X1 instruction with the dagger flag set) but owns the dedicated wire opcode
-``X1_DAGGER_OPCODE`` in class 0.
+the id within that class.  Each member also carries both as plain
+attributes, ``opcode`` and ``opclass``.  The daggered X1 is not a separate
+kind (it is an X1 instruction with the dagger flag set) but owns the
+dedicated wire opcode ``X1_DAGGER_OPCODE`` in class 0.
 """
 from __future__ import annotations
 
@@ -40,9 +41,11 @@ class GateKind(Enum):
     MEASURE = 0x80
     BARRIER = 0xA0
 
-    @property
-    def opclass(self) -> int:
-        return self.value >> 5
+    def __init__(self, value: int):
+        # plain member attributes: the codec reads both once per instruction,
+        # and an Enum property read costs several times an attribute read
+        self.opcode = value
+        self.opclass = value >> 5
 
 
 X1_DAGGER_OPCODE = 0x0A

@@ -188,6 +188,7 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
     out = Circuit(n_phys, circ.num_cbits)
     emit = out._append_fast
     raw = Instruction._raw
+    swap = GateKind.SWAP
 
     stall_limit = max(50, 10 * n_phys)
     w = config.extended_weight
@@ -295,7 +296,7 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
                     best_score = score
                     best_edge = (a, b)
         a, b = best_edge
-        emit(raw(GateKind.SWAP, (a, b), (), None, False))
+        emit(raw(swap, (a, b), (), None, False))
         layout.swap_physical(a, b)
         decay[a] += delta
         decay[b] += delta
@@ -311,7 +312,8 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
 
 
 def _swap_count(c: Circuit) -> int:
-    return sum(1 for ins in c.body if ins.kind is GateKind.SWAP)
+    swap = GateKind.SWAP
+    return sum(1 for ins in c.body if ins.kind is swap)
 
 
 def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,

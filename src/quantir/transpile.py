@@ -78,9 +78,10 @@ class TranspileResult:
 def preprocess(circuit: Circuit, config: TranspileConfig) -> Circuit:
     """Flatten, check measurement placement, lower to the target basis."""
     flat = flatten(circuit)
+    measure = GateKind.MEASURE
     seen_measure = False
     for ins in flat.body:
-        if ins.kind is GateKind.MEASURE:
+        if ins.kind is measure:
             seen_measure = True
         elif seen_measure:
             raise TranspileError("measurement must be final")
@@ -132,9 +133,9 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
     if config.basis != "none":
         out = expand_swaps(out, config.basis)
 
+    raw, measure = Instruction._raw, GateKind.MEASURE
     for m in measures:
-        out._append_fast(Instruction._raw(
-            GateKind.MEASURE, (final.phys(m.qubits[0]),), (), m.cbit, False))
+        out._append_fast(raw(measure, (final.phys(m.qubits[0]),), (), m.cbit, False))
 
     stats = TranspileStats(
         swaps_inserted=swaps_inserted,

@@ -3,10 +3,12 @@
 Each test is self-contained and asserts the guarantee at its stated
 tolerance, so the ``pytest -v`` report reads as a checklist.
 """
+import gc
 import itertools
 import math
 import random
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -181,6 +183,49 @@ def test_c05_speed_ratios_binary_over_text():
             ("decode vs QASM", qasm_dec, bis_dec)]:
         assert text_time >= 5.0 * bis_time, \
             f"{label}: only {text_time / bis_time:.1f}x faster"
+
+
+def test_c05_cold_encode_and_materialized_decode_over_text():
+    # c05 encodes circuits whose packed columns are cached and stops decoding
+    # at the columns.  Here every timed encode gets circuits never encoded
+    # before, and every timed decode ends after each .body is iterated.
+    rng = random.Random(506)
+    seeds = [rng.randrange(2 ** 32) for _ in range(6)]
+
+    def fresh():
+        return [random_circuit(72, 100, seed=s) for s in seeds]
+
+    def timed(fn, arg):
+        gc.collect()
+        t0 = time.perf_counter()
+        out = fn(arg)
+        return time.perf_counter() - t0, out
+
+    def decode_bodies(blob):
+        out = bis.decode(blob)
+        for c in out:
+            deque(c.body, maxlen=0)
+        return out
+
+    times = {"encode": [], "decode": [], "emit": [], "parse": []}
+    for _ in range(5):
+        batch = fresh()
+        t, blob = timed(lambda b: bis.encode(b, compress=True), batch)
+        times["encode"].append(t)
+        t, out = timed(decode_bodies, blob)
+        times["decode"].append(t)
+        t, docs = timed(lambda b: [originir.emit(c) for c in b], fresh())
+        times["emit"].append(t)
+        t, _ = timed(lambda d: [originir.parse(doc) for doc in d], docs)
+        times["parse"].append(t)
+    assert out == batch
+    med = {k: sorted(v)[2] for k, v in times.items()}
+
+    for label, text_time, bis_time, bound in [
+            ("cold encode vs text IR emit", med["emit"], med["encode"], 1.5),
+            ("decode to bodies vs text IR parse", med["parse"], med["decode"], 5.0)]:
+        assert text_time >= bound * bis_time, \
+            f"{label}: only {text_time / bis_time:.2f}x faster (bound {bound}x)"
 
 
 # -- 6: scaling trends ---------------------------------------------------------------

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantir import bis
 from quantir.circuit import (
     Circuit, CircuitError, Instruction, SubcircuitInstance,
     dagger_instruction, depth, flatten, gate_counts, split_trailing_measures,
 )
-from quantir.gates import GateKind, KIND_BY_OPCODE, X1_DAGGER_OPCODE
+from quantir.gates import (
+    CLS_2Q, CLS_BARRIER, CLS_MEASURE, PARAM_COUNT, GateKind, KIND_BY_OPCODE,
+    X1_DAGGER_OPCODE,
+)
 
-from conftest import circuits, ghz
+from conftest import angles, circuits, ghz
 
 
 class TestInstruction:
@@ -281,3 +286,79 @@ def test_opcode_table_is_fixed():
     assert KIND_BY_OPCODE[0x0A] is GateKind.X1
     for kind, op in expected.items():
         assert kind.opclass == op >> 5
+
+
+class TestFastPaths:
+    """The trusted constructor and the shared instructions decode returns."""
+
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.name)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_raw_equals_validating_constructor(self, kind, data):
+        cls = kind.opclass
+        n = (2 if cls == CLS_2Q
+             else data.draw(st.integers(1, 4)) if cls == CLS_BARRIER else 1)
+        qubits = tuple(data.draw(st.permutations(range(6)))[:n])
+        params = tuple(data.draw(angles) for _ in range(PARAM_COUNT[cls]))
+        cbit = data.draw(st.integers(0, 5)) if cls == CLS_MEASURE else None
+        dagger = cls != CLS_MEASURE and data.draw(st.booleans())
+        raw = Instruction._raw(kind, qubits, params, cbit, dagger)
+        full = Instruction(kind, qubits, params, cbit, dagger)
+        assert raw == full
+        assert raw.opcode == full.opcode
+        for name in Instruction.__slots__:
+            assert getattr(raw, name) == getattr(full, name)
+        assert kind.opcode == kind.value
+
+    @staticmethod
+    def _assert_immutable(ins):
+        for name in Instruction.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(ins, name, getattr(ins, name))
+        with pytest.raises(AttributeError):
+            ins.extra = 1
+
+    def test_raw_instructions_are_immutable(self):
+        self._assert_immutable(Instruction._raw(GateKind.H, (0,), (), None, False))
+        self._assert_immutable(Instruction._raw(GateKind.MEASURE, (0,), (), 0, False))
+
+    def test_decoded_instructions_are_immutable(self):
+        c = (Circuit(3).h(0).rz(1, 0.5).u3(2, 0.1, 0.2, 0.3).cnot(0, 1)
+             .x1(2, dagger=True).barrier(0, 2).measure(0, 0))
+        (out,) = bis.decode(bis.encode(c))
+        assert out == c
+        for ins in out.body:
+            self._assert_immutable(ins)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_decode_shares_parameter_free_instructions(self, compress):
+        c = (Circuit(3)
+             .h(0).h(0).cnot(0, 1).cnot(0, 1).measure(2, 1).measure(2, 1)
+             .x1(1).x1(1, dagger=True).x1(1).x1(1, dagger=True)
+             .rz(0, 0.5).rz(0, 0.5).u3(2, 0.1, 0.2, 0.3).u3(2, 0.1, 0.2, 0.3)
+             .barrier(0, 1).barrier(0, 1).h(1).cnot(1, 0))
+        (out,) = bis.decode(bis.encode(c, compress=compress))
+        assert out == c
+        body = out.body
+        for i in (0, 2, 4):
+            assert body[i] is body[i + 1]
+        x1, x1_dag = body[6], body[7]
+        assert x1 is body[8] and x1_dag is body[9]
+        assert x1 is not x1_dag
+        assert (x1.dagger, x1.opcode) == (False, GateKind.X1.value)
+        assert (x1_dag.dagger, x1_dag.opcode) == (True, X1_DAGGER_OPCODE)
+        for i in (10, 12, 14):  # rotations, U3 and barriers are built per row
+            assert body[i] == body[i + 1] and body[i] is not body[i + 1]
+        assert body[16] is not body[0] and body[17] is not body[2]
+
+    def test_append_to_one_decoded_circuit_leaves_the_others(self):
+        c = Circuit(2).h(0).cnot(0, 1).h(0).measure(1, 1)
+        out = bis.decode(bis.encode([c, c, c]))
+        out[0].h(1)
+        out[0].append(out[1].body[0])
+        out[2].body  # materialized before the append, too
+        out[1].append(Instruction(GateKind.CNOT, (1, 0)))
+        assert out[0] == Circuit(2).h(0).cnot(0, 1).h(0).measure(1, 1).h(1).h(0)
+        assert out[1] == Circuit(2).h(0).cnot(0, 1).h(0).measure(1, 1).cnot(1, 0)
+        assert out[2] == c
+        assert [len(x) for x in out] == [6, 5, 4]
