@@ -9,7 +9,7 @@ each workload and seed: in this checkout (recorded as ``pr``) and in every
 ``--compare NAME=DIR`` checkout, alternating which side runs first from seed
 to seed.  For each side, workload and end-to-end metric it writes the median
 and quartiles (``statistics.quantiles(values, n=4)``) with the per-seed
-values, next to the side's commit id.  For each compared side it also counts,
+values, next to the side's commit id as it was when the runs started.  For each compared side it also counts,
 per metric, the seeds on which this checkout did better, using the metric's
 direction in ``BENCHMARK.json``.  Failed operations are summed per side and
 workload.
@@ -79,6 +79,7 @@ def main() -> int:
     args = ap.parse_args()
     metrics = bench["end_to_end"]
     sides = [("pr", ROOT)] + args.compare
+    commits = {name: commit_of(checkout) for name, checkout in sides}
 
     runs = {name: {w: [] for w in args.workloads} for name, _ in sides}
     for workload in args.workloads:
@@ -97,7 +98,7 @@ def main() -> int:
         "seeds": args.seeds,
         "sides": {},
     }
-    for name, checkout in sides:
+    for name, _ in sides:
         per_workload = {}
         for workload, results in runs[name].items():
             per_workload[workload] = {
@@ -107,8 +108,7 @@ def main() -> int:
                     [r["metrics"][m["name"]]["value"] for r in results])}
                     for m in metrics},
             }
-        record["sides"][name] = {"commit": commit_of(checkout),
-                                 "workloads": per_workload}
+        record["sides"][name] = {"commit": commits[name], "workloads": per_workload}
     for name, _ in args.compare:
         wins = {}
         for workload in args.workloads:
