@@ -9,10 +9,10 @@ each workload and seed: in this checkout (recorded as ``pr``) and in every
 ``--compare NAME=DIR`` checkout, alternating which side runs first from seed
 to seed.  For each side, workload and end-to-end metric it writes the median
 and quartiles (``statistics.quantiles(values, n=4)``) with the per-seed
-values, next to the side's commit id as it was when the runs started.  For each compared side it also counts,
-per metric, the seeds on which this checkout did better, using the metric's
-direction in ``BENCHMARK.json``.  Failed operations are summed per side and
-workload.
+values, next to the side's commit id as it was when the runs started.  For
+each compared side it also counts, per metric, the seeds on which this
+checkout did better, using the metric's direction in ``BENCHMARK.json``.
+Failed operations are summed per side and workload.
 """
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ def seed_list(text: str) -> list[int]:
 def side(text: str) -> tuple[str, Path]:
     name, sep, path = text.partition("=")
     if not sep or not name or name == "pr":
-        raise argparse.ArgumentTypeError(f"expected NAME=DIR with NAME != pr, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=DIR with NAME != pr, got {text!r}")
     return name, Path(path).resolve()
 
 
