@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Record benchmark figures for one change: BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py --pr 4 --compare parent=../quantir-parent
-    python3 scripts/bench_record.py --pr 4 --workloads transmit_bulk --seeds 1-10
+    python3 scripts/bench_record.py --pr 4 --compare ../quantir-parent
+    python3 scripts/bench_record.py --pr 4 --compare ../quantir-parent \\
+        --workloads transmit_bulk --seeds 1-10
 
-Runs ``perfbench/run.py --trace 0`` in a subprocess, one run at a time, for
-each workload and seed: in this checkout (recorded as ``pr``) and in every
-``--compare NAME=DIR`` checkout, alternating which side runs first from seed
-to seed.  For each side, workload and end-to-end metric it writes the median
-and quartiles (``statistics.quantiles(values, n=4)``) with the per-seed
-values, next to the side's commit id as it was when the runs started.  For
-each compared side it also counts, per metric, the seeds on which this
-checkout did better, using the metric's direction in ``BENCHMARK.json``.
-Failed operations are summed per side and workload.
+Runs ``perfbench/run.py --trace 0`` for the run length ``BENCHMARK.json``
+sets, in a subprocess, one run at a time, for each workload and seed: in
+this checkout (recorded as ``pr``) and in the parent checkout given by
+``--compare`` (recorded as ``parent``), alternating which side runs first
+from seed to seed.  For each side, workload and end-to-end metric it writes
+the median and quartiles (``statistics.quantiles(values, n=4)``) with the
+per-seed values, next to the side's commit id as it was when the runs
+started, to ``BENCH_<pr>.json`` in this checkout.  It also counts, per
+metric, the seeds on which this checkout did better than the parent, using
+the metric's direction in ``BENCHMARK.json``.  Failed operations are summed
+per side and workload.
 """
 from __future__ import annotations
 
@@ -24,22 +27,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-
-def seed_list(text: str) -> list[int]:
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
-    return out
-
-
-def side(text: str) -> tuple[str, Path]:
-    name, sep, path = text.partition("=")
-    if not sep or not name or name == "pr":
-        raise argparse.ArgumentTypeError(
-            f"expected NAME=DIR with NAME != pr, got {text!r}")
-    return name, Path(path).resolve()
+from spread import seed_list  # noqa: E402
 
 
 def commit_of(checkout: Path) -> str:
@@ -70,16 +60,15 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--pr", type=int, required=True)
+    ap.add_argument("--compare", type=Path, required=True,
+                    help="checkout of the parent commit")
     ap.add_argument("--workloads", nargs="+",
                     default=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    ap.add_argument("--compare", type=side, action="append", default=[])
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output file (default: BENCH_<pr>.json in this checkout)")
     args = ap.parse_args()
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
-    sides = [("pr", ROOT)] + args.compare
+    sides = [("pr", ROOT), ("parent", args.compare.resolve())]
     commits = {name: commit_of(checkout) for name, checkout in sides}
 
     runs = {name: {w: [] for w in args.workloads} for name, _ in sides}
@@ -87,7 +76,7 @@ def main() -> int:
         for i, seed in enumerate(args.seeds):
             order = sides if i % 2 else sides[::-1]
             for name, checkout in order:
-                result = run_once(checkout, workload, seed, args.seconds)
+                result = run_once(checkout, workload, seed, seconds)
                 runs[name][workload].append(result)
                 path_s = result["metrics"]["path_s"]["value"]
                 print(f"{workload} seed {seed} {name}: path_s {path_s:.6g}"
@@ -95,7 +84,7 @@ def main() -> int:
 
     record = {
         "pr": args.pr,
-        "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
         "seeds": args.seeds,
         "sides": {},
     }
@@ -110,21 +99,18 @@ def main() -> int:
                     for m in metrics},
             }
         record["sides"][name] = {"commit": commits[name], "workloads": per_workload}
-    for name, _ in args.compare:
-        wins = {}
-        for workload in args.workloads:
-            wins[workload] = {}
-            for m in metrics:
-                sign = 1 if m["better"] == "lower" else -1
-                ours = runs["pr"][workload]
-                theirs = runs[name][workload]
-                wins[workload][m["name"]] = sum(
-                    sign * a["metrics"][m["name"]]["value"]
-                    < sign * b["metrics"][m["name"]]["value"]
-                    for a, b in zip(ours, theirs))
-        record["sides"][name]["pr_better_on_seeds"] = wins
+    wins = {}
+    for workload in args.workloads:
+        wins[workload] = {}
+        for m in metrics:
+            sign = 1 if m["better"] == "lower" else -1
+            wins[workload][m["name"]] = sum(
+                sign * a["metrics"][m["name"]]["value"]
+                < sign * b["metrics"][m["name"]]["value"]
+                for a, b in zip(runs["pr"][workload], runs["parent"][workload]))
+    record["sides"]["parent"]["pr_better_on_seeds"] = wins
 
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

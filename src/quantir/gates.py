@@ -2,10 +2,10 @@
 
 The enum value of each kind doubles as its wire opcode in the binary
 instruction stream: the high 3 bits are the operand class, the low 5 bits
-the id within that class.  Each member also carries both as plain
-attributes, ``opcode`` and ``opclass``.  The daggered X1 is not a separate
-kind (it is an X1 instruction with the dagger flag set) but owns the
-dedicated wire opcode ``X1_DAGGER_OPCODE`` in class 0.
+the id within that class, which each member also carries as the plain
+attribute ``opclass``.  The daggered X1 is not a separate kind (it is an X1
+instruction with the dagger flag set) but owns the dedicated wire opcode
+``X1_DAGGER_OPCODE`` in class 0.
 """
 from __future__ import annotations
 
@@ -42,9 +42,9 @@ class GateKind(Enum):
     BARRIER = 0xA0
 
     def __init__(self, value: int):
-        # plain member attributes: the codec reads both once per instruction,
-        # and an Enum property read costs several times an attribute read
-        self.opcode = value
+        # a plain member attribute: the codec reads it, and the opcode as
+        # ``_value_`` rather than through the ``value`` property, once per
+        # instruction, and an Enum property read costs several times that
         self.opclass = value >> 5
 
 
