@@ -218,6 +218,28 @@ class TestDepth:
         c = Circuit(2).h(0).barrier(0, 1).measure(0, 0)
         assert depth(c) == 3
 
+    @settings(max_examples=150, deadline=None)
+    @given(circuits(max_qubits=8, max_len=40, measures=True))
+    def test_matches_per_wire_layering(self, c):
+        # peel layers: each round removes every instruction that comes first
+        # on all of its wires; the number of rounds is the depth
+        wires = [[] for _ in range(c.num_qubits)]
+        body = flatten(c).body
+        for i, ins in enumerate(body):
+            for q in ins.qubits:
+                wires[q].append(i)
+        left, rounds = set(range(len(body))), 0
+        while left:
+            heads = [w[0] for w in wires if w]
+            layer = {i for i in heads
+                     if all(wires[q][0] == i for q in body[i].qubits)}
+            for i in layer:
+                for q in body[i].qubits:
+                    wires[q].pop(0)
+            left -= layer
+            rounds += 1
+        assert depth(c) == rounds
+
 
 class TestEquality:
     def test_columnar_vs_object_paths_agree(self):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from quantir.circuit import Circuit, Instruction, depth, flatten, gate_counts
 from quantir.dag import CircuitDag
 from quantir.gates import CLS_2Q, GateKind
-from quantir.sabre import Layout, RoutingError, SabreConfig, sabre_layout, sabre_route
+from quantir.sabre import (Layout, RoutingError, SabreConfig, _best_trial,
+                           sabre_layout, sabre_route)
 from quantir.sim import routed_fidelity
 from quantir import topology
 
@@ -562,3 +563,58 @@ def test_golden_routing_through_stall_fallback():
     assert _coupled(routed, graph)
     assert routed_fidelity(c, routed, lay, list(final)) > 1 - 1e-9
     assert _route_sha(routed, final) == GOLDEN_STALL
+
+
+# -- layout search exit ------------------------------------------------------------
+# Placement stops at the first trial that no later trial can beat.  These pin
+# the chosen layout and route of a search that stops after a later trial's
+# first pass, and of one that stops after a final pass; the hashes were taken
+# from a search that runs every trial.  Found by a random search over
+# CNOT/CZ chains on linear:4 with the default four trials.
+
+EXIT_CASES = {
+    # trials 0-2 insert swaps on every pass; trial 3's first pass inserts none
+    "first-pass": (
+        [("CNOT", 0, 1), ("CNOT", 1, 2), ("CNOT", 0, 1), ("CNOT", 1, 2),
+         ("H", 0), ("H", 2), ("H", 1), ("H", 0), ("H", 0), ("CZ", 3, 2),
+         ("H", 3), ("H", 3)],
+        4,
+        ("02b6deebe10f247a39a1f40c6e045af149df9c96491adce129613e8b30480780",
+         "7465b6a613ae57afb68342d7e6819d7c00118d3edc47cac701e9452ef35c80bc")),
+    # trial 0 inserts swaps on every pass; trial 1 on its first pass only
+    "final-pass": (
+        [("H", 3), ("CNOT", 2, 3), ("H", 2), ("H", 2), ("H", 1), ("H", 2),
+         ("CZ", 1, 0), ("CZ", 3, 2), ("H", 1), ("CNOT", 2, 3), ("H", 2),
+         ("CNOT", 0, 1)],
+        1,
+        ("abbf9f39357daba1933a53dc9eacfdc92eb7a183b73daf047afc640a5b923011",
+         "612ac3d4e5954100218445a869277a70501ed68a130ad13fa13375a38735c136")),
+}
+
+
+def _exit_case(case: str):
+    gates, seed, _ = EXIT_CASES[case]
+    c = Circuit(4)
+    for name, *qs in gates:
+        c.append_gate(GateKind[name], tuple(qs))
+    return _best_trial(CircuitDag(c), topology.linear(4), SabreConfig(), seed)
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_golden_layout_search_exit(case):
+    initial, routed, final = _exit_case(case)
+    assert (_sha(list(initial)), _route_sha(routed, final)) == EXIT_CASES[case][2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_qubits=6, max_len=30, measures=True),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**16))
+def test_swap_free_routes_all_have_the_input_depth(c, spare, seed):
+    # what the exit rests on: on a complete graph no route inserts a SWAP, and
+    # every layout routes to the same depth, so a later trial can only tie
+    graph = topology.full(c.num_qubits + spare)
+    lay = Layout.shuffled(graph.num_qubits, random.Random(seed))
+    routed, final = sabre_route(CircuitDag(c), graph, lay)
+    assert len(routed) == len(flatten(c))
+    assert final == lay
+    assert depth(routed) == depth(c)
