@@ -506,14 +506,20 @@ def depth(c: Circuit) -> int:
     """
     flat = flatten(c)
     level = [0] * flat.num_qubits
-    top = 0
     for ins in flat.body:
-        layer = 1 + max(level[q] for q in ins.qubits)
-        for q in ins.qubits:
-            level[q] = layer
-        if layer > top:
-            top = layer
-    return top
+        qs = ins.qubits
+        if len(qs) == 1:
+            level[qs[0]] += 1
+        elif len(qs) == 2:
+            a, b = qs
+            la, lb = level[a], level[b]
+            level[a] = level[b] = (la if la > lb else lb) + 1
+        else:  # a barrier over more than two wires
+            layer = 1 + max(level[q] for q in qs)
+            for q in qs:
+                level[q] = layer
+    # each wire's level only grows, so the deepest wire holds the top layer
+    return max(level, default=0)
 
 
 def gate_counts(c: Circuit) -> Counter:

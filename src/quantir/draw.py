@@ -13,15 +13,18 @@ from .gates import CLS_2Q, GateKind
 
 __all__ = ["draw"]
 
+_MEASURE, _BARRIER, _X1 = GateKind.MEASURE, GateKind.BARRIER, GateKind.X1
+_CNOT, _CZ = GateKind.CNOT, GateKind.CZ
+
 
 def _label(ins) -> str:
     k = ins.kind
-    if k is GateKind.MEASURE:
+    if k is _MEASURE:
         return f"M->c{ins.cbit}"
     if ins.params:
         args = ",".join(f"{p:g}" for p in ins.params)
         return f"{k.name}({args})"
-    if k is GateKind.X1 and ins.dagger:
+    if k is _X1 and ins.dagger:
         return "X1'"
     return k.name
 
@@ -44,14 +47,14 @@ def draw(circuit: Circuit) -> str:
             columns.append([""] * n)
         cells = columns[col]
         kind = ins.kind
-        if kind is GateKind.BARRIER:
+        if kind is _BARRIER:
             for q in ins.qubits:
                 cells[q] = ":"
         elif kind.opclass == CLS_2Q:
             a, b = ins.qubits
-            if kind is GateKind.CNOT:
+            if kind is _CNOT:
                 cells[a], cells[b] = "*", "+"
-            elif kind is GateKind.CZ:
+            elif kind is _CZ:
                 cells[a], cells[b] = "*", "*"
             else:
                 cells[a], cells[b] = "x", "x"

@@ -45,8 +45,9 @@ class MetricsVector:
 def _strip(c: Circuit) -> Circuit:
     flat = flatten(c)
     out = Circuit(flat.num_qubits, flat.num_cbits)
+    measure, barrier = GateKind.MEASURE, GateKind.BARRIER
     for ins in flat.body:
-        if ins.kind is not GateKind.MEASURE and ins.kind is not GateKind.BARRIER:
+        if ins.kind is not measure and ins.kind is not barrier:
             out._append_fast(ins)
     return out
 

@@ -29,7 +29,14 @@ __all__ = [
 BASES = ("none", "rz-x1-cz", "rz-rx-cnot")
 
 _PI = math.pi
-_ROTS = (GateKind.RX, GateKind.RY, GateKind.RZ)
+# members bound once: a GateKind.<name> lookup on the Enum class costs
+# several times a module global's, and the passes make one per gate
+_I, _H, _X, _Y, _Z = GateKind.I, GateKind.H, GateKind.X, GateKind.Y, GateKind.Z
+_S, _SDG, _T, _TDG = GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG
+_X1, _U3 = GateKind.X1, GateKind.U3
+_RX, _RY, _RZ = GateKind.RX, GateKind.RY, GateKind.RZ
+_CNOT, _CZ, _SWAP = GateKind.CNOT, GateKind.CZ, GateKind.SWAP
+_ROTS = (_RX, _RY, _RZ)
 _raw = Instruction._raw
 
 
@@ -85,11 +92,8 @@ def merge_adjacent_rotations(c: Circuit, *, tol: float = 1e-12) -> Circuit:
 
 # -- inverse cancellation -------------------------------------------------------
 
-_SELF_CANCEL = frozenset({GateKind.H, GateKind.X, GateKind.Y, GateKind.Z})
-_PHASE_PAIRS = frozenset({
-    (GateKind.S, GateKind.SDG), (GateKind.SDG, GateKind.S),
-    (GateKind.T, GateKind.TDG), (GateKind.TDG, GateKind.T),
-})
+_SELF_CANCEL = frozenset({_H, _X, _Y, _Z})
+_PHASE_PAIRS = frozenset({(_S, _SDG), (_SDG, _S), (_T, _TDG), (_TDG, _T)})
 
 
 def _cancels(prev: Instruction, cur: Instruction) -> bool:
@@ -97,11 +101,11 @@ def _cancels(prev: Instruction, cur: Instruction) -> bool:
     if pk is ck:
         if pk in _SELF_CANCEL:
             return True
-        if pk is GateKind.X1:
+        if pk is _X1:
             return prev.dagger != cur.dagger
-        if pk is GateKind.CNOT:
+        if pk is _CNOT:
             return prev.qubits == cur.qubits  # same control and target
-        if pk is GateKind.CZ or pk is GateKind.SWAP:
+        if pk is _CZ or pk is _SWAP:
             return set(prev.qubits) == set(cur.qubits)
         return False
     return (pk, ck) in _PHASE_PAIRS
@@ -122,7 +126,7 @@ def cancel_adjacent_inverses(c: Circuit) -> Circuit:
         last_idx: dict[int, int] = {}
         for ins in body:
             cls = ins.kind.opclass
-            if cls == CLS_1Q and ins.kind is not GateKind.I:
+            if cls == CLS_1Q and ins.kind is not _I:
                 li = last_idx.get(ins.qubits[0], -1)
                 if li >= 0 and out[li] is not None and _cancels(out[li], ins):
                     out[li] = None
@@ -150,15 +154,15 @@ def cancel_adjacent_inverses(c: Circuit) -> Circuit:
 # -- basis lowering -------------------------------------------------------------
 
 def _rz(q, a):
-    return _raw(GateKind.RZ, (q,), (a,), None, False)
+    return _raw(_RZ, (q,), (a,), None, False)
 
 
 def _rx(q, a):
-    return _raw(GateKind.RX, (q,), (a,), None, False)
+    return _raw(_RX, (q,), (a,), None, False)
 
 
 def _x1(q):
-    return _raw(GateKind.X1, (q,), (), None, False)
+    return _raw(_X1, (q,), (), None, False)
 
 
 def _h_as_x1(q):
@@ -170,57 +174,57 @@ def _h_as_rx(q):
 
 
 def _cnot_as_cz(c, t):
-    cz = _raw(GateKind.CZ, (c, t), (), None, False)
+    cz = _raw(_CZ, (c, t), (), None, False)
     return [*_h_as_x1(t), cz, *_h_as_x1(t)]
 
 
 def _swap_as_cnots(a, b):
-    return [_raw(GateKind.CNOT, (a, b), (), None, False),
-            _raw(GateKind.CNOT, (b, a), (), None, False),
-            _raw(GateKind.CNOT, (a, b), (), None, False)]
+    return [_raw(_CNOT, (a, b), (), None, False),
+            _raw(_CNOT, (b, a), (), None, False),
+            _raw(_CNOT, (a, b), (), None, False)]
 
 
 def _lower_rz_x1_cz(ins: Instruction) -> list[Instruction]:
     k = ins.kind
     q = ins.qubits[0]
-    if k is GateKind.RZ:
+    if k is _RZ:
         return [ins]
-    if k is GateKind.X1:
+    if k is _X1:
         if not ins.dagger:
             return [ins]
         return [_rz(q, _PI), _x1(q), _rz(q, _PI)]
-    if k is GateKind.I:
+    if k is _I:
         return []
-    if k is GateKind.H:
+    if k is _H:
         return _h_as_x1(q)
-    if k is GateKind.X:
+    if k is _X:
         return [_x1(q), _x1(q)]
-    if k is GateKind.Y:
+    if k is _Y:
         return [_x1(q), _x1(q), _rz(q, _PI)]
-    if k is GateKind.Z:
+    if k is _Z:
         return [_rz(q, _PI)]
-    if k is GateKind.S:
+    if k is _S:
         return [_rz(q, _PI / 2)]
-    if k is GateKind.SDG:
+    if k is _SDG:
         return [_rz(q, -_PI / 2)]
-    if k is GateKind.T:
+    if k is _T:
         return [_rz(q, _PI / 4)]
-    if k is GateKind.TDG:
+    if k is _TDG:
         return [_rz(q, -_PI / 4)]
-    if k is GateKind.RX:
+    if k is _RX:
         t = ins.params[0]
         return [_rz(q, _PI / 2), _x1(q), _rz(q, t + _PI), _x1(q), _rz(q, _PI / 2)]
-    if k is GateKind.RY:
+    if k is _RY:
         t = ins.params[0]
         return [_x1(q), _rz(q, t + _PI), _x1(q), _rz(q, _PI)]
-    if k is GateKind.U3:
+    if k is _U3:
         t, p, l = ins.params
         return [_rz(q, l), _x1(q), _rz(q, t + _PI), _x1(q), _rz(q, p + _PI)]
-    if k is GateKind.CZ:
+    if k is _CZ:
         return [ins]
-    if k is GateKind.CNOT:
+    if k is _CNOT:
         return _cnot_as_cz(*ins.qubits)
-    if k is GateKind.SWAP:
+    if k is _SWAP:
         out = []
         for cnot in _swap_as_cnots(*ins.qubits):
             out.extend(_cnot_as_cz(*cnot.qubits))
@@ -231,39 +235,39 @@ def _lower_rz_x1_cz(ins: Instruction) -> list[Instruction]:
 def _lower_rz_rx_cnot(ins: Instruction) -> list[Instruction]:
     k = ins.kind
     q = ins.qubits[0]
-    if k is GateKind.RZ or k is GateKind.RX or k is GateKind.CNOT:
+    if k is _RZ or k is _RX or k is _CNOT:
         return [ins]
-    if k is GateKind.I:
+    if k is _I:
         return []
-    if k is GateKind.X1:
+    if k is _X1:
         return [_rx(q, -_PI / 2 if ins.dagger else _PI / 2)]
-    if k is GateKind.H:
+    if k is _H:
         return _h_as_rx(q)
-    if k is GateKind.X:
+    if k is _X:
         return [_rx(q, _PI)]
-    if k is GateKind.Y:
+    if k is _Y:
         return [_rz(q, -_PI / 2), _rx(q, _PI), _rz(q, _PI / 2)]
-    if k is GateKind.Z:
+    if k is _Z:
         return [_rz(q, _PI)]
-    if k is GateKind.S:
+    if k is _S:
         return [_rz(q, _PI / 2)]
-    if k is GateKind.SDG:
+    if k is _SDG:
         return [_rz(q, -_PI / 2)]
-    if k is GateKind.T:
+    if k is _T:
         return [_rz(q, _PI / 4)]
-    if k is GateKind.TDG:
+    if k is _TDG:
         return [_rz(q, -_PI / 4)]
-    if k is GateKind.RY:
+    if k is _RY:
         t = ins.params[0]
         return [_rz(q, -_PI / 2), _rx(q, t), _rz(q, _PI / 2)]
-    if k is GateKind.U3:
+    if k is _U3:
         t, p, l = ins.params
         return [_rz(q, l - _PI / 2), _rx(q, t), _rz(q, p + _PI / 2)]
-    if k is GateKind.CZ:
+    if k is _CZ:
         a, b = ins.qubits
-        cnot = _raw(GateKind.CNOT, (a, b), (), None, False)
+        cnot = _raw(_CNOT, (a, b), (), None, False)
         return [*_h_as_rx(b), cnot, *_h_as_rx(b)]
-    if k is GateKind.SWAP:
+    if k is _SWAP:
         return _swap_as_cnots(*ins.qubits)
     raise PassError(f"no rz-rx-cnot rule for {k.name}")  # pragma: no cover
 
@@ -311,7 +315,7 @@ def expand_swaps(c: Circuit, basis: str) -> Circuit:
     out = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
     emit = out._append_fast
     for ins in flat.body:
-        if ins.kind is GateKind.SWAP:
+        if ins.kind is _SWAP:
             for low in lower(ins):
                 emit(low)
         else:

@@ -16,7 +16,15 @@ Placement runs a few trials: from a random initial permutation, route the
 circuit forward, route its reversal back (yielding a layout adapted to both
 ends), then score a final forward pass by inserted swaps and depth.  The best
 trial's layout is returned; ``transpile`` also keeps that trial's final
-forward pass as its route instead of routing the layout a second time.
+forward pass as its route instead of routing the layout a second time.  The
+search stops at the first trial that inserts no SWAP, because no later trial
+can beat it: every swap-free route has the same depth.  Depth counts qubit
+wires only, and the DAG orders every two instructions that share a qubit, so
+every order the router can emit, on any relabeling of the wires, layers each
+wire the same way.  A later swap-free trial ties and loses on its index.  A
+trial whose first forward pass is swap-free ends there, since its reverse and
+final passes would route from the same layout again; on a complete graph that
+is one route per circuit instead of three per trial.
 
 Scoring a candidate swap costs work in proportion to the gates on its two
 wires, not to the size of the front and extended set (after LightSABRE, Zou
@@ -322,6 +330,14 @@ def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,
 
     The last forward pass of each trial is exactly the route ``transpile``
     needs for that trial's layout, so the winner's is kept, not recomputed.
+
+    The search stops at the first trial that inserts no SWAP.  A later trial
+    that inserts swaps scores worse; one that inserts none has the same depth
+    (a swap-free route relabels the wires of a topological order of the DAG,
+    and every such order has the same per-wire layering), so it ties and
+    loses on the trial index.  When a trial's first forward pass is already
+    swap-free, its reverse and final passes would repeat that route from the
+    same layout, so they are skipped.
     """
     circ = dag.circuit
     if circ.num_qubits > graph.num_qubits:
@@ -333,17 +349,23 @@ def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,
         initial = Layout.identity(graph.num_qubits)
         return (initial, *sabre_route(dag, graph, initial, config))
     rng = random.Random(seed)
-    rev_dag = CircuitDag(dag.reversed_circuit())
-    own_swaps = _swap_count(circ)
+    nodes = len(dag)  # a route holds every node plus the SWAPs it inserts
+    rev_dag = None
     best = None
     for trial in range(config.layout_trials):
         l0 = Layout.shuffled(graph.num_qubits, rng)
-        _, l1 = sabre_route(dag, graph, l0, config)
+        routed, l1 = sabre_route(dag, graph, l0, config)
+        if len(routed) == nodes:
+            return l0, routed, l1
+        if rev_dag is None:
+            rev_dag = CircuitDag(dag.reversed_circuit())
         _, l2 = sabre_route(rev_dag, graph, l1, config)
         routed, final = sabre_route(dag, graph, l2, config)
-        key = (_swap_count(routed) - own_swaps, depth(routed), trial)
+        key = (len(routed) - nodes, depth(routed), trial)
         if best is None or key < best[0]:
             best = (key, l2, routed, final)
+        if key[0] == 0:
+            break
     return best[1:]
 
 

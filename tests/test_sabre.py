@@ -11,7 +11,7 @@ from quantir.gates import CLS_2Q, GateKind
 from quantir.sabre import (Layout, RoutingError, SabreConfig, _best_trial,
                            sabre_layout, sabre_route)
 from quantir.sim import routed_fidelity
-from quantir import topology
+from quantir import sabre, topology
 
 from conftest import check_routing, circuits
 
@@ -604,6 +604,25 @@ def _exit_case(case: str):
 def test_golden_layout_search_exit(case):
     initial, routed, final = _exit_case(case)
     assert (_sha(list(initial)), _route_sha(routed, final)) == EXIT_CASES[case][2]
+
+
+# routes each search makes: three per trial up to the one it stops at, and
+# one only for a trial whose first pass is swap-free
+EXIT_ROUTES = {"first-pass": 3 * 3 + 1, "final-pass": 3 * 2}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_layout_search_stops_at_a_swap_free_trial(monkeypatch, case):
+    calls = []
+    real = sabre.sabre_route
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sabre, "sabre_route", counting)
+    _exit_case(case)
+    assert len(calls) == EXIT_ROUTES[case]
 
 
 @settings(max_examples=60, deadline=None)

@@ -303,3 +303,19 @@ def test_winning_trial_route_is_not_recomputed(monkeypatch):
     cfg = TranspileConfig(routing=SabreConfig(layout_trials=3))
     transpile(random_circuit(5, 40, seed=2), GRAPHS["linear"], cfg)
     assert len(calls) == 3 * 3  # forward, reverse, forward per trial; no extra route
+
+
+def test_swap_free_first_route_ends_the_layout_search(monkeypatch):
+    calls = []
+    real = sabre.sabre_route
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sabre, "sabre_route", counting)
+    cfg = TranspileConfig(level=2, routing=SabreConfig(layout_trials=4))
+    res = transpile(random_circuit(6, 60, seed=3), topology.full(6), cfg)
+    # on a complete graph the first route inserts no SWAP, and it is kept
+    assert len(calls) == 1
+    assert res.stats.swaps_inserted == 0
