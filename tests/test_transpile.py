@@ -1,4 +1,5 @@
 """Full pipeline: levels, bases, layouts, stats, determinism."""
+import hashlib
 import importlib
 import math
 import random
@@ -6,6 +7,7 @@ import random
 import pytest
 
 from quantir import sabre, topology
+from quantir.bench import random_circuit as bench_circuit
 from quantir.bis import encode
 from quantir.circuit import Circuit, depth, flatten, gate_counts
 from quantir.gates import CLS_2Q, GateKind
@@ -319,3 +321,19 @@ def test_swap_free_first_route_ends_the_layout_search(monkeypatch):
     # on a complete graph the first route inserts no SWAP, and it is kept
     assert len(calls) == 1
     assert res.stats.swaps_inserted == 0
+
+
+# The long multi-swap fronts of a deep circuit on a large sparse device: the
+# README's router case.  The digest covers the encoded output and both
+# layouts; it was taken before candidate deltas were kept across swaps.
+GOLDEN_HEAVY_HEX = "a8e43490469d565a80ea0296f0514ae05dbb649b043f4162a1c430b712681d9c"
+
+
+def test_golden_heavy_hex_depth_60_level_2():
+    res = transpile(bench_circuit(57, 60, seed=0), topology.heavy_hex(5),
+                    TranspileConfig(level=2))
+    assert res.stats.swaps_inserted == 2644
+    assert res.stats.depth_after == 783
+    h = hashlib.sha256(encode([res.circuit]))
+    h.update(repr((list(res.initial_layout), list(res.final_layout))).encode())
+    assert h.hexdigest() == GOLDEN_HEAVY_HEX
