@@ -1,6 +1,7 @@
 """Routing and placement: layouts, swap insertion, oracle equivalence."""
 import hashlib
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from quantir.sabre import (Layout, RoutingError, SabreConfig, _best_trial,
 from quantir.sim import routed_fidelity
 from quantir import sabre, topology
 
-from conftest import check_routing, circuits
+from conftest import TWO_Q, check_routing, circuits
 
 
 # -- Layout ----------------------------------------------------------------
@@ -178,6 +179,7 @@ def test_config_defaults():
     {"extended_weight": -0.1}, {"decay_delta": -1e-9},
     {"decay_reset_interval": 0},
     {"extended_weight": -1}, {"extended_weight": float("nan")},
+    {"extended_weight": float("inf")},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -563,6 +565,152 @@ def test_golden_routing_through_stall_fallback():
     assert _coupled(routed, graph)
     assert routed_fidelity(c, routed, lay, list(final)) > 1 - 1e-9
     assert _route_sha(routed, final) == GOLDEN_STALL
+
+
+# -- cached scoring against a from-scratch reference -------------------------------
+# The router keeps each candidate swap's integer deltas across the swaps of one
+# front and recomputes only those a swap can change.  This reference does what
+# the router did before that: every decision re-scores every sorted candidate
+# by applying its swap and re-summing the front and extended-set distances.
+
+def _reference_extended_set(dag, front, size):
+    ext, seen, queue = [], set(front), deque(sorted(front))
+    while queue and len(ext) < size:
+        for v in dag.succs[queue.popleft()]:
+            if v in seen:
+                continue
+            seen.add(v)
+            queue.append(v)
+            if dag.pairs[v] is not None:
+                ext.append(v)
+                if len(ext) >= size:
+                    break
+    return ext
+
+
+def _reference_route(dag, graph, initial, config):
+    n = graph.num_qubits
+    dist = graph.distance_matrix().tolist()
+    l2p = list(initial)
+    indeg = dag.pred_counts()
+    front = set(dag.front_layer())
+    out = Circuit(n, dag.circuit.num_cbits)
+    stall_limit = max(50, 10 * n)
+    new_front = True
+    while front:
+        queue = deque(sorted(front))
+        while queue:
+            node = queue.popleft()
+            ins = dag.body[node]
+            pair = dag.pairs[node]
+            if pair is not None and dist[l2p[pair[0]]][l2p[pair[1]]] != 1:
+                continue
+            front.discard(node)
+            out.append(Instruction(ins.kind, [l2p[q] for q in ins.qubits],
+                                   ins.params, ins.cbit, ins.dagger))
+            new_front = True
+            for v in dag.succs[node]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    front.add(v)
+                    queue.append(v)
+        if not front:
+            break
+        if new_front:
+            new_front = False
+            decay = [1.0] * n
+            since_reset = since_progress = 0
+        front_pairs = [dag.pairs[v] for v in sorted(front)]
+        ext_pairs = [dag.pairs[v] for v in
+                     _reference_extended_set(dag, front, config.extended_set_size)]
+        if since_progress >= stall_limit:
+            p0, p1 = l2p[front_pairs[0][0]], l2p[front_pairs[0][1]]
+            step = min(graph.neighbors(p0), key=lambda nb: (dist[nb][p1], nb))
+            best = tuple(sorted((p0, step)))
+        else:
+            best = best_score = None
+            candidates = {tuple(sorted((l2p[q], nb))) for pair in front_pairs
+                          for q in pair for nb in graph.neighbors(l2p[q])}
+            for a, b in sorted(candidates):
+                moved = [{a: b, b: a}.get(p, p) for p in l2p]
+                score = sum(dist[moved[q0]][moved[q1]]
+                            for q0, q1 in front_pairs) * (1.0 / len(front_pairs))
+                if ext_pairs:
+                    score += config.extended_weight * sum(
+                        dist[moved[q0]][moved[q1]] for q0, q1 in ext_pairs) \
+                        * (1.0 / len(ext_pairs))
+                score *= max(decay[a], decay[b])
+                if best_score is None or score < best_score:
+                    best, best_score = (a, b), score
+        a, b = best
+        out.swap(a, b)
+        l2p = [{a: b, b: a}.get(p, p) for p in l2p]
+        decay[a] += config.decay_delta
+        decay[b] += config.decay_delta
+        since_reset += 1
+        since_progress += 1
+        if since_reset >= config.decay_reset_interval:
+            decay = [1.0] * n
+            since_reset = 0
+    return out, Layout(l2p)
+
+
+GRAPH_BUILDERS = {
+    "linear": lambda n, seed: topology.linear(n),
+    "square": lambda n, seed: topology.square(n),
+    "random": lambda n, seed: topology.random_topology(
+        n, extra_edge_fraction=0.3, seed=seed),
+}
+
+routing_configs = st.builds(
+    SabreConfig,
+    extended_set_size=st.sampled_from([0, 1, 2, 5, 20]),
+    extended_weight=st.sampled_from([0.0, 0.5, 2.0, 10.0, 50.0]),
+    decay_delta=st.sampled_from([0.0, 0.001, 0.1]),
+    decay_reset_interval=st.sampled_from([1, 2, 5, 10 ** 9]))
+
+
+@st.composite
+def dense_circuits(draw, max_qubits: int):
+    """Mostly two-qubit gates on random pairs, so fronts take several swaps."""
+    n = draw(st.integers(min_value=2, max_value=max_qubits))
+    c = Circuit(n, n)
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        roll = draw(st.integers(min_value=0, max_value=9))
+        qs = draw(st.permutations(range(n)))
+        if roll < 7:
+            c.append_gate(draw(st.sampled_from(TWO_Q)), qs[:2])
+        elif roll < 9:
+            c.h(qs[0])
+        else:
+            c.barrier(*qs[:draw(st.integers(min_value=1, max_value=n))])
+    for q in range(draw(st.integers(min_value=0, max_value=n))):
+        c.measure(q, q)
+    return c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(GRAPH_BUILDERS)), st.integers(min_value=2, max_value=14),
+       st.integers(min_value=0, max_value=2 ** 16), routing_configs, st.data())
+def test_cached_scoring_matches_a_from_scratch_reference(gname, n, seed, cfg, data):
+    graph = GRAPH_BUILDERS[gname](n, seed)
+    c = data.draw(dense_circuits(max_qubits=n))
+    lay = Layout.shuffled(n, random.Random(seed))
+    dag = CircuitDag(c)
+    routed, final = sabre_route(dag, graph, lay, cfg)
+    ref, ref_final = _reference_route(dag, graph, lay, cfg)
+    assert routed == ref
+    assert final == ref_final
+
+
+def test_cached_scoring_matches_the_reference_through_the_stall_fallback():
+    pairs, lay, cfg = STALL_CASE
+    c = Circuit(5)
+    for a, b in pairs:
+        c.cnot(a, b)
+    dag, graph = CircuitDag(c), topology.linear(5)
+    routed, final = sabre_route(dag, graph, Layout(lay), cfg)
+    assert (routed, final) == _reference_route(dag, graph, Layout(lay), cfg)
 
 
 # -- layout search exit ------------------------------------------------------------
