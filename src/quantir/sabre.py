@@ -28,13 +28,20 @@ is one route per circuit instead of three per trial.
 
 Scoring a candidate swap costs work in proportion to the gates on its two
 wires, not to the size of the front and extended set (after LightSABRE, Zou
-et al., arXiv:2409.08368):
+et al., arXiv:2409.08368), and a decision recomputes the deltas only of the
+candidates its last swap or front change touched:
 
 * the extended set depends on the front alone, so it is rebuilt only when a
   gate executes; a swap that executes nothing keeps it;
 * a swap on (a, b) moves only the gates with an operand on a or b, so each
-  candidate scores as the integer front and extended-set distance sums,
-  taken once per decision, plus those gates' distance deltas;
+  candidate scores as the integer front and extended-set distance sums plus
+  those gates' integer distance deltas;
+* the candidates and their deltas persist across swaps and fronts.  A swap
+  on (a, b) changes the deltas only of the candidates at a and b and at the
+  positions of the other operands of the swapped wires' gates; a new front
+  changes only those on the wires of the gates that joined or left the front
+  or the extended set.  Only those are recomputed; the two sums advance by
+  the chosen swap's deltas and are re-taken for a new front;
 * after a swap only the front gates on the two swapped wires are re-checked
   for execution; every other front gate is still blocked.
 
@@ -42,8 +49,9 @@ Distances are integers, so these sums equal a float re-sum over every gate
 exactly: scores, tie-breaks and the routed output are the same, byte for
 byte, as routing that applies each candidate swap and re-sums the front and
 extended set.  ``transpile`` of a 57-qubit depth-60 circuit on ``heavy_hex:5``
-at level 2 runs about 4x faster for it: 8.3 s before, 2.1 s after, on a
-2-core Intel Xeon VM (README, Transpiler, has the command).
+at level 2 takes 1.14 s, against 1.83 s when every decision rebuilt, sorted
+and rescored all its candidates (median of 5 alternating runs each, 2-core
+Intel Xeon VM; README, Transpiler, has the command).
 """
 from __future__ import annotations
 
@@ -154,19 +162,18 @@ def _extended_set(dag: CircuitDag, front: list[int], size: int) -> list[int]:
     pairs = dag.pairs
     succs = dag.succs
     ext: list[int] = []
-    seen = set(front)
-    queue = deque(front)
-    while queue and len(ext) < size:
-        u = queue.popleft()
-        for v in succs[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            queue.append(v)
-            if pairs[v] is not None:
-                ext.append(v)
-                if len(ext) >= size:
-                    break
+    if size:
+        seen = set(front)
+        queue = list(front)
+        for u in queue:  # the queue grows as the search runs
+            for v in succs[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+                    if pairs[v] is not None:
+                        ext.append(v)
+                        if len(ext) == size:
+                            return ext
     return ext
 
 
@@ -206,8 +213,13 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
     stall_limit = max(50, 10 * n_phys)
     w = config.extended_weight
     delta = config.decay_delta
-    front_pairs = None
+    front_list = None
     ready = sorted(front)  # front nodes whose executability may have changed
+    # Candidate swaps and their integer (front, extended-set) distance
+    # deltas, kept across swaps and fronts; ``dirty`` holds the edges whose
+    # membership or deltas may have changed since they were last scored.
+    deltas = None
+    dirty = set()
 
     while front:
         # execute everything executable, in node order
@@ -234,66 +246,84 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
                     queue.append(s)
         if not front:
             break
-        if executed or front_pairs is None:
-            # A new front: reset decay and rebuild what depends on the front
+        if executed or front_list is None:
+            # A new front: reset decay and update what depends on the front
             # alone.  Per logical wire, its front node, the other operand of
             # that gate, and the other operands of its extended-set gates.
             decay = [1.0] * n_phys
             swaps_since_reset = 0
             swaps_since_progress = 0
+            if deltas is None:  # the first front, or the stall fallback ran
+                deltas = {}
+                front_set = ext_set = set()
+                front_node = [-1] * n_phys
+                front_mate = [-1] * n_phys
+                ext_mates = [[] for _ in range(n_phys)]
             front_list = sorted(front)
-            front_pairs = [pairs[node] for node in front_list]
-            front_node = [-1] * n_phys
-            front_mate = [-1] * n_phys
-            for node, (q0, q1) in zip(front_list, front_pairs):
+            ext_list = _extended_set(dag, front_list, config.extended_set_size)
+            # Only the gates that left or joined the front or the extended
+            # set change those lists, and the candidates on their wires are
+            # the only ones whose deltas change.
+            new_f, new_e = set(front_list), set(ext_list)
+            for node in front_set - new_f:
+                q0, q1 = pairs[node]
+                front_node[q0] = front_node[q1] = -1
+                front_mate[q0] = front_mate[q1] = -1
+            for node in ext_set - new_e:
+                q0, q1 = pairs[node]
+                ext_mates[q0].remove(q1)
+                ext_mates[q1].remove(q0)
+            for node in new_f - front_set:
+                q0, q1 = pairs[node]
                 front_node[q0] = front_node[q1] = node
                 front_mate[q0], front_mate[q1] = q1, q0
-            ext_pairs = [pairs[node] for node in
-                         _extended_set(dag, front_list, config.extended_set_size)]
-            ext_mates = [[] for _ in range(n_phys)]
-            for q0, q1 in ext_pairs:
+            for node in new_e - ext_set:
+                q0, q1 = pairs[node]
                 ext_mates[q0].append(q1)
                 ext_mates[q1].append(q0)
-            inv_f = 1.0 / len(front_pairs)
-            inv_e = 1.0 / len(ext_pairs) if ext_pairs else 0.0
-            deltas = None
+            for node in (front_set ^ new_f) | (ext_set ^ new_e):
+                q0, q1 = pairs[node]
+                dirty.update(edges[l2p[q0]])
+                dirty.update(edges[l2p[q1]])
+            front_set, ext_set = new_f, new_e
+            base_f = 0
+            for node in front_list:
+                q0, q1 = pairs[node]
+                base_f += dist[l2p[q0]][l2p[q1]]
+            base_e = 0
+            for node in ext_list:
+                q0, q1 = pairs[node]
+                base_e += dist[l2p[q0]][l2p[q1]]
+            inv_f = 1.0 / len(front_list)
+            inv_e = 1.0 / len(ext_list) if ext_list else 0.0
 
         # every front gate is a blocked two-qubit gate: insert one SWAP
         if swaps_since_progress >= stall_limit:
-            # safeguard: march the oldest blocked gate together greedily
-            p0, p1 = l2p[front_pairs[0][0]], l2p[front_pairs[0][1]]
+            # safeguard: march the oldest blocked gate together greedily; it
+            # runs until the front changes, and the cache starts afresh then
+            q0, q1 = pairs[front_list[0]]
+            p0, p1 = l2p[q0], l2p[q1]
             step = min(graph.neighbors(p0), key=lambda nb: (dist[nb][p1], nb))
             best_edge = (p0, step) if p0 < step else (step, p0)
-            deltas = None  # it swaps off the candidate list: rebuild after it
+            deltas = None
         else:
-            if deltas is None:
-                # the candidates are the edges at the front gates' operands
-                deltas = {}
-                dirty = set()
-                base_f = 0
-                for q0, q1 in front_pairs:
-                    p0, p1 = l2p[q0], l2p[q1]
-                    base_f += dist[p0][p1]
-                    dirty.update(edges[p0])
-                    dirty.update(edges[p1])
-                base_e = 0
-                for q0, q1 in ext_pairs:
-                    base_e += dist[l2p[q0]][l2p[q1]]
             # A swap on (a, b) moves only the gates with an operand on a or b,
-            # so a candidate's integer front and extended-set deltas change
-            # only when a swap moves one of those gates; the rest are kept.
+            # so each candidate scores as the integer base sums plus those
+            # gates' distance deltas; only the dirty ones are recomputed.
             for e in dirty:
                 a, b = e
                 la, lb = p2l[a], p2l[b]
+                ma, mb = front_mate[la], front_mate[lb]
+                if ma < 0 and mb < 0:
+                    deltas.pop(e, None)  # no front gate on it: no candidate
+                    continue
                 da, db = dist[a], dist[b]
                 s = 0
-                m = front_mate[la]
-                if m >= 0 and m != lb:
-                    o = l2p[m]
+                if ma >= 0 and ma != lb:
+                    o = l2p[ma]
                     s += db[o] - da[o]
-                m = front_mate[lb]
-                if m >= 0 and m != la:
-                    o = l2p[m]
+                if mb >= 0 and mb != la:
+                    o = l2p[mb]
                     s += da[o] - db[o]
                 t = 0
                 for m in ext_mates[la]:
@@ -305,16 +335,17 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
                         o = l2p[m]
                         t += da[o] - db[o]
                 deltas[e] = (s, t)
+            dirty.clear()
             # Distances are integers, so the float scores equal a full
-            # re-sum's bit for bit; ties go to the smallest edge.
+            # re-sum's bit for bit (with no extended set, base_e, t and inv_e
+            # are 0 and the term adds 0.0); ties go to the smallest edge, as
+            # in a scan of the sorted candidates.
             best_edge = None
             best_score = None
             for e, (s, t) in deltas.items():
-                score = (base_f + s) * inv_f
-                if ext_pairs:
-                    score += w * (base_e + t) * inv_e
                 a, b = e
-                score *= decay[a] if decay[a] >= decay[b] else decay[b]
+                score = ((base_f + s) * inv_f + w * (base_e + t) * inv_e) \
+                    * (decay[a] if decay[a] >= decay[b] else decay[b])
                 if best_score is None or score < best_score or \
                         (score == best_score and e < best_edge):
                     best_score = score
@@ -334,23 +365,16 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
             s, t = deltas[best_edge]
             base_f += s
             base_e += t
-            # Membership changes only for the edges at a and b; the deltas
-            # change for those and for the edges at the current positions
-            # of the two swapped wires' front and extended-set mates.
-            dirty = set()
-            for e in edges[a] + edges[b]:
-                if front_mate[p2l[e[0]]] >= 0 or front_mate[p2l[e[1]]] >= 0:
-                    dirty.add(e)
-                else:
-                    deltas.pop(e, None)
+            # the swap moves the gates on la and lb: the candidates at a and
+            # b and at the positions of those gates' other operands
+            dirty.update(edges[a])
+            dirty.update(edges[b])
             for l in (la, lb):
-                mates = ext_mates[l]
-                if front_mate[l] >= 0:
-                    mates = mates + [front_mate[l]]
-                for m in mates:
-                    for e in edges[l2p[m]]:
-                        if e in deltas:
-                            dirty.add(e)
+                m = front_mate[l]
+                if m >= 0:
+                    dirty.update(edges[l2p[m]])
+                for m in ext_mates[l]:
+                    dirty.update(edges[l2p[m]])
         # only front gates on the two swapped wires can have become executable
         ready = sorted({front_node[la], front_node[lb]} - {-1})
 
