@@ -671,11 +671,12 @@ routing_configs = st.builds(
 
 
 @st.composite
-def dense_circuits(draw, max_qubits: int):
-    """Mostly two-qubit gates on random pairs, so fronts take several swaps."""
-    n = draw(st.integers(min_value=2, max_value=max_qubits))
+def dense_circuits(draw, num_qubits: int):
+    """Mostly two-qubit gates on random pairs, so fronts take several swaps;
+    on all of ``num_qubits`` wires or on all but up to three."""
+    n = draw(st.integers(min_value=max(2, num_qubits - 3), max_value=num_qubits))
     c = Circuit(n, n)
-    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+    for _ in range(draw(st.integers(min_value=0, max_value=80))):
         roll = draw(st.integers(min_value=0, max_value=9))
         qs = draw(st.permutations(range(n)))
         if roll < 7:
@@ -690,11 +691,11 @@ def dense_circuits(draw, max_qubits: int):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(GRAPH_BUILDERS)), st.integers(min_value=2, max_value=14),
+@given(st.sampled_from(sorted(GRAPH_BUILDERS)), st.integers(min_value=2, max_value=24),
        st.integers(min_value=0, max_value=2 ** 16), routing_configs, st.data())
 def test_cached_scoring_matches_a_from_scratch_reference(gname, n, seed, cfg, data):
     graph = GRAPH_BUILDERS[gname](n, seed)
-    c = data.draw(dense_circuits(max_qubits=n))
+    c = data.draw(dense_circuits(n))
     lay = Layout.shuffled(n, random.Random(seed))
     dag = CircuitDag(c)
     routed, final = sabre_route(dag, graph, lay, cfg)
