@@ -123,7 +123,7 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
 
     dag = CircuitDag(pre)
     initial, routed, final = _best_trial(dag, graph, config.sabre(), config.seed)
-    swaps_inserted = len(routed) - len(pre)  # every node plus the SWAPs
+    swaps_inserted = len(routed) - len(pre)  # every node plus its SWAPs
 
     out = routed
     if config.level >= 1:
