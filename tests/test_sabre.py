@@ -568,10 +568,10 @@ def test_golden_routing_through_stall_fallback():
 
 
 # -- cached scoring against a from-scratch reference -------------------------------
-# The router keeps each candidate swap's integer deltas across the swaps of one
-# front and recomputes only those a swap can change.  This reference does what
-# the router did before that: every decision re-scores every sorted candidate
-# by applying its swap and re-summing the front and extended-set distances.
+# The router keeps each candidate swap's integer deltas across swaps and fronts
+# and recomputes only those a swap or a new front can change.  This reference
+# keeps nothing: every decision re-scores every sorted candidate by applying
+# its swap and re-summing the front and extended-set distances.
 
 def _reference_extended_set(dag, front, size):
     ext, seen, queue = [], set(front), deque(sorted(front))
