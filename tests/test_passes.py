@@ -338,3 +338,180 @@ def test_expand_swaps_in_cnot_basis_is_three_cnots():
     out = expand_swaps(Circuit(2).swap(0, 1), "rz-rx-cnot")
     assert kinds_of(out) == [GateKind.CNOT] * 3
     assert [ins.qubits for ins in out.body] == [(0, 1), (1, 0), (0, 1)]
+
+
+# -- differential check against the loops the passes were written as -----------
+# Test-local copies of each pass's loop as first written: one fixpoint loop
+# for merging, one for cancellation, and one lowering loop each for
+# ``decompose_to_basis`` and ``expand_swaps``.  The per-gate lowering rules
+# are the library's own.
+
+from quantir.passes import _LOWERERS  # noqa: E402
+
+_REF_ROTS = (GateKind.RX, GateKind.RY, GateKind.RZ)
+_REF_SELF_CANCEL = {GateKind.H, GateKind.X, GateKind.Y, GateKind.Z}
+_REF_PHASE_PAIRS = {(GateKind.S, GateKind.SDG), (GateKind.SDG, GateKind.S),
+                    (GateKind.T, GateKind.TDG), (GateKind.TDG, GateKind.T)}
+
+
+def _ref_rebuild(template, body):
+    out = Circuit(template.num_qubits, template.num_cbits, name=template.name)
+    for ins in body:
+        out._append_fast(ins)
+    return out
+
+
+def _ref_merge(c, tol=1e-12):
+    flat = flatten(c)
+    body = flat.body
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        last_idx = {}
+        for ins in body:
+            if ins.kind in _REF_ROTS:
+                q = ins.qubits[0]
+                li = last_idx.get(q, -1)
+                if li >= 0:
+                    prev = out[li]
+                    if prev is not None and prev.kind is ins.kind:
+                        total = prev.params[0] + ins.params[0]
+                        if abs(math.remainder(total, math.tau)) <= tol:
+                            out[li] = None
+                            last_idx[q] = -1
+                        else:
+                            out[li] = Instruction(ins.kind, ins.qubits, (total,))
+                        changed = True
+                        continue
+            out.append(ins)
+            for q in ins.qubits:
+                last_idx[q] = len(out) - 1
+        body = [ins for ins in out if ins is not None]
+    return _ref_rebuild(flat, body)
+
+
+def _ref_cancels(prev, cur):
+    pk, ck = prev.kind, cur.kind
+    if pk is ck:
+        if pk in _REF_SELF_CANCEL:
+            return True
+        if pk is GateKind.X1:
+            return prev.dagger != cur.dagger
+        if pk is GateKind.CNOT:
+            return prev.qubits == cur.qubits
+        if pk is GateKind.CZ or pk is GateKind.SWAP:
+            return set(prev.qubits) == set(cur.qubits)
+        return False
+    return (pk, ck) in _REF_PHASE_PAIRS
+
+
+def _ref_cancel(c):
+    flat = flatten(c)
+    body = flat.body
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        last_idx = {}
+        for ins in body:
+            cls = ins.kind.opclass
+            if cls == 0 and ins.kind is not GateKind.I:
+                li = last_idx.get(ins.qubits[0], -1)
+                if li >= 0 and out[li] is not None and _ref_cancels(out[li], ins):
+                    out[li] = None
+                    last_idx[ins.qubits[0]] = -1
+                    changed = True
+                    continue
+            elif cls == CLS_2Q:
+                a, b = ins.qubits
+                la, lb = last_idx.get(a, -1), last_idx.get(b, -1)
+                if la == lb and la >= 0 and out[la] is not None \
+                        and _ref_cancels(out[la], ins):
+                    out[la] = None
+                    last_idx[a] = last_idx[b] = -1
+                    changed = True
+                    continue
+            out.append(ins)
+            for q in ins.qubits:
+                last_idx[q] = len(out) - 1
+        body = [ins for ins in out if ins is not None]
+    return _ref_rebuild(flat, body)
+
+
+def _ref_decompose(c, basis):
+    flat = flatten(c)
+    if basis == "none":
+        return flat
+    body = []
+    for ins in flat.body:
+        body.extend([ins] if ins.kind.opclass >= 4 else _LOWERERS[basis](ins))
+    return _ref_rebuild(flat, body)
+
+
+def _ref_expand_swaps(c, basis):
+    flat = flatten(c)
+    if basis == "none":
+        return flat
+    body = []
+    for ins in flat.body:
+        body.extend(_LOWERERS[basis](ins) if ins.kind is GateKind.SWAP else [ins])
+    return _ref_rebuild(flat, body)
+
+
+_NEAR_TURNS = [PI / 2, -PI / 2, PI, -PI, 3 * PI / 2, 2 * PI, -2 * PI, 0.0,
+               PI / 2 + 1e-13, 0.25]
+
+
+@st.composite
+def rewritable(draw):
+    """Short circuits over few wires and turn-sized angles, so pairs meet."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    c = Circuit(n, name=draw(st.sampled_from([None, "r"])))
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        q = draw(st.integers(min_value=0, max_value=n - 1))
+        which = draw(st.sampled_from(["1q", "1q", "rot", "rot", "2q", "2q",
+                                      "u3", "measure", "barrier"]))
+        if which == "1q":
+            c.append_gate(draw(st.sampled_from(
+                [GateKind.I, GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
+                 GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+                 GateKind.X1])), (q,), dagger=draw(st.booleans()))
+        elif which == "rot":
+            c.append_gate(draw(st.sampled_from(_REF_ROTS)), (q,),
+                          (draw(st.sampled_from(_NEAR_TURNS)),),
+                          dagger=draw(st.booleans()))
+        elif which == "u3":
+            c.u3(q, *draw(st.lists(st.sampled_from(_NEAR_TURNS), min_size=3,
+                                   max_size=3)))
+        elif which == "2q" and n >= 2:
+            q2 = draw(st.integers(min_value=0, max_value=n - 1).filter(
+                lambda x: x != q))
+            c.append_gate(draw(st.sampled_from(
+                [GateKind.CNOT, GateKind.CZ, GateKind.SWAP])), (q, q2))
+        elif which == "measure":
+            c.measure(q, q)
+        elif which == "barrier":
+            c.barrier(*range(draw(st.integers(min_value=1, max_value=n))))
+    return c
+
+
+def _same_output(got, want):
+    assert (got.num_qubits, got.num_cbits, got.name) == \
+        (want.num_qubits, want.num_cbits, want.name)
+    assert got.body == want.body  # Instruction equality is bit-exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.one_of(rewritable(), circuits(max_qubits=4, max_len=24,
+                                           measures=True, barriers=True)),
+       basis=st.sampled_from(BASES))
+def test_passes_match_reference_loops(c, basis):
+    _same_output(merge_adjacent_rotations(c), _ref_merge(c))
+    _same_output(cancel_adjacent_inverses(c), _ref_cancel(c))
+    _same_output(decompose_to_basis(c, basis), _ref_decompose(c, basis))
+    _same_output(expand_swaps(c, basis), _ref_expand_swaps(c, basis))
+    # the pipeline order, where each pass sees another's output
+    lowered = decompose_to_basis(c, basis)
+    _same_output(cancel_adjacent_inverses(merge_adjacent_rotations(lowered)),
+                 _ref_cancel(_ref_merge(_ref_decompose(c, basis))))

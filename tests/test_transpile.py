@@ -337,3 +337,105 @@ def test_golden_heavy_hex_depth_60_level_2():
     h = hashlib.sha256(encode([res.circuit]))
     h.update(repr((list(res.initial_layout), list(res.final_layout))).encode())
     assert h.hexdigest() == GOLDEN_HEAVY_HEX
+
+
+# -- golden lowering output ------------------------------------------------------
+# sha256 of the encoded output plus both layouts, for every level and both
+# native bases, on a device that needs SWAPs (so ``expand_swaps`` and the
+# post-route cancellation see routing SWAPs) and on a complete graph.  The
+# input holds every gate kind, daggered gates, a daggered sub-circuit, a
+# barrier, repeated two-qubit gates and a trailing measure on every wire.
+
+LOWERING_DEVICES = {"linear:8": lambda: topology.linear(8),
+                    "full:10": lambda: topology.full(10)}
+
+GOLDEN_LOWERING = {
+    "linear:8/0/rz-x1-cz":
+        "0ef33d2b93a2a39f814ef3e04feb65cf09bf44671ad9ca18f470af63580681a9",
+    "linear:8/0/rz-rx-cnot":
+        "1c93ef69930c9b5530a7c8fdebbe4bb416f11719ea847ef8a0069a67963e7336",
+    "linear:8/1/rz-x1-cz":
+        "901b65e09095e61016f19b8c2e4a5a8e6465acb087a168886fcc24c31bf89860",
+    "linear:8/1/rz-rx-cnot":
+        "3100e1969739e515d928d944a680a6a426ea252a3844c46078f3d24f06ccedd4",
+    "linear:8/2/rz-x1-cz":
+        "1db8b5c40e875e4720ca877cabe38bdb7e3c596fdf17d831c792943143ef1dc7",
+    "linear:8/2/rz-rx-cnot":
+        "0368fe3571f88756608c518a7f85f1d0743b761ed8ac1dad6ad57c5ea02ce4e7",
+    "full:10/0/rz-x1-cz":
+        "8d7a2228462ab3ad769285993adbaf2a175cd9abfb50fabc26b020fdd5745e71",
+    "full:10/0/rz-rx-cnot":
+        "f8b8544cfe7e485c2053919c1dcbf576280986f69d73bc92fbae299fc87f1e3d",
+    "full:10/1/rz-x1-cz":
+        "37192ddd9de63092ffd1b83e8c1aa11027877c18c02bce69932e2f1a82f49788",
+    "full:10/1/rz-rx-cnot":
+        "7b2a610d19eb6c1cde3b01dc990c3fa27cdc2cc0f650af79ca2d2d805f433afd",
+    "full:10/2/rz-x1-cz":
+        "ffca0a4d5cbc7ae870bd1925c2b99207c3061024875f5fd91b391a1c70fb2031",
+    "full:10/2/rz-rx-cnot":
+        "95e3af4a5c119fc1208a37503b6f869d9e23c628200899a7f745a85335db7e8f",
+}
+
+
+def _lowering_circuit(n: int, length: int, seed: int) -> Circuit:
+    rng = random.Random(seed)
+    paramless = [GateKind.I, GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
+                 GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+                 GateKind.X1]
+
+    def fill(c, count):
+        for _ in range(count):
+            roll = rng.random()
+            dagger = rng.random() < 0.2
+            if roll < 0.4:
+                a, b = rng.sample(range(n), 2)
+                kind = rng.choice([GateKind.CNOT, GateKind.CZ, GateKind.SWAP])
+                # some gates twice in a row, so level 2 has pairs to cancel
+                for _ in range(2 if rng.random() < 0.25 else 1):
+                    c.append_gate(kind, (a, b), dagger=dagger)
+            elif roll < 0.7:
+                c.append_gate(rng.choice(paramless), (rng.randrange(n),),
+                              dagger=dagger)
+            elif roll < 0.9:
+                c.append_gate(rng.choice([GateKind.RX, GateKind.RY,
+                                          GateKind.RZ]), (rng.randrange(n),),
+                              (rng.choice([PI / 2, -PI / 2, PI, 0.3, -1.1]),),
+                              dagger=dagger)
+            elif roll < 0.97:
+                c.append_gate(GateKind.U3, (rng.randrange(n),),
+                              tuple(rng.uniform(-3, 3) for _ in range(3)),
+                              dagger=dagger)
+            else:
+                c.barrier(*rng.sample(range(n), rng.randint(1, n)))
+        return c
+
+    c = fill(Circuit(n), length // 2)
+    c.sub(fill(Circuit(n), 8), dagger=True)
+    fill(c, length - length // 2)
+    for q in range(n):
+        c.measure(q, q)
+    return c
+
+
+def _lowering_cases():
+    for device in LOWERING_DEVICES:
+        for level in (0, 1, 2):
+            for basis in ("rz-x1-cz", "rz-rx-cnot"):
+                yield f"{device}/{level}/{basis}"
+
+
+def _lowering_run(case: str) -> str:
+    device, level, basis = case.split("/")
+    graph = LOWERING_DEVICES[device]()
+    width = graph.num_qubits - 1 if device.startswith("linear") else graph.num_qubits
+    c = _lowering_circuit(width, 80, seed=len(case))
+    res = transpile(c, graph, TranspileConfig(level=int(level), basis=basis,
+                                              seed=3))
+    h = hashlib.sha256(encode([res.circuit]))
+    h.update(repr((list(res.initial_layout), list(res.final_layout))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(_lowering_cases()))
+def test_golden_lowering(case):
+    assert _lowering_run(case) == GOLDEN_LOWERING[case]
