@@ -434,7 +434,10 @@ class Circuit:
             return False
         if len(self) != len(other):
             return False
-        if self._subs == 0 and other._subs == 0:
+        # the columns hold no dagger flag but X1's: bodies with sub-circuits
+        # or flags still to resolve compare instruction by instruction
+        if not (self._subs or other._subs
+                or self._dagger_fixups or other._dagger_fixups):
             return self._columns().same(other._columns())
         return self.body == other.body
 

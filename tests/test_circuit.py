@@ -264,6 +264,43 @@ class TestEquality:
         assert a == b
         assert a != Circuit(2).sub(Circuit(2).h(0), name="other")
 
+    def test_unresolved_dagger_flags_distinguished(self):
+        s_dg = Circuit(1).append_gate(GateKind.S, (0,), dagger=True)
+        rz_dg = Circuit(1).append_gate(GateKind.RZ, (0,), (0.3,), dagger=True)
+        assert s_dg != Circuit(1).s(0)
+        assert rz_dg != Circuit(1).rz(0, 0.3)
+        assert s_dg == Circuit(1).append_gate(GateKind.S, (0,), dagger=True)
+        assert flatten(s_dg) == Circuit(1).sdg(0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits(measures=True), st.data())
+    def test_equality_is_registers_and_body(self, a, data):
+        how = data.draw(st.sampled_from(["copy", "flip", "flat", "columns",
+                                         "other"]))
+        if how == "other":
+            b = data.draw(circuits(measures=True))
+        elif how == "flat":
+            b = flatten(a)
+        elif how == "columns":
+            flat = flatten(a)
+            b = Circuit._from_columns(flat.num_qubits, flat.num_cbits,
+                                      flat._columns())
+        else:
+            body = list(a.body)
+            flippable = [i for i, ins in enumerate(body)
+                         if ins.kind is not GateKind.MEASURE]
+            if how == "flip" and flippable:
+                i = data.draw(st.sampled_from(flippable))
+                ins = body[i]
+                body[i] = Instruction(ins.kind, ins.qubits, ins.params,
+                                      ins.cbit, not ins.dagger)
+            b = Circuit(a.num_qubits, a.num_cbits)
+            b.extend(body)
+        want = ((a.num_qubits, a.num_cbits) == (b.num_qubits, b.num_cbits)
+                and a.body == b.body)
+        assert (a == b) == want
+        assert (b == a) == want
+
 
 class TestGateCounts:
     def test_counts(self):
