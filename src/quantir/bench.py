@@ -117,8 +117,8 @@ def random_circuit(num_qubits: int, depth: int, seed: int = 0) -> Circuit:
     rng = random.Random(seed)
     rand, randrange, shuffle, uniform = (rng.random, rng.randrange,
                                          rng.shuffle, rng.uniform)
-    c = Circuit(num_qubits)
-    append = c._append_fast
+    items: list[Instruction] = []
+    append = items.append
     raw = Instruction._raw
     order = list(range(num_qubits))
     for _ in range(depth):
@@ -136,7 +136,7 @@ def random_circuit(num_qubits: int, depth: int, seed: int = 0) -> Circuit:
                 params = (uniform(0.0, _TAU),) if kind.value >> 5 == CLS_ROT else ()
                 append(raw(kind, (order[i],), params, None, False))
                 i += 1
-    return c
+    return Circuit._from_items(num_qubits, num_qubits, items)
 
 
 # -- format codecs ----------------------------------------------------------------

@@ -320,6 +320,14 @@ class Circuit:
         self._dagger_fixups = 0
         return self
 
+    @classmethod
+    def _from_items(cls, num_qubits, num_cbits, items: list, name=None):
+        # trusted: flat instructions already checked against this width, no
+        # dagger flag left to resolve; the circuit takes ownership of items
+        self = cls._from_columns(num_qubits, num_cbits, None, name)
+        self._items = items
+        return self
+
     # -- body views ---------------------------------------------------------
 
     @property
@@ -467,18 +475,18 @@ def flatten(c: Circuit) -> Circuit:
     """
     if c._items is None or (c._subs == 0 and c._dagger_fixups == 0):
         return c
-    out = Circuit(c.num_qubits, c.num_cbits, name=c.name)
+    out: list[Instruction] = []
     _expand(c._items, False, out)
-    return out
+    return Circuit._from_items(c.num_qubits, c.num_cbits, out, c.name)
 
 
-def _expand(items, block_dagger: bool, out: Circuit) -> None:
+def _expand(items, block_dagger: bool, out: list) -> None:
     seq = reversed(items) if block_dagger else items
     for el in seq:
         if isinstance(el, SubcircuitInstance):
             _expand(el.circuit.body, block_dagger ^ el.dagger, out)
         else:
-            out._append_fast(_resolve(el, block_dagger))
+            out.append(_resolve(el, block_dagger))
 
 
 def split_trailing_measures(c: Circuit) -> tuple[Circuit, list[Instruction]]:
@@ -496,8 +504,8 @@ def split_trailing_measures(c: Circuit) -> tuple[Circuit, list[Instruction]]:
         raise CircuitError("measurement must be final")
     if cut == len(body):
         return flat, []
-    gates = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
-    gates._items = body[:cut]  # flat: no sub-circuits, no dagger flags to resolve
+    gates = Circuit._from_items(flat.num_qubits, flat.num_cbits, body[:cut],
+                                flat.name)
     return gates, body[cut:]
 
 

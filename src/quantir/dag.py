@@ -68,7 +68,5 @@ class CircuitDag:
 
     def reversed_circuit(self) -> Circuit:
         """The body in reverse order (gates unchanged), for reverse routing."""
-        out = Circuit(self.circuit.num_qubits, self.circuit.num_cbits)
-        for ins in reversed(self.body):
-            out._append_fast(ins)
-        return out
+        return Circuit._from_items(self.circuit.num_qubits,
+                                   self.circuit.num_cbits, self.body[::-1])

@@ -44,12 +44,10 @@ class MetricsVector:
 
 def _strip(c: Circuit) -> Circuit:
     flat = flatten(c)
-    out = Circuit(flat.num_qubits, flat.num_cbits)
     measure, barrier = GateKind.MEASURE, GateKind.BARRIER
-    for ins in flat.body:
-        if ins.kind is not measure and ins.kind is not barrier:
-            out._append_fast(ins)
-    return out
+    return Circuit._from_items(flat.num_qubits, flat.num_cbits, [
+        ins for ins in flat.body
+        if ins.kind is not measure and ins.kind is not barrier])
 
 
 def _critical_two_q(c: Circuit, e: int) -> float:

@@ -1,11 +1,20 @@
 """Circuit rewrites: rotation merging, inverse cancellation, basis lowering.
 
 All passes take and return circuits (inputs are flattened first) and preserve
-the overall unitary up to global phase.  Merging and cancellation only ever
-combine instructions that are adjacent on every wire they share, so barriers
-and measurements fence them.  Both run to a fixpoint.
+the overall unitary up to global phase.  Two drivers run them all.
 
-Basis lowering rewrites every gate into one of two native sets:
+``_peephole`` runs merging and cancellation, each a rule over two
+instructions.  It walks the body and hands each instruction of the rule's
+kinds to the rule together with the instruction before it, when one
+instruction is the last on all of its wires.  The rule keeps both, replaces
+the pair with one instruction, or drops both.  Pairs are thus adjacent on
+every wire they share, so barriers and measurements fence them.  The walk
+repeats until it changes nothing.
+
+``_lower`` runs basis lowering: each instruction of the given kinds becomes
+its rule's sequence in one of two native sets, and every other passes
+through.  ``decompose_to_basis`` lowers every gate, ``expand_swaps`` only
+SWAPs.
 
 * ``rz-x1-cz``: RZ rotations, the X1 (sqrt-X) pulse, and CZ.
 * ``rz-rx-cnot``: RZ/RX rotations and CNOT.
@@ -17,8 +26,8 @@ from __future__ import annotations
 
 import math
 
-from .circuit import Circuit, CircuitError, Instruction, flatten
-from .gates import CLS_1Q, CLS_2Q, GateKind
+from .circuit import Circuit, Instruction, flatten
+from .gates import GateKind
 
 __all__ = [
     "BASES", "PassError",
@@ -36,7 +45,6 @@ _S, _SDG, _T, _TDG = GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG
 _X1, _U3 = GateKind.X1, GateKind.U3
 _RX, _RY, _RZ = GateKind.RX, GateKind.RY, GateKind.RZ
 _CNOT, _CZ, _SWAP = GateKind.CNOT, GateKind.CZ, GateKind.SWAP
-_ROTS = (_RX, _RY, _RZ)
 _raw = Instruction._raw
 
 
@@ -44,11 +52,48 @@ class PassError(ValueError):
     """Pass input or configuration is invalid."""
 
 
-def _rebuild(template: Circuit, body) -> Circuit:
-    out = Circuit(template.num_qubits, template.num_cbits, name=template.name)
-    for ins in body:
-        out._append_fast(ins)
-    return out
+def _opcodes(kinds) -> frozenset:
+    # drivers test membership by opcode: an int hashes in C, and hashing an
+    # Enum member calls Python code
+    return frozenset(k._value_ for k in kinds)
+
+
+def _peephole(c: Circuit, kinds, combine) -> Circuit:
+    """Apply ``combine`` to adjacent pairs until a walk changes nothing.
+
+    An instruction whose kind is in ``kinds`` (one- and two-qubit gates)
+    meets ``prev``, the last instruction on its wires, when that is the same
+    one on each of them.  ``combine(prev, ins)`` returns ``ins`` to keep
+    both, an instruction on the same wires to replace the pair, or None to
+    drop both; it drops only pairs on the same wires.
+    """
+    codes = _opcodes(kinds)
+    flat = flatten(c)
+    body: list = flat.body
+    changed = True
+    while changed:
+        changed = False
+        out: list = []
+        last: dict[int, int] = {}  # wire -> index in out of its last instruction
+        for ins in body:
+            if ins.kind._value_ in codes:
+                qs = ins.qubits
+                li = last.get(qs[0], -1)
+                if li >= 0 and (len(qs) == 1 or last.get(qs[1], -1) == li):
+                    new = combine(out[li], ins)
+                    if new is not ins:
+                        out[li] = new
+                        if new is None:
+                            for q in qs:
+                                last[q] = -1
+                        changed = True
+                        continue
+            out.append(ins)
+            idx = len(out) - 1
+            for q in ins.qubits:
+                last[q] = idx
+        body = [ins for ins in out if ins is not None]
+    return Circuit._from_items(flat.num_qubits, flat.num_cbits, body, flat.name)
 
 
 # -- rotation merging ----------------------------------------------------------
@@ -59,56 +104,37 @@ def merge_adjacent_rotations(c: Circuit, *, tol: float = 1e-12) -> Circuit:
     Two rotations merge when nothing else touches their qubit between them.
     A merged angle equal to 0 (mod 2pi, within ``tol``) deletes the pair.
     """
-    flat = flatten(c)
-    body: list = flat.body
-    changed = True
-    while changed:
-        changed = False
-        out: list = []
-        last_idx: dict[int, int] = {}
-        for ins in body:
-            if ins.kind in _ROTS:
-                q = ins.qubits[0]
-                li = last_idx.get(q, -1)
-                if li >= 0:
-                    prev = out[li]
-                    if prev is not None and prev.kind is ins.kind:
-                        total = prev.params[0] + ins.params[0]
-                        if abs(math.remainder(total, math.tau)) <= tol:
-                            out[li] = None
-                            last_idx[q] = -1
-                        else:
-                            out[li] = _raw(ins.kind, ins.qubits, (total,),
-                                           None, False)
-                        changed = True
-                        continue
-            out.append(ins)
-            idx = len(out) - 1
-            for q in ins.qubits:
-                last_idx[q] = idx
-        body = [ins for ins in out if ins is not None]
-    return _rebuild(flat, body)
+    def merge(prev, ins):
+        if prev.kind is not ins.kind:
+            return ins
+        total = prev.params[0] + ins.params[0]
+        if abs(math.remainder(total, math.tau)) <= tol:
+            return None
+        return _raw(ins.kind, ins.qubits, (total,), None, False)
+
+    return _peephole(c, (_RX, _RY, _RZ), merge)
 
 
 # -- inverse cancellation -------------------------------------------------------
 
-_SELF_CANCEL = frozenset({_H, _X, _Y, _Z})
+# CZ and SWAP are symmetric, and the driver pairs a two-qubit gate only with
+# one on both of its wires
+_SELF_CANCEL = frozenset({_H, _X, _Y, _Z, _CZ, _SWAP})
 _PHASE_PAIRS = frozenset({(_S, _SDG), (_SDG, _S), (_T, _TDG), (_TDG, _T)})
+_CANCELLABLE = (_H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _X1, _CNOT, _CZ, _SWAP)
 
 
-def _cancels(prev: Instruction, cur: Instruction) -> bool:
-    pk, ck = prev.kind, cur.kind
-    if pk is ck:
-        if pk in _SELF_CANCEL:
-            return True
-        if pk is _X1:
-            return prev.dagger != cur.dagger
-        if pk is _CNOT:
-            return prev.qubits == cur.qubits  # same control and target
-        if pk is _CZ or pk is _SWAP:
-            return set(prev.qubits) == set(cur.qubits)
-        return False
-    return (pk, ck) in _PHASE_PAIRS
+def _cancel(prev: Instruction, ins: Instruction) -> Instruction | None:
+    pk, k = prev.kind, ins.kind
+    if pk is not k:
+        inverse = (pk, k) in _PHASE_PAIRS
+    elif pk is _X1:
+        inverse = prev.dagger != ins.dagger
+    elif pk is _CNOT:
+        inverse = prev.qubits == ins.qubits  # same control and target
+    else:
+        inverse = pk in _SELF_CANCEL
+    return None if inverse else ins
 
 
 def cancel_adjacent_inverses(c: Circuit) -> Circuit:
@@ -117,38 +143,7 @@ def cancel_adjacent_inverses(c: Circuit) -> Circuit:
     One-qubit pairs need a clear wire between them; two-qubit pairs must be
     adjacent on both wires.
     """
-    flat = flatten(c)
-    body: list = flat.body
-    changed = True
-    while changed:
-        changed = False
-        out: list = []
-        last_idx: dict[int, int] = {}
-        for ins in body:
-            cls = ins.kind.opclass
-            if cls == CLS_1Q and ins.kind is not _I:
-                li = last_idx.get(ins.qubits[0], -1)
-                if li >= 0 and out[li] is not None and _cancels(out[li], ins):
-                    out[li] = None
-                    last_idx[ins.qubits[0]] = -1
-                    changed = True
-                    continue
-            elif cls == CLS_2Q:
-                a, b = ins.qubits
-                la = last_idx.get(a, -1)
-                lb = last_idx.get(b, -1)
-                if la == lb and la >= 0 and out[la] is not None \
-                        and _cancels(out[la], ins):
-                    out[la] = None
-                    last_idx[a] = last_idx[b] = -1
-                    changed = True
-                    continue
-            out.append(ins)
-            idx = len(out) - 1
-            for q in ins.qubits:
-                last_idx[q] = idx
-        body = [ins for ins in out if ins is not None]
-    return _rebuild(flat, body)
+    return _peephole(c, _CANCELLABLE, _cancel)
 
 
 # -- basis lowering -------------------------------------------------------------
@@ -283,23 +278,30 @@ def _check_basis(basis: str):
         raise PassError(f"unknown basis {basis!r}; choose from {BASES}")
 
 
-def decompose_to_basis(c: Circuit, basis: str) -> Circuit:
-    """Rewrite every gate into the named basis (``none`` is a flatten)."""
+def _lower(c: Circuit, basis: str, kinds) -> Circuit:
+    """Rewrite each instruction of ``kinds`` into ``basis``; keep the rest."""
     _check_basis(basis)
     flat = flatten(c)
     if basis == "none":
         return flat
-    lower = _LOWERERS[basis]
-    out = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
-    emit = out._append_fast
+    rule = _LOWERERS[basis]
+    codes = _opcodes(kinds)
+    items: list = []
+    keep = items.append
     for ins in flat.body:
-        cls = ins.kind.opclass
-        if cls >= 4:  # measure, barrier
-            emit(ins)
-            continue
-        for low in lower(ins):
-            emit(low)
-    return out
+        if ins.kind._value_ in codes:
+            items += rule(ins)
+        else:
+            keep(ins)
+    return Circuit._from_items(flat.num_qubits, flat.num_cbits, items, flat.name)
+
+
+_GATES = tuple(k for k in GateKind if k.opclass < 4)  # all but MEASURE, BARRIER
+
+
+def decompose_to_basis(c: Circuit, basis: str) -> Circuit:
+    """Rewrite every gate into the named basis (``none`` is a flatten)."""
+    return _lower(c, basis, _GATES)
 
 
 def expand_swaps(c: Circuit, basis: str) -> Circuit:
@@ -307,17 +309,4 @@ def expand_swaps(c: Circuit, basis: str) -> Circuit:
 
     Used after routing, where inserted SWAPs are the only off-basis gates.
     """
-    _check_basis(basis)
-    flat = flatten(c)
-    if basis == "none":
-        return flat
-    lower = _LOWERERS[basis]
-    out = Circuit(flat.num_qubits, flat.num_cbits, name=flat.name)
-    emit = out._append_fast
-    for ins in flat.body:
-        if ins.kind is _SWAP:
-            for low in lower(ins):
-                emit(low)
-        else:
-            emit(ins)
-    return out
+    return _lower(c, basis, (_SWAP,))

@@ -205,8 +205,8 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
     edges = [[(p, nb) if p < nb else (nb, p) for nb in graph.neighbors(p)]
              for p in range(n_phys)]
     l2p, p2l = layout._l2p, layout._p2l
-    out = Circuit(n_phys, circ.num_cbits)
-    emit = out._append_fast
+    items: list[Instruction] = []
+    emit = items.append
     raw = Instruction._raw
     swap = GateKind.SWAP
 
@@ -378,7 +378,7 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
         # only front gates on the two swapped wires can have become executable
         ready = sorted({front_node[la], front_node[lb]} - {-1})
 
-    return out, layout
+    return Circuit._from_items(n_phys, circ.num_cbits, items), layout
 
 
 def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,
@@ -396,11 +396,6 @@ def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,
     swap-free, its reverse and final passes would repeat that route from the
     same layout, so they are skipped.
     """
-    circ = dag.circuit
-    if circ.num_qubits > graph.num_qubits:
-        raise RoutingError(
-            f"circuit has {circ.num_qubits} qubits but device has "
-            f"{graph.num_qubits}")
     if not dag.two_qubit_nodes():
         # nothing to place; any permutation routes identically
         initial = Layout.identity(graph.num_qubits)

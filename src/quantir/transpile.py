@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .circuit import (Circuit, Instruction, depth, flatten,
+from .circuit import (Circuit, CircuitError, Instruction, depth, flatten,
                       split_trailing_measures)
 from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
@@ -78,13 +78,10 @@ class TranspileResult:
 def preprocess(circuit: Circuit, config: TranspileConfig) -> Circuit:
     """Flatten, check measurement placement, lower to the target basis."""
     flat = flatten(circuit)
-    measure = GateKind.MEASURE
-    seen_measure = False
-    for ins in flat.body:
-        if ins.kind is measure:
-            seen_measure = True
-        elif seen_measure:
-            raise TranspileError("measurement must be final")
+    try:
+        split_trailing_measures(flat)
+    except CircuitError:
+        raise TranspileError("measurement must be final") from None
     return decompose_to_basis(flat, config.basis)
 
 
