@@ -273,16 +273,18 @@ def _encode_circuit(out: bytearray, c: Circuit, compress: bool) -> None:
     _encode_records(out, cols, compress)
 
 
+def _stream_header(compress: bool) -> bytearray:
+    # the fixed octets; the circuit count varint follows them
+    return bytearray((*MAGIC, VERSION, FLAG_COMPRESSED if compress else 0, 0, 0))
+
+
 def encode(circuits, *, compress: bool = False) -> bytes:
     """Encode a circuit or a sequence of circuits into one stream."""
     if isinstance(circuits, Circuit):
         circuits = [circuits]
     else:
         circuits = list(circuits)
-    out = bytearray(MAGIC)
-    out.append(VERSION)
-    out.append(FLAG_COMPRESSED if compress else 0)
-    out += b"\x00\x00"
+    out = _stream_header(compress)
     _write_varint(out, len(circuits))
     for c in circuits:
         _encode_circuit(out, c, compress)
@@ -356,14 +358,7 @@ def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
         code.append(op)
         a.append(q0)
         b.append(q1)
-    cols = _Columns(
-        np.array(code, dtype=np.uint8),
-        np.array(a, dtype=np.int64),
-        np.array(b, dtype=np.int64),
-        np.array(params, dtype=np.float64),
-        np.array(extra, dtype=np.int64),
-    )
-    return cols, o
+    return _Columns.from_lists(code, a, b, params, extra), o
 
 
 # -- decoding: fast columnar path ---------------------------------------------
@@ -487,10 +482,7 @@ class StreamEncoder:
             self._chunks: list[bytearray] | None = []
         else:
             self._chunks = None
-            head = bytearray(MAGIC)
-            head.append(VERSION)
-            head.append(FLAG_COMPRESSED if compress else 0)
-            head += b"\x00\x00"
+            head = _stream_header(compress)
             self._count_pos = sink.tell() + len(head)
             _write_varint_padded5(head, 0)
             sink.write(bytes(head))
@@ -517,10 +509,7 @@ class StreamEncoder:
         if self._count > _U32_MAX:
             raise BisEncodeError("circuit count exceeds 32 bits")
         if self._sink is None:
-            out = bytearray(MAGIC)
-            out.append(VERSION)
-            out.append(FLAG_COMPRESSED if self.compress else 0)
-            out += b"\x00\x00"
+            out = _stream_header(self.compress)
             _write_varint(out, self._count)
             for chunk in self._chunks:
                 out += chunk

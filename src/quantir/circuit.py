@@ -201,6 +201,13 @@ class _Columns:
         self.params = params
         self.extra = extra
 
+    @classmethod
+    def from_lists(cls, code, a, b, params, extra) -> "_Columns":
+        return cls(np.array(code, dtype=np.uint8), np.array(a, dtype=np.int64),
+                   np.array(b, dtype=np.int64),
+                   np.array(params, dtype=np.float64),
+                   np.array(extra, dtype=np.int64))
+
     def __len__(self):
         return len(self.code)
 
@@ -239,13 +246,7 @@ def _pack_body(body) -> _Columns:
             b_app(-1)
             if cls != CLS_1Q:
                 params.extend(ins.params)
-    return _Columns(
-        np.array(code, dtype=np.uint8),
-        np.array(a, dtype=np.int64),
-        np.array(b, dtype=np.int64),
-        np.array(params, dtype=np.float64),
-        np.array(extra, dtype=np.int64),
-    )
+    return _Columns.from_lists(code, a, b, params, extra)
 
 
 def _unpack_body(cols: _Columns) -> list[Instruction]:

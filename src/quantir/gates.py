@@ -55,8 +55,6 @@ KIND_BY_OPCODE[X1_DAGGER_OPCODE] = GateKind.X1
 
 KIND_BY_NAME: dict[str, GateKind] = {k.name: k for k in GateKind}
 
-# qubit operand count per class; BARRIER (class 5) is variadic
-QUBIT_COUNT = {CLS_1Q: 1, CLS_ROT: 1, CLS_U3: 1, CLS_2Q: 2, CLS_MEASURE: 1}
 PARAM_COUNT = {CLS_1Q: 0, CLS_ROT: 1, CLS_U3: 3, CLS_2Q: 0, CLS_MEASURE: 0,
                CLS_BARRIER: 0}
 
@@ -70,5 +68,3 @@ SELF_INVERSE = frozenset({
     GateKind.I, GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
     GateKind.CNOT, GateKind.CZ, GateKind.SWAP, GateKind.BARRIER,
 })
-
-TWO_QUBIT_KINDS = frozenset({GateKind.CNOT, GateKind.CZ, GateKind.SWAP})
