@@ -14,8 +14,12 @@ the median and quartiles (``statistics.quantiles(values, n=4)``) with the
 per-seed values, next to the side's commit id as it was when the runs
 started, to ``BENCH_<pr>.json`` in this checkout.  It also counts, per
 metric, the seeds on which this checkout did better than the parent, using
-the metric's direction in ``BENCHMARK.json``.  Failed operations are summed
-per side and workload.
+the metric's direction in ``BENCHMARK.json``, and under ``median_change``
+gives, per workload and metric, the relative change of this checkout's
+median against the parent's and whether it lies within the metric's
+``bound``: a change for the better always does, a change for the worse
+when it is at most ``bound``.  Failed operations are summed per side and
+workload.
 """
 from __future__ import annotations
 
@@ -54,6 +58,16 @@ def summarize(values: list[float]) -> dict:
     else:
         q1 = med = q3 = values[0]
     return {"median": med, "q1": q1, "q3": q3, "values": values}
+
+
+def median_change(pr: float, parent: float, metric: dict) -> dict:
+    """``(pr - parent) / parent`` and whether it is within ``metric``'s bound."""
+    worse = pr > parent if metric["better"] == "lower" else pr < parent
+    relative = (pr - parent) / abs(parent) if parent else None
+    within = not worse or (relative is not None
+                           and abs(relative) <= metric["bound"])
+    return {"relative": relative, "bound": metric["bound"],
+            "within_bound": within}
 
 
 def main() -> int:
@@ -109,6 +123,13 @@ def main() -> int:
                 < sign * b["metrics"][m["name"]]["value"]
                 for a, b in zip(runs["pr"][workload], runs["parent"][workload]))
     record["sides"]["parent"]["pr_better_on_seeds"] = wins
+    medians = {name: record["sides"][name]["workloads"] for name, _ in sides}
+    record["median_change"] = {
+        workload: {m["name"]: median_change(
+            medians["pr"][workload]["metrics"][m["name"]]["median"],
+            medians["parent"][workload]["metrics"][m["name"]]["median"], m)
+            for m in metrics}
+        for workload in args.workloads}
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")

@@ -273,14 +273,10 @@ _LOWERERS = {
 }
 
 
-def _check_basis(basis: str):
-    if basis not in BASES:
-        raise PassError(f"unknown basis {basis!r}; choose from {BASES}")
-
-
 def _lower(c: Circuit, basis: str, kinds) -> Circuit:
     """Rewrite each instruction of ``kinds`` into ``basis``; keep the rest."""
-    _check_basis(basis)
+    if basis not in BASES:
+        raise PassError(f"unknown basis {basis!r}; choose from {BASES}")
     flat = flatten(c)
     if basis == "none":
         return flat
