@@ -53,7 +53,7 @@ class PassError(ValueError):
 
 
 def _opcodes(kinds) -> frozenset:
-    # drivers test membership by opcode: an int hashes in C, and hashing an
+    # kind sets are tested by opcode: an int hashes in C, and hashing an
     # Enum member calls Python code
     return frozenset(k._value_ for k in kinds)
 
@@ -119,21 +119,22 @@ def merge_adjacent_rotations(c: Circuit, *, tol: float = 1e-12) -> Circuit:
 
 # CZ and SWAP are symmetric, and the driver pairs a two-qubit gate only with
 # one on both of its wires
-_SELF_CANCEL = frozenset({_H, _X, _Y, _Z, _CZ, _SWAP})
-_PHASE_PAIRS = frozenset({(_S, _SDG), (_SDG, _S), (_T, _TDG), (_TDG, _T)})
+_SELF_CANCEL = _opcodes((_H, _X, _Y, _Z, _CZ, _SWAP))
+_PHASE_INVERSE = {k._value_: inv for k, inv in
+                  ((_S, _SDG), (_SDG, _S), (_T, _TDG), (_TDG, _T))}
 _CANCELLABLE = (_H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _X1, _CNOT, _CZ, _SWAP)
 
 
 def _cancel(prev: Instruction, ins: Instruction) -> Instruction | None:
     pk, k = prev.kind, ins.kind
     if pk is not k:
-        inverse = (pk, k) in _PHASE_PAIRS
+        inverse = _PHASE_INVERSE.get(pk._value_) is k
     elif pk is _X1:
         inverse = prev.dagger != ins.dagger
     elif pk is _CNOT:
         inverse = prev.qubits == ins.qubits  # same control and target
     else:
-        inverse = pk in _SELF_CANCEL
+        inverse = pk._value_ in _SELF_CANCEL
     return None if inverse else ins
 
 
