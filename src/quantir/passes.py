@@ -4,10 +4,10 @@ All passes take and return circuits (inputs are flattened first) and preserve
 the overall unitary up to global phase.  Two drivers run them all.
 
 ``_peephole`` runs merging and cancellation, each a rule over two
-instructions.  It walks the body and hands each instruction of the rule's
-kinds to the rule together with the instruction before it, when one
-instruction is the last on all of its wires.  The rule keeps both, replaces
-the pair with one instruction, or drops both.  Pairs are thus adjacent on
+instructions.  It walks the body and offers the rule each instruction of
+the rule's kinds together with the one before it, when a single instruction
+is the last on all of its wires.  The rule keeps both, replaces the pair
+with one instruction, or drops both.  Pairs are thus adjacent on
 every wire they share, so barriers and measurements fence them.  The walk
 repeats until it changes nothing.
 
