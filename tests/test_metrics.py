@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from quantir.circuit import Circuit
-from quantir.gates import GateKind
-from quantir.metrics import MetricsVector, circuit_metrics
+from quantir.circuit import Circuit, flatten
+from quantir.gates import CLS_2Q, GateKind
+from quantir.metrics import MetricsVector, _critical_two_q, circuit_metrics
 
 from conftest import circuits
 
@@ -112,3 +112,47 @@ def test_random_circuits_stay_in_unit_interval():
 def test_metrics_in_unit_interval_property(c):
     for v in circuit_metrics(c):
         assert 0.0 <= v <= 1.0
+
+
+# -- differential check against the loop the metrics were written as -----------
+# A test-local copy of ``circuit_metrics`` as first written: one greedy
+# wire-layering loop that also collects the two-qubit pairs.  Floats must
+# match bit for bit.
+
+def _ref_metrics(c):
+    flat = flatten(c)
+    body = [ins for ins in flat.body
+            if ins.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
+    n = flat.num_qubits
+    g = len(body)
+    wire = [0] * n
+    active = 0
+    d = 0
+    pairs = set()
+    e = 0
+    for ins in body:
+        qs = ins.qubits
+        layer = max(wire[q] for q in qs) + 1
+        for q in qs:
+            wire[q] = layer
+        active += len(qs)
+        if layer > d:
+            d = layer
+        if ins.kind.opclass == CLS_2Q:
+            e += 1
+            a, b = qs
+            pairs.add((a, b) if a < b else (b, a))
+    communication = 2 * len(pairs) / (n * (n - 1)) if n > 1 and pairs else 0.0
+    parallelism = (g / d - 1) / (n - 1) if n > 1 and d > 0 else 0.0
+    stripped = Circuit(n, flat.num_cbits)
+    for ins in body:
+        stripped._append_fast(ins)
+    return (communication, _critical_two_q(stripped, e),
+            e / g if g else 0.0, parallelism,
+            active / (n * d) if d > 0 else 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits(max_qubits=5, max_len=30, measures=True, barriers=True))
+def test_metrics_match_reference_loop(c):
+    assert tuple(circuit_metrics(c)) == _ref_metrics(c)

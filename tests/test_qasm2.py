@@ -1,9 +1,11 @@
 """OpenQASM 2 importer and renderer."""
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 
+from quantir.bench import random_circuit
 from quantir.circuit import Circuit, flatten
 from quantir.gates import GateKind
 from quantir.qasm2 import QasmError, UnsupportedFeature, emit_qasm2, import_qasm2
@@ -357,3 +359,35 @@ def test_round_trip_random_circuits_equivalent(c):
     back = import_qasm2(emit_qasm2(c))
     assert back.num_qubits == flatten(c).num_qubits
     assert fidelity(c, back) > 1 - 1e-9
+
+
+# -- golden renderer output ------------------------------------------------------
+# sha256 of the emitted text, pinned so a refactor of the renderer keeps every
+# byte: every gate kind (plus a barrier and measurements) and three random
+# circuits.
+
+def _fenced_all_gates():
+    c = Circuit(3, 2)
+    for ins in ALL_GATES.body:
+        c._append_fast(ins)
+    return c.barrier(0, 1, 2).measure(0, 0).measure(2, 1)
+
+
+_GOLDEN_QASM = [
+    ("all_gates", lambda: ALL_GATES,
+     "51ac273d4ed2487b8d92c70b0623782348a5fe3ec4efdd76dcde7b9e52d18a0d"),
+    ("all_gates_fenced", _fenced_all_gates,
+     "ac3e74a40d5b925b162c317e996e4f34c397e4a8a4c45c516dff2505f41b16cb"),
+    ("random_5x20_seed0", lambda: random_circuit(5, 20, 0),
+     "967dfdda00c44e9fe698bef3723171b02a6ddb68a1366496e0f7a25e4d1d7b8f"),
+    ("random_5x20_seed1", lambda: random_circuit(5, 20, 1),
+     "b57dac40029a00154fbd91d6960da3280a3c22008bd916b53d969b56998f51a0"),
+    ("random_5x20_seed2", lambda: random_circuit(5, 20, 2),
+     "dd131211ec3470ee6b2b3e7090aa9687a74479e89fbf3fe5043916cbd4f16c72"),
+]
+
+
+@pytest.mark.parametrize("name,build,digest", _GOLDEN_QASM,
+                         ids=[case[0] for case in _GOLDEN_QASM])
+def test_golden_emit(name, build, digest):
+    assert hashlib.sha256(emit_qasm2(build()).encode()).hexdigest() == digest

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import sampled_from
 
 from quantir import sabre, topology
 from quantir.bench import random_circuit as bench_circuit
@@ -13,11 +15,12 @@ from quantir.circuit import Circuit, depth, flatten, gate_counts
 from quantir.gates import CLS_2Q, GateKind
 from quantir.sabre import Layout, SabreConfig
 from quantir.sim import routed_fidelity
-from quantir.transpile import (TranspileConfig, TranspileError,
+from quantir.passes import BASES
+from quantir.transpile import (LEVELS, TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
                                transpile)
 
-from conftest import check_routing
+from conftest import check_routing, circuits
 
 # the package re-exports the function ``transpile`` under the module's name
 transpile_mod = importlib.import_module("quantir.transpile")
@@ -219,6 +222,33 @@ def test_stats_two_q_depth_counts_only_two_qubit_layers():
     res = transpile(c, topology.linear(2), TranspileConfig(level=0))
     assert res.stats.two_q_depth == 2
     assert res.stats.depth_after == 4
+
+
+# test-local copies of the loops the two-qubit stats were written as
+def _ref_two_q_count(c):
+    return sum(1 for ins in c.body if ins.kind.opclass == CLS_2Q)
+
+
+def _ref_two_q_depth(c):
+    wire = [0] * c.num_qubits
+    d = 0
+    for ins in c.body:
+        if ins.kind.opclass == CLS_2Q:
+            a, b = ins.qubits
+            nxt = max(wire[a], wire[b]) + 1
+            wire[a] = wire[b] = nxt
+            d = max(d, nxt)
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_qubits=4, max_len=30, measures=True),
+       sampled_from(LEVELS), sampled_from(BASES))
+def test_stats_two_q_match_reference_loops(c, level, basis):
+    res = transpile(c, topology.linear(c.num_qubits),
+                    TranspileConfig(level=level, basis=basis))
+    assert res.stats.two_q_count == _ref_two_q_count(res.circuit)
+    assert res.stats.two_q_depth == _ref_two_q_depth(res.circuit)
 
 
 def test_empty_circuit():
