@@ -2,7 +2,7 @@
 
 All five components are ratios in [0, 1], computed on the flattened body
 with MEASURE and BARRIER removed.  With N qubits, G gates, depth d (greedy
-wire layering), and e two-qubit gates:
+wire layering, ``circuit.depth``), and e two-qubit gates:
 
 * ``communication``  — interaction-graph density: sum of qubit degrees over
   N(N-1), where qubits are adjacent iff some two-qubit gate couples them.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .circuit import Circuit, flatten
+from .circuit import Circuit, depth, flatten
 from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 
@@ -84,23 +84,15 @@ def circuit_metrics(c: Circuit) -> MetricsVector:
     body = stripped.body
     g = len(body)
 
-    # greedy wire layering; mark which (qubit, layer) cells are active
-    wire = [0] * n
-    active = 0
-    d = 0
+    d = depth(stripped)
+    # each gate is active on each of its qubits in exactly one layer
+    active = sum(len(ins.qubits) for ins in body)
     degree_pairs: set[tuple[int, int]] = set()
     e = 0
     for ins in body:
-        qs = ins.qubits
-        layer = max(wire[q] for q in qs) + 1
-        for q in qs:
-            wire[q] = layer
-        active += len(qs)
-        if layer > d:
-            d = layer
         if ins.kind.opclass == CLS_2Q:
             e += 1
-            a, b = qs
+            a, b = ins.qubits
             degree_pairs.add((a, b) if a < b else (b, a))
 
     communication = 0.0

@@ -7,27 +7,30 @@ the overall unitary up to global phase.  Two drivers run them all.
 instructions.  It walks the body and offers the rule each instruction of
 the rule's kinds together with the one before it, when a single instruction
 is the last on all of its wires.  The rule keeps both, replaces the pair
-with one instruction, or drops both.  Pairs are thus adjacent on
-every wire they share, so barriers and measurements fence them.  The walk
-repeats until it changes nothing.
+with one instruction of the same kind, or drops both.  Pairs are thus
+adjacent on every wire they share, so barriers and measurements fence them.
+Only a drop makes two instructions newly adjacent, so the walk repeats until
+it drops nothing.
 
-``_lower`` runs basis lowering: each instruction of the given kinds becomes
-its rule's sequence in one of two native sets, and every other passes
-through.  ``decompose_to_basis`` lowers every gate, ``expand_swaps`` only
-SWAPs.
+``_lower`` runs basis lowering.  Each of the two native sets has one rule
+table, keyed by gate kind; a rule maps one instruction to its sequence in
+that set.  The rules both tables share (RZ kept, I dropped, Z, S, S†, T and
+T† as one RZ) are written once.  Each instruction of the given kinds becomes
+its rule's sequence, and every other passes through.  ``decompose_to_basis``
+lowers every gate, ``expand_swaps`` only SWAPs.
 
 * ``rz-x1-cz``: RZ rotations, the X1 (sqrt-X) pulse, and CZ.
 * ``rz-rx-cnot``: RZ/RX rotations and CNOT.
 
-MEASURE and BARRIER pass through; I disappears.  Lowered sequences equal the
-original gate up to global phase (covered by the simulator-backed tests).
+MEASURE and BARRIER pass through.  Lowered sequences equal the original gate
+up to global phase (covered by the simulator-backed tests).
 """
 from __future__ import annotations
 
 import math
 
 from .circuit import Circuit, Instruction, flatten
-from .gates import GateKind
+from .gates import DAGGER_SWAP, GateKind
 
 __all__ = [
     "BASES", "PassError",
@@ -59,13 +62,15 @@ def _opcodes(kinds) -> frozenset:
 
 
 def _peephole(c: Circuit, kinds, combine) -> Circuit:
-    """Apply ``combine`` to adjacent pairs until a walk changes nothing.
+    """Apply ``combine`` to adjacent pairs until a walk drops nothing.
 
     An instruction whose kind is in ``kinds`` (one- and two-qubit gates)
     meets ``prev``, the last instruction on its wires, when that is the same
     one on each of them.  ``combine(prev, ins)`` returns ``ins`` to keep
-    both, an instruction on the same wires to replace the pair, or None to
-    drop both; it drops only pairs on the same wires.
+    both, an instruction of the same kind on the same wires to replace the
+    pair, or None to drop both; it drops only pairs on the same wires.  A
+    replacement meets later instructions in the same walk and exposes no new
+    pair, so it needs no further walk.
     """
     codes = _opcodes(kinds)
     flat = flatten(c)
@@ -86,7 +91,7 @@ def _peephole(c: Circuit, kinds, combine) -> Circuit:
                         if new is None:
                             for q in qs:
                                 last[q] = -1
-                        changed = True
+                            changed = True
                         continue
             out.append(ins)
             idx = len(out) - 1
@@ -120,8 +125,7 @@ def merge_adjacent_rotations(c: Circuit, *, tol: float = 1e-12) -> Circuit:
 # CZ and SWAP are symmetric, and the driver pairs a two-qubit gate only with
 # one on both of its wires
 _SELF_CANCEL = _opcodes((_H, _X, _Y, _Z, _CZ, _SWAP))
-_PHASE_INVERSE = {k._value_: inv for k, inv in
-                  ((_S, _SDG), (_SDG, _S), (_T, _TDG), (_TDG, _T))}
+_PHASE_INVERSE = {k._value_: inv for k, inv in DAGGER_SWAP.items()}
 _CANCELLABLE = (_H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _X1, _CNOT, _CZ, _SWAP)
 
 
@@ -161,6 +165,10 @@ def _x1(q):
     return _raw(_X1, (q,), (), None, False)
 
 
+def _cnot(a, b):
+    return _raw(_CNOT, (a, b), (), None, False)
+
+
 def _h_as_x1(q):
     return [_rz(q, _PI / 2), _x1(q), _rz(q, _PI / 2)]
 
@@ -175,102 +183,79 @@ def _cnot_as_cz(c, t):
 
 
 def _swap_as_cnots(a, b):
-    return [_raw(_CNOT, (a, b), (), None, False),
-            _raw(_CNOT, (b, a), (), None, False),
-            _raw(_CNOT, (a, b), (), None, False)]
+    return [_cnot(a, b), _cnot(b, a), _cnot(a, b)]
 
 
-def _lower_rz_x1_cz(ins: Instruction) -> list[Instruction]:
-    k = ins.kind
+def _keep(ins):
+    return [ins]
+
+
+def _one_q(build):
+    """The rule for a one-qubit kind whose sequence is ``build(q, *params)``."""
+    return lambda ins: build(ins.qubits[0], *ins.params)
+
+
+def _phase(a):
+    return _one_q(lambda q: [_rz(q, a)])
+
+
+def _x1_as_pulses(ins):
+    if not ins.dagger:
+        return [ins]
     q = ins.qubits[0]
-    if k is _RZ:
-        return [ins]
-    if k is _X1:
-        if not ins.dagger:
-            return [ins]
-        return [_rz(q, _PI), _x1(q), _rz(q, _PI)]
-    if k is _I:
-        return []
-    if k is _H:
-        return _h_as_x1(q)
-    if k is _X:
-        return [_x1(q), _x1(q)]
-    if k is _Y:
-        return [_x1(q), _x1(q), _rz(q, _PI)]
-    if k is _Z:
-        return [_rz(q, _PI)]
-    if k is _S:
-        return [_rz(q, _PI / 2)]
-    if k is _SDG:
-        return [_rz(q, -_PI / 2)]
-    if k is _T:
-        return [_rz(q, _PI / 4)]
-    if k is _TDG:
-        return [_rz(q, -_PI / 4)]
-    if k is _RX:
-        t = ins.params[0]
-        return [_rz(q, _PI / 2), _x1(q), _rz(q, t + _PI), _x1(q), _rz(q, _PI / 2)]
-    if k is _RY:
-        t = ins.params[0]
-        return [_x1(q), _rz(q, t + _PI), _x1(q), _rz(q, _PI)]
-    if k is _U3:
-        t, p, l = ins.params
-        return [_rz(q, l), _x1(q), _rz(q, t + _PI), _x1(q), _rz(q, p + _PI)]
-    if k is _CZ:
-        return [ins]
-    if k is _CNOT:
-        return _cnot_as_cz(*ins.qubits)
-    if k is _SWAP:
-        out = []
-        for cnot in _swap_as_cnots(*ins.qubits):
-            out.extend(_cnot_as_cz(*cnot.qubits))
-        return out
-    raise PassError(f"no rz-x1-cz rule for {k.name}")  # pragma: no cover
+    return [_rz(q, _PI), _x1(q), _rz(q, _PI)]
 
 
-def _lower_rz_rx_cnot(ins: Instruction) -> list[Instruction]:
-    k = ins.kind
-    q = ins.qubits[0]
-    if k is _RZ or k is _RX or k is _CNOT:
-        return [ins]
-    if k is _I:
-        return []
-    if k is _X1:
-        return [_rx(q, -_PI / 2 if ins.dagger else _PI / 2)]
-    if k is _H:
-        return _h_as_rx(q)
-    if k is _X:
-        return [_rx(q, _PI)]
-    if k is _Y:
-        return [_rz(q, -_PI / 2), _rx(q, _PI), _rz(q, _PI / 2)]
-    if k is _Z:
-        return [_rz(q, _PI)]
-    if k is _S:
-        return [_rz(q, _PI / 2)]
-    if k is _SDG:
-        return [_rz(q, -_PI / 2)]
-    if k is _T:
-        return [_rz(q, _PI / 4)]
-    if k is _TDG:
-        return [_rz(q, -_PI / 4)]
-    if k is _RY:
-        t = ins.params[0]
-        return [_rz(q, -_PI / 2), _rx(q, t), _rz(q, _PI / 2)]
-    if k is _U3:
-        t, p, l = ins.params
-        return [_rz(q, l - _PI / 2), _rx(q, t), _rz(q, p + _PI / 2)]
-    if k is _CZ:
-        a, b = ins.qubits
-        cnot = _raw(_CNOT, (a, b), (), None, False)
-        return [*_h_as_rx(b), cnot, *_h_as_rx(b)]
-    if k is _SWAP:
-        return _swap_as_cnots(*ins.qubits)
-    raise PassError(f"no rz-rx-cnot rule for {k.name}")  # pragma: no cover
+def _x1_as_rx(ins):
+    return [_rx(ins.qubits[0], -_PI / 2 if ins.dagger else _PI / 2)]
 
 
-_LOWERERS = {
-    "rz-x1-cz": _lower_rz_x1_cz,
-    "rz-rx-cnot": _lower_rz_rx_cnot,
+_SHARED_RULES = {
+    _RZ: _keep, _I: lambda ins: [],
+    _Z: _phase(_PI), _S: _phase(_PI / 2), _SDG: _phase(-_PI / 2),
+    _T: _phase(_PI / 4), _TDG: _phase(-_PI / 4),
+}
+
+
+def _by_opcode(rules):
+    # looked up by opcode, for the reason _opcodes gives
+    return {k._value_: rule for k, rule in rules.items()}
+
+
+# basis -> opcode -> rule; every gate kind has a rule in both bases
+_RULES = {
+    "rz-x1-cz": _by_opcode({
+        **_SHARED_RULES,
+        _X1: _x1_as_pulses,
+        _H: _one_q(_h_as_x1),
+        _X: _one_q(lambda q: [_x1(q), _x1(q)]),
+        _Y: _one_q(lambda q: [_x1(q), _x1(q), _rz(q, _PI)]),
+        _RX: _one_q(lambda q, t: [_rz(q, _PI / 2), _x1(q), _rz(q, t + _PI),
+                                  _x1(q), _rz(q, _PI / 2)]),
+        _RY: _one_q(lambda q, t: [_x1(q), _rz(q, t + _PI), _x1(q),
+                                  _rz(q, _PI)]),
+        _U3: _one_q(lambda q, t, p, l: [_rz(q, l), _x1(q), _rz(q, t + _PI),
+                                        _x1(q), _rz(q, p + _PI)]),
+        _CZ: _keep,
+        _CNOT: lambda ins: _cnot_as_cz(*ins.qubits),
+        _SWAP: lambda ins: [g for cnot in _swap_as_cnots(*ins.qubits)
+                            for g in _cnot_as_cz(*cnot.qubits)],
+    }),
+    "rz-rx-cnot": _by_opcode({
+        **_SHARED_RULES,
+        _RX: _keep, _CNOT: _keep,
+        _X1: _x1_as_rx,
+        _H: _one_q(_h_as_rx),
+        _X: _one_q(lambda q: [_rx(q, _PI)]),
+        _Y: _one_q(lambda q: [_rz(q, -_PI / 2), _rx(q, _PI), _rz(q, _PI / 2)]),
+        _RY: _one_q(lambda q, t: [_rz(q, -_PI / 2), _rx(q, t),
+                                  _rz(q, _PI / 2)]),
+        _U3: _one_q(lambda q, t, p, l: [_rz(q, l - _PI / 2), _rx(q, t),
+                                        _rz(q, p + _PI / 2)]),
+        _CZ: lambda ins: [*_h_as_rx(ins.qubits[1]), _cnot(*ins.qubits),
+                          *_h_as_rx(ins.qubits[1])],
+        _SWAP: lambda ins: _swap_as_cnots(*ins.qubits),
+    }),
 }
 
 
@@ -281,13 +266,14 @@ def _lower(c: Circuit, basis: str, kinds) -> Circuit:
     flat = flatten(c)
     if basis == "none":
         return flat
-    rule = _LOWERERS[basis]
+    rules = _RULES[basis]
     codes = _opcodes(kinds)
     items: list = []
     keep = items.append
     for ins in flat.body:
-        if ins.kind._value_ in codes:
-            items += rule(ins)
+        code = ins.kind._value_
+        if code in codes:
+            items += rules[code](ins)
         else:
             keep(ins)
     return Circuit._from_items(flat.num_qubits, flat.num_cbits, items, flat.name)

@@ -67,10 +67,6 @@ class ProfileReport:
     total_time: float
 
 
-def _items(c: Circuit):
-    return c._items if c._items is not None else c.body
-
-
 def _collect_defs(root: Circuit) -> list[Circuit]:
     """All reachable definitions, children before parents (postorder)."""
     order: list[Circuit] = []
@@ -80,7 +76,7 @@ def _collect_defs(root: Circuit) -> list[Circuit]:
         if id(c) in seen:
             return
         seen.add(id(c))
-        for el in _items(c):
+        for el in c.body:
             if isinstance(el, SubcircuitInstance):
                 visit(el.circuit)
         order.append(c)
@@ -141,7 +137,7 @@ def profile(circuit: Circuit, times: dict[str, float]) -> ProfileReport:
         gc: dict[str, int] = {}
         cm: dict[int, int] = {}
         co: list[int] = []
-        for el in _items(c):
+        for el in c.body:
             if isinstance(el, SubcircuitInstance):
                 cid = id(el.circuit)
                 if cid not in cm:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 
-from .circuit import Circuit, CircuitError, Instruction
+from .circuit import Circuit, CircuitError, Instruction, flatten
 from .gates import GateKind
 
 __all__ = ["QasmError", "UnsupportedFeature", "import_qasm2", "emit_qasm2"]
@@ -253,10 +253,16 @@ def _ang(value: float) -> str:
     return repr(float(value))
 
 
+# the parameter-free one-qubit gates with a fixed u-form
+_FIXED_FORMS = {
+    GateKind.I: "u1(0)", GateKind.H: "u2(0,pi)", GateKind.X: "u3(pi,0,pi)",
+    GateKind.Y: "u3(pi,pi/2,pi/2)", GateKind.Z: "u1(pi)", GateKind.S: "u1(pi/2)",
+    GateKind.SDG: "u1(-pi/2)", GateKind.T: "u1(pi/4)", GateKind.TDG: "u1(-pi/4)",
+}
+
+
 def emit_qasm2(circuit: Circuit) -> str:
     """Render a circuit as importable OpenQASM 2 text (u-form dialect)."""
-    from .circuit import flatten
-
     flat = flatten(circuit)
     out = ["OPENQASM 2.0;", 'include "qelib1.inc";',
            f"qreg q[{max(flat.num_qubits, 1)}];"]
@@ -266,7 +272,10 @@ def emit_qasm2(circuit: Circuit) -> str:
     for ins in flat.body:
         k = ins.kind
         q = ins.qubits[0]
-        if k is GateKind.RZ:
+        form = _FIXED_FORMS.get(k)
+        if form is not None:
+            emit(f"{form} q[{q}];")
+        elif k is GateKind.RZ:
             emit(f"u1({_ang(ins.params[0])}) q[{q}];")
         elif k is GateKind.CNOT:
             a, b = ins.qubits
@@ -274,8 +283,6 @@ def emit_qasm2(circuit: Circuit) -> str:
         elif k is GateKind.CZ:
             a, b = ins.qubits
             emit(f"cz q[{a}],q[{b}];")
-        elif k is GateKind.H:
-            emit(f"u2(0,pi) q[{q}];")
         elif k is GateKind.RX:
             emit(f"u3({_ang(ins.params[0])},-pi/2,pi/2) q[{q}];")
         elif k is GateKind.RY:
@@ -286,22 +293,6 @@ def emit_qasm2(circuit: Circuit) -> str:
         elif k is GateKind.X1:
             theta = "-pi/2" if ins.dagger else "pi/2"
             emit(f"u3({theta},-pi/2,pi/2) q[{q}];")
-        elif k is GateKind.X:
-            emit(f"u3(pi,0,pi) q[{q}];")
-        elif k is GateKind.Y:
-            emit(f"u3(pi,pi/2,pi/2) q[{q}];")
-        elif k is GateKind.Z:
-            emit(f"u1(pi) q[{q}];")
-        elif k is GateKind.S:
-            emit(f"u1(pi/2) q[{q}];")
-        elif k is GateKind.SDG:
-            emit(f"u1(-pi/2) q[{q}];")
-        elif k is GateKind.T:
-            emit(f"u1(pi/4) q[{q}];")
-        elif k is GateKind.TDG:
-            emit(f"u1(-pi/4) q[{q}];")
-        elif k is GateKind.I:
-            emit(f"u1(0) q[{q}];")
         elif k is GateKind.SWAP:
             a, b = ins.qubits
             emit(f"cx q[{a}],q[{b}];")

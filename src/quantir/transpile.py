@@ -75,31 +75,18 @@ class TranspileResult:
     stats: TranspileStats
 
 
+def _split_measures(flat: Circuit) -> tuple[Circuit, list[Instruction]]:
+    try:
+        return split_trailing_measures(flat)
+    except CircuitError:
+        raise TranspileError("measurement must be final") from None
+
+
 def preprocess(circuit: Circuit, config: TranspileConfig) -> Circuit:
     """Flatten, check measurement placement, lower to the target basis."""
     flat = flatten(circuit)
-    try:
-        split_trailing_measures(flat)
-    except CircuitError:
-        raise TranspileError("measurement must be final") from None
+    _split_measures(flat)
     return decompose_to_basis(flat, config.basis)
-
-
-def _two_q_count(c: Circuit) -> int:
-    return sum(1 for ins in c.body if ins.kind.opclass == CLS_2Q)
-
-
-def _two_q_depth(c: Circuit) -> int:
-    wire = [0] * c.num_qubits
-    d = 0
-    for ins in c.body:
-        if ins.kind.opclass == CLS_2Q:
-            a, b = ins.qubits
-            nxt = max(wire[a], wire[b]) + 1
-            wire[a] = wire[b] = nxt
-            if nxt > d:
-                d = nxt
-    return d
 
 
 def transpile(circuit: Circuit, graph: CouplingGraph,
@@ -111,7 +98,8 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
 
     # split off the (validated trailing) measurements; they are re-attached
     # at the end, re-targeted through the final layout
-    pre, measures = split_trailing_measures(preprocess(flat, config))
+    gates, measures = _split_measures(flat)
+    pre = decompose_to_basis(gates, config.basis)
 
     if config.level >= 1:
         pre = merge_adjacent_rotations(pre)
@@ -134,12 +122,13 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
     for m in measures:
         out._append_fast(raw(measure, (final.phys(m.qubits[0]),), (), m.cbit, False))
 
+    two_q = [ins for ins in out.body if ins.kind.opclass == CLS_2Q]
     stats = TranspileStats(
         swaps_inserted=swaps_inserted,
         depth_before=depth_before,
         depth_after=depth(out),
-        two_q_count=_two_q_count(out),
-        two_q_depth=_two_q_depth(out),
+        two_q_count=len(two_q),
+        two_q_depth=depth(Circuit._from_items(out.num_qubits, 0, two_q)),
         elapsed=time.perf_counter() - t0,
     )
     return TranspileResult(out, initial, final, stats)

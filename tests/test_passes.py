@@ -346,7 +346,7 @@ def test_expand_swaps_in_cnot_basis_is_three_cnots():
 # ``decompose_to_basis`` and ``expand_swaps``.  The per-gate lowering rules
 # are the library's own.
 
-from quantir.passes import _LOWERERS  # noqa: E402
+from quantir.passes import _RULES  # noqa: E402
 
 _REF_ROTS = (GateKind.RX, GateKind.RY, GateKind.RZ)
 _REF_SELF_CANCEL = {GateKind.H, GateKind.X, GateKind.Y, GateKind.Z}
@@ -445,7 +445,7 @@ def _ref_decompose(c, basis):
         return flat
     body = []
     for ins in flat.body:
-        body.extend([ins] if ins.kind.opclass >= 4 else _LOWERERS[basis](ins))
+        body.extend([ins] if ins.kind.opclass >= 4 else _RULES[basis][ins.kind.value](ins))
     return _ref_rebuild(flat, body)
 
 
@@ -455,7 +455,7 @@ def _ref_expand_swaps(c, basis):
         return flat
     body = []
     for ins in flat.body:
-        body.extend(_LOWERERS[basis](ins) if ins.kind is GateKind.SWAP else [ins])
+        body.extend(_RULES[basis][ins.kind.value](ins) if ins.kind is GateKind.SWAP else [ins])
     return _ref_rebuild(flat, body)
 
 
