@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
+from quantir import bis
 from quantir.bench import random_circuit
 from quantir.circuit import Circuit, flatten
 from quantir.gates import GateKind
@@ -227,6 +228,125 @@ def test_import_measure_creg_qreg_mixup():
     with pytest.raises(QasmError, match="unknown register"):
         import_qasm2(text)
 
+
+
+# -- importer: pinned rejections --------------------------------------------------
+# The exact class, 1-based line and message of each rejection, pinned so a
+# rewrite of the statement splitter, the parenthesis match or the gate
+# dispatch keeps every one of them.
+
+_REG2 = HEADER + "qreg q[2];\ncreg c[2];\n"
+
+
+def _at5(stmt):
+    return _REG2 + stmt + "\n"
+
+
+_PINNED_REJECTIONS = [
+    (_at5("h q[5];"), QasmError, 5, "index 5 out of range for q[2]"),
+    (_at5("h r[0];"), QasmError, 5, "unknown register 'r'"),
+    (_at5("cx q[0];"), QasmError, 5, "cx takes 2 qubit operand(s)"),
+    (_at5("h q[0],q[1];"), QasmError, 5, "h takes 1 qubit operand(s)"),
+    (_at5("rz() q[0];"), QasmError, 5, "rz takes 1 parameter"),
+    (_at5("rz(0.1,0.2) q[0];"), QasmError, 5, "rz takes 1 parameter"),
+    (_at5("u2(0.1) q[0];"), QasmError, 5, "u2 takes 2 parameters"),
+    (_at5("u3(0.1) q[0];"), QasmError, 5, "u3 takes 3 parameters"),
+    (_at5("h(0.5) q[0];"), QasmError, 5, "h takes no parameters"),
+    (_at5("cx q[0],q[0];"), QasmError, 5,
+     "CNOT qubits must be distinct: (0, 0)"),
+    (_at5("measure q[0];"), QasmError, 5, "measure needs 'q[i] -> c[j]'"),
+    (_at5("barrier;"), QasmError, 5, "barrier needs at least one qubit"),
+    (_at5("rz((pi)) q[0];"), UnsupportedFeature, 5,
+     "unsupported feature: angle expression '(pi)'"),
+    (_at5("rz((pi) q[0];"), QasmError, 5, "unbalanced parentheses"),
+    (_at5("u3(1,(2),3) q[0];"), UnsupportedFeature, 5,
+     "unsupported feature: angle expression '(2)'"),
+    (_at5("rz(pi)) q[0];"), QasmError, 5, "bad operand ') q[0]'"),
+    (_at5("foo(bad) q[0];"), UnsupportedFeature, 5,
+     "unsupported feature: angle expression 'bad'"),
+    (_at5("u1(0.1,0.2) q[0];"), QasmError, 5, "u1 takes 1 parameter"),
+    (_at5("cz q[0];"), QasmError, 5, "cz takes 2 qubit operand(s)"),
+    # a statement spanning lines reports the line it starts on
+    ("OPENQASM 2.0;\nqreg q[2];\ncx\n  q[0],\n  q[5];\n", QasmError, 3,
+     "index 5 out of range for q[2]"),
+    ("OPENQASM 2.0;\nqreg q[2];\n\n\n  cx q[0],\n\n q[0];\n", QasmError, 5,
+     "CNOT qubits must be distinct: (0, 0)"),
+    # CRLF line ends
+    ("OPENQASM 2.0;\r\nqreg q[1];\r\nh q[3];\r\n", QasmError, 3,
+     "index 3 out of range for q[1]"),
+    ("OPENQASM 2.0;\r\nqreg q[1];\r\nh q[0]\r\n", QasmError, 3,
+     "statement missing ';'"),
+    # leading comment lines, one of them holding a ';'
+    ("// one\n// two\nOPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n",
+     UnsupportedFeature, 5, "unsupported feature: foo"),
+    ("// one\n// two;\nqreg q[1];\n", QasmError, 3,
+     "first statement must be 'OPENQASM 2.0'"),
+    # a ';'-less tail reports the line of its own first non-blank character
+    (_REG2 + "h q[0];\n\n\nh q[1]\n", QasmError, 8, "statement missing ';'"),
+    (_REG2 + "h q[0];\n\n\n  // note\n  h q[1]\n", QasmError, 9,
+     "statement missing ';'"),
+    # U+00A0 (no-break space) is blank, as str.isspace says
+    (_REG2 + "\u00a0badgate q[0];\n", UnsupportedFeature, 5,
+     "unsupported feature: badgate"),
+    (_REG2 + "\u00a0\n\u00a0\u00a0h q[0]\n", QasmError, 6,
+     "statement missing ';'"),
+]
+
+
+@pytest.mark.parametrize("text,cls,line,message", _PINNED_REJECTIONS)
+def test_import_rejection_pinned(text, cls, line, message):
+    with pytest.raises(QasmError) as err:
+        import_qasm2(text)
+    assert type(err.value) is cls
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+# -- importer: golden bodies ------------------------------------------------------
+# sha256 of the .bis encoding of what the importer builds, pinned so a rewrite
+# of the importer keeps every instruction byte for byte.
+
+def _fenced_random(seed):
+    c = random_circuit(5, 20, seed).barrier(0, 2, 4)
+    for q in range(5):
+        c.measure(q, 4 - q)
+    return emit_qasm2(c)
+
+
+_TWO_REGISTERS = HEADER + """qreg a[2];
+qreg b[3];
+creg m[1];
+creg n[2];
+h a[1];
+u2(0.5,-pi/4) b[0];
+u1(3*pi/4) b[2];
+rx(-0.25) a[0]; ry(1e-3) b[1];
+sx a[0];
+cx a[1],b[2];
+cz b[0],a[0];
+swap a[0],b[1];
+barrier a[0],b[0],b[2];
+measure b[2] -> n[1];
+measure a[0] -> m[0];
+"""
+
+_GOLDEN_IMPORT = [
+    ("random_5x20_seed0_fenced", lambda: _fenced_random(0),
+     "3fe419bb4b19ff91cd8bbecc838c2ffb40c228ebe49ac7baa45b67cd3ae2567e"),
+    ("random_5x20_seed1_fenced", lambda: _fenced_random(1),
+     "92150ca5f294e6b2d9a5f7ce99672f335d14812c2fbcd35e31ba2324c4e016d2"),
+    ("random_5x20_seed2_fenced", lambda: _fenced_random(2),
+     "3eab1d4b2122cfc98a891fe88a380d4a8a35be8c6d59822d96b0d2e2a985f939"),
+    ("two_registers", lambda: _TWO_REGISTERS,
+     "8e84eeae69bf004d170d4c2eb3b355fb52b31f836c615ef3a6099b85d70480ca"),
+]
+
+
+@pytest.mark.parametrize("name,text,digest", _GOLDEN_IMPORT,
+                         ids=[case[0] for case in _GOLDEN_IMPORT])
+def test_golden_import(name, text, digest):
+    data = bis.encode(import_qasm2(text()))
+    assert hashlib.sha256(data).hexdigest() == digest
 
 # -- renderer ---------------------------------------------------------------------
 
