@@ -11,7 +11,11 @@ literals, ``pi``, unary minus, and the forms ``pi/INT`` / ``INT*pi/INT``.
 Anything outside the subset — ``gate`` definitions, ``if``, ``opaque``,
 other versions, unknown statement names, whole-register (broadcast)
 operands, richer expressions — raises :class:`UnsupportedFeature`.  Plain
-syntax problems raise :class:`QasmError`.  Both carry a 1-based line number.
+syntax problems raise :class:`QasmError`.  Both carry a 1-based line number:
+the line of the statement's first non-blank character, or for text after the
+last ``;`` the line where that text starts.  Each statement is checked in
+full, down to distinct operands and finite angles, before the next one is
+read, so a document reports its first fault in document order.
 
 The renderer emits the same subset back, writing every one-qubit gate in
 u1/u2/u3 form (so a fixed three-gate vocabulary covers the whole gate set)
@@ -47,13 +51,17 @@ class UnsupportedFeature(QasmError):
 
 # -- importer --------------------------------------------------------------------
 
-_FIXED_GATES = {
-    "h": GateKind.H, "x": GateKind.X, "y": GateKind.Y, "z": GateKind.Z,
-    "s": GateKind.S, "sdg": GateKind.SDG, "t": GateKind.T, "tdg": GateKind.TDG,
-    "sx": GateKind.X1,
+# name -> (kind, parameter count, qubit count); u2 also gains a leading pi/2
+_GATES = {
+    "h": (GateKind.H, 0, 1), "x": (GateKind.X, 0, 1), "y": (GateKind.Y, 0, 1),
+    "z": (GateKind.Z, 0, 1), "s": (GateKind.S, 0, 1), "sdg": (GateKind.SDG, 0, 1),
+    "t": (GateKind.T, 0, 1), "tdg": (GateKind.TDG, 0, 1), "sx": (GateKind.X1, 0, 1),
+    "rx": (GateKind.RX, 1, 1), "ry": (GateKind.RY, 1, 1), "rz": (GateKind.RZ, 1, 1),
+    "u1": (GateKind.RZ, 1, 1), "u2": (GateKind.U3, 2, 1), "u3": (GateKind.U3, 3, 1),
+    "cx": (GateKind.CNOT, 0, 2), "cz": (GateKind.CZ, 0, 2),
+    "swap": (GateKind.SWAP, 0, 2),
 }
-_ROT_GATES = {"rx": GateKind.RX, "ry": GateKind.RY, "rz": GateKind.RZ}
-_TWO_Q_GATES = {"cx": GateKind.CNOT, "cz": GateKind.CZ, "swap": GateKind.SWAP}
+_PARAMETERS = ("no parameters", "1 parameter", "2 parameters", "3 parameters")
 
 _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _PI_FORM = re.compile(r"([+-])?\s*(?:(\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+))?\Z")
@@ -63,31 +71,22 @@ _REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?\Z")
 _HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 
-def _strip_comments(text: str) -> str:
-    return re.sub(r"//[^\n]*", "", text)
+def _first_line(line: int, part: str) -> int:
+    """Line of ``part``'s first non-blank character; ``part`` starts on ``line``."""
+    return line + part.count("\n", 0, len(part) - len(part.lstrip()))
 
 
 def _statements(text: str):
     """Yield (line_number, statement) splitting on ';' outside comments."""
+    *parts, tail = re.sub(r"//[^\n]*", "", text).split(";")
     line = 1
-    start_line = None
-    buf: list[str] = []
-    for ch in _strip_comments(text):
-        if ch == "\n":
-            line += 1
-        if ch == ";":
-            stmt = "".join(buf).strip()
-            if stmt:
-                yield (start_line or line), stmt
-            buf.clear()
-            start_line = None
-            continue
-        if not ch.isspace() and start_line is None:
-            start_line = line
-        buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        raise QasmError("statement missing ';'", start_line)
+    for part in parts:
+        stmt = part.strip()
+        if stmt:
+            yield _first_line(line, part), stmt
+        line += part.count("\n")
+    if tail.strip():
+        raise QasmError("statement missing ';'", _first_line(line, tail))
 
 
 def _parse_angle(expr: str, line: int) -> float:
@@ -144,7 +143,7 @@ def import_qasm2(text: str) -> Circuit:
     """Parse the OpenQASM 2 subset into a flat circuit."""
     qregs = _Registers()
     cregs = _Registers()
-    instructions: list[tuple[int, GateKind, tuple, tuple, int | None]] = []
+    items: list[Instruction] = []
     saw_header = False
 
     for line, stmt in _statements(text):
@@ -180,71 +179,52 @@ def import_qasm2(text: str) -> Circuit:
         if head in ("gate", "if", "opaque"):
             raise UnsupportedFeature(head, line)
 
+        params: tuple[float, ...] = ()
+        cbit = None
         if head == "measure":
             m = re.match(r"(.+?)->(.+)\Z", rest)
             if not m:
                 raise QasmError("measure needs 'q[i] -> c[j]'", line)
-            q = qregs.resolve(m.group(1), line)
-            c = cregs.resolve(m.group(2), line)
-            instructions.append((line, GateKind.MEASURE, (q,), (), c))
-            continue
-        if head == "barrier":
+            kind = GateKind.MEASURE
+            qs = (qregs.resolve(m.group(1), line),)
+            cbit = cregs.resolve(m.group(2), line)
+        elif head == "barrier":
+            kind = GateKind.BARRIER
             qs = tuple(qregs.resolve(a, line) for a in _split_args(rest))
             if not qs:
                 raise QasmError("barrier needs at least one qubit", line)
-            instructions.append((line, GateKind.BARRIER, qs, (), None))
-            continue
-
-        params: tuple[float, ...] = ()
-        if rest.startswith("("):
-            depth = 0
-            for i, ch in enumerate(rest):
-                depth += ch == "("
-                depth -= ch == ")"
-                if depth == 0:
-                    break
-            else:
-                raise QasmError("unbalanced parentheses", line)
-            params = tuple(_parse_angle(p, line)
-                           for p in _split_args(rest[1:i]))
-            rest = rest[i + 1:].strip()
-
-        if head in _FIXED_GATES or head in _TWO_Q_GATES:
-            if params:
-                raise QasmError(f"{head} takes no parameters", line)
-            kind = _FIXED_GATES.get(head) or _TWO_Q_GATES[head]
-        elif head in _ROT_GATES or head == "u1":
-            if len(params) != 1:
-                raise QasmError(f"{head} takes 1 parameter", line)
-            kind = _ROT_GATES.get(head, GateKind.RZ)
-        elif head == "u2":
-            if len(params) != 2:
-                raise QasmError("u2 takes 2 parameters", line)
-            kind = GateKind.U3
-            params = (math.pi / 2, params[0], params[1])
-        elif head == "u3":
-            if len(params) != 3:
-                raise QasmError("u3 takes 3 parameters", line)
-            kind = GateKind.U3
         else:
-            raise UnsupportedFeature(head, line)
-
-        qs = tuple(qregs.resolve(a, line) for a in _split_args(rest))
-        need = 2 if head in _TWO_Q_GATES else 1
-        if len(qs) != need:
-            raise QasmError(f"{head} takes {need} qubit operand(s)", line)
-        instructions.append((line, kind, qs, params, None))
+            if rest.startswith("("):
+                # the matching ')' is the first whose prefix holds one more
+                # '(' than ')'
+                close = rest.find(")")
+                while (close >= 0 and rest.count("(", 0, close)
+                       != rest.count(")", 0, close) + 1):
+                    close = rest.find(")", close + 1)
+                if close < 0:
+                    raise QasmError("unbalanced parentheses", line)
+                params = tuple(_parse_angle(p, line)
+                               for p in _split_args(rest[1:close]))
+                rest = rest[close + 1:].strip()
+            if head not in _GATES:
+                raise UnsupportedFeature(head, line)
+            kind, n_params, n_qubits = _GATES[head]
+            if len(params) != n_params:
+                raise QasmError(f"{head} takes {_PARAMETERS[n_params]}", line)
+            if head == "u2":
+                params = (math.pi / 2, *params)
+            qs = tuple(qregs.resolve(a, line) for a in _split_args(rest))
+            if len(qs) != n_qubits:
+                raise QasmError(f"{head} takes {n_qubits} qubit operand(s)", line)
+        try:
+            items.append(Instruction(kind, qs, params, cbit))
+        except CircuitError as exc:
+            raise QasmError(str(exc), line) from exc
 
     if not saw_header:
         raise QasmError("missing OPENQASM header", None)
-
-    circuit = Circuit(qregs.total, cregs.total)
-    for line, kind, qs, params, cbit in instructions:
-        try:
-            circuit.append(Instruction(kind, qs, params, cbit))
-        except CircuitError as exc:
-            raise QasmError(str(exc), line) from exc
-    return circuit
+    # resolve() has bounded every operand by the register totals
+    return Circuit._from_items(qregs.total, cregs.total, items)
 
 
 # -- renderer --------------------------------------------------------------------

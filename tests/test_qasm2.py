@@ -302,6 +302,20 @@ def test_import_rejection_pinned(text, cls, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+
+@pytest.mark.parametrize("stmt,message", [
+    ("cx q[0],q[0];", "CNOT qubits must be distinct: (0, 0)"),
+    ("rz(1e999) q[0];", "RZ param not finite: inf"),
+])
+def test_import_reports_first_fault_in_document_order(stmt, message):
+    # an operand or angle fault is reported at its own statement, ahead of
+    # a later syntax fault
+    with pytest.raises(QasmError) as err:
+        import_qasm2(_at5(stmt) + "badgate q[0];\n")
+    assert type(err.value) is QasmError
+    assert err.value.line == 5
+    assert str(err.value) == f"line 5: {message}"
+
 # -- importer: golden bodies ------------------------------------------------------
 # sha256 of the .bis encoding of what the importer builds, pinned so a rewrite
 # of the importer keeps every instruction byte for byte.
@@ -489,7 +503,7 @@ def test_round_trip_random_circuits_equivalent(c):
 def _fenced_all_gates():
     c = Circuit(3, 2)
     for ins in ALL_GATES.body:
-        c._append_fast(ins)
+        c.append(ins)
     return c.barrier(0, 1, 2).measure(0, 0).measure(2, 1)
 
 
