@@ -390,12 +390,6 @@ class Circuit:
         self.append(Instruction(kind, qubits, params, cbit, dagger))
         return self
 
-    def _append_fast(self, ins: Instruction) -> None:
-        # for internal passes: operands already validated against this width
-        self._items.append(ins)
-        if ins.dagger and ins.kind is not _X1:
-            self._dagger_fixups += 1
-
     # gate builders; each returns self so circuits can be chained together
     def i(self, q): self.append(Instruction(GateKind.I, (q,))); return self
     def h(self, q): self.append(Instruction(GateKind.H, (q,))); return self

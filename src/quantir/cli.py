@@ -21,6 +21,7 @@ from . import bis, originir, topology
 from .circuit import Circuit
 from .draw import draw
 from .metrics import circuit_metrics
+from .passes import BASES
 from .profiler import profile, report_dot, report_gprof
 from .qasm2 import import_qasm2
 from .sim import simulate, strip_trailing_measures
@@ -257,8 +258,7 @@ def _build_parser() -> _Parser:
                    help="coupling graph: a JSON file, or linear:6, square:9, "
                         "full:5, heavy_hex:3")
     p.add_argument("--level", type=int, choices=LEVELS, default=1)
-    p.add_argument("--basis", choices=("none", "rz-x1-cz", "rz-rx-cnot"),
-                   default="none")
+    p.add_argument("--basis", choices=BASES, default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE",
                    help="routed circuit (.oir or .bis); default stdout IR")

@@ -103,17 +103,21 @@ def _peephole(c: Circuit, kinds, combine) -> Circuit:
 
 # -- rotation merging ----------------------------------------------------------
 
-def merge_adjacent_rotations(c: Circuit, *, tol: float = 1e-12) -> Circuit:
+_FULL_TURN_TOL = 1e-12
+
+
+def merge_adjacent_rotations(c: Circuit) -> Circuit:
     """Sum runs of same-axis rotations on a wire; drop full turns.
 
     Two rotations merge when nothing else touches their qubit between them.
-    A merged angle equal to 0 (mod 2pi, within ``tol``) deletes the pair.
+    A merged angle equal to 0 (mod 2pi, within ``_FULL_TURN_TOL``) deletes
+    the pair.
     """
     def merge(prev, ins):
         if prev.kind is not ins.kind:
             return ins
         total = prev.params[0] + ins.params[0]
-        if abs(math.remainder(total, math.tau)) <= tol:
+        if abs(math.remainder(total, math.tau)) <= _FULL_TURN_TOL:
             return None
         return _raw(ins.kind, ins.qubits, (total,), None, False)
 

@@ -132,7 +132,6 @@ def profile(circuit: Circuit, times: dict[str, float]) -> ProfileReport:
     gate_counts: dict[int, dict[str, int]] = {}
     child_mults: dict[int, dict[int, int]] = {}
     child_order: dict[int, list[int]] = {}
-    child_def: dict[int, Circuit] = {}
     for c in defs:
         gc: dict[str, int] = {}
         cm: dict[int, int] = {}
@@ -143,7 +142,6 @@ def profile(circuit: Circuit, times: dict[str, float]) -> ProfileReport:
                 if cid not in cm:
                     cm[cid] = 0
                     co.append(cid)
-                    child_def[cid] = el.circuit
                 cm[cid] += 1
             elif el.kind is not GateKind.BARRIER:
                 gc[el.kind.name] = gc.get(el.kind.name, 0) + 1

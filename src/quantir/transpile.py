@@ -119,8 +119,9 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         out = expand_swaps(out, config.basis)
 
     raw, measure = Instruction._raw, GateKind.MEASURE
-    for m in measures:
-        out._append_fast(raw(measure, (final.phys(m.qubits[0]),), (), m.cbit, False))
+    out = Circuit._from_items(out.num_qubits, out.num_cbits, out.body + [
+        raw(measure, (final.phys(m.qubits[0]),), (), m.cbit, False)
+        for m in measures], out.name)
 
     two_q = [ins for ins in out.body if ins.kind.opclass == CLS_2Q]
     stats = TranspileStats(

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports, and every local a library function
+binds, is read somewhere."""
 import ast
 from pathlib import Path
 
@@ -38,3 +39,70 @@ def test_modules_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+# -- unread locals ----------------------------------------------------------------
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s own scope in source order, none inside a nested
+    scope."""
+    stack = list(ast.iter_child_nodes(fn))[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(list(ast.iter_child_nodes(node))[::-1])
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound: dict[str, int] = {}  # local name -> first binding line
+        declared, fresh = set(), set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, _CONTAINERS)):
+                targets = getattr(node, "targets", None) or [node.target]
+                fresh.update(t.id for t in targets if isinstance(t, ast.Name))
+        # a fresh container that is only ever filled by subscript is not read
+        filled = {id(node.value) for node in ast.walk(fn)
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, ast.Store)}
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and not (node.id in fresh and id(node) in filled)}
+        found += [f"line {line}: {name} in {fn.name}"
+                  for name, line in bound.items()
+                  if name not in read | declared and not name.startswith("_")]
+    return found
+
+
+def test_unread_locals_are_caught():
+    tree = ast.parse("def f(xs):\n"
+                     "    seen = {}\n"
+                     "    total = 0\n"
+                     "    for x in xs:\n"
+                     "        seen[x] = True\n"
+                     "        total += x\n"
+                     "    return xs\n")
+    assert _unread_locals(tree) == ["line 2: seen in f", "line 3: total in f"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_no_unread_locals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unread_locals(tree) == []

@@ -146,7 +146,7 @@ def _ref_metrics(c):
     parallelism = (g / d - 1) / (n - 1) if n > 1 and d > 0 else 0.0
     stripped = Circuit(n, flat.num_cbits)
     for ins in body:
-        stripped._append_fast(ins)
+        stripped.append(ins)
     return (communication, _critical_two_q(stripped, e),
             e / g if g else 0.0, parallelism,
             active / (n * d) if d > 0 else 0.0)

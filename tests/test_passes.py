@@ -121,11 +121,11 @@ def test_merge_preserves_unitary(c):
     stripped = Circuit(c.num_qubits)
     for ins in flatten(c).body:
         if ins.kind is not GateKind.BARRIER:
-            stripped._append_fast(ins)
+            stripped.append(ins)
     m_stripped = Circuit(c.num_qubits)
     for ins in m.body:
         if ins.kind is not GateKind.BARRIER:
-            m_stripped._append_fast(ins)
+            m_stripped.append(ins)
     assert unitaries_match(stripped, m_stripped)
 
 
@@ -357,7 +357,7 @@ _REF_PHASE_PAIRS = {(GateKind.S, GateKind.SDG), (GateKind.SDG, GateKind.S),
 def _ref_rebuild(template, body):
     out = Circuit(template.num_qubits, template.num_cbits, name=template.name)
     for ins in body:
-        out._append_fast(ins)
+        out.append(ins)
     return out
 
 
