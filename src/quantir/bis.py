@@ -294,7 +294,7 @@ def encode(circuits, *, compress: bool = False) -> bytes:
 # -- decoding: careful per-record path ----------------------------------------
 
 def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
-                     compress: bool) -> tuple[_Columns, int]:
+                     compress: bool, shared: dict) -> tuple[_Columns, int]:
     """Parse ``m`` records one by one; raises at the first fault in byte order."""
     step = _LAYOUTS[0].step
     code: list = []
@@ -358,7 +358,7 @@ def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
         code.append(op)
         a.append(q0)
         b.append(q1)
-    return _Columns.from_lists(code, a, b, params, extra), o
+    return _Columns.from_lists(code, a, b, params, extra, shared), o
 
 
 # -- decoding: fast columnar path ---------------------------------------------
@@ -381,7 +381,8 @@ def _walk_offsets(data, o: int, end: int, m: int, step_lut) -> tuple[list, int] 
     return offs, o
 
 
-def _gather(arr, offs_list, m: int, nq: int, nc: int, layout: _Layout) -> _Columns | None:
+def _gather(arr, offs_list, m: int, nq: int, nc: int, layout: _Layout,
+            shared: dict) -> _Columns | None:
     """Columns of ``m`` fixed-shape records at ``offs_list``.
 
     None if the shape does not hold (a multi-byte varint) or any operand is
@@ -403,11 +404,16 @@ def _gather(arr, offs_list, m: int, nq: int, nc: int, layout: _Layout) -> _Colum
             or (b[cls == 4] >= min(nc, layout.limit)).any()
             or not np.isfinite(params).all()):
         return None
-    return _Columns(code, a, b, params, np.empty(0, dtype=np.int64))
+    return _Columns(code, a, b, params, np.empty(0, dtype=np.int64), shared)
 
 
-def _decode_circuit(data, arr, o: int, end: int, compress: bool) -> tuple[Circuit, int]:
-    """Decode the circuit block at ``o``: the one decoder behind both readers."""
+def _decode_circuit(data, arr, o: int, end: int, compress: bool,
+                    shared: dict) -> tuple[Circuit, int]:
+    """Decode the circuit block at ``o``: the one decoder behind both readers.
+
+    ``shared`` is the reader's table of parameter-free instructions, which
+    every circuit it decodes fills and reads when its body is materialized.
+    """
     nq, o = _read_varint(data, o, end)
     nc, o = _read_varint(data, o, end)
     m, o = _read_varint(data, o, end)
@@ -417,9 +423,9 @@ def _decode_circuit(data, arr, o: int, end: int, compress: bool) -> tuple[Circui
         walked = _walk_offsets(data, o, end, m, layout.step)
         if walked is not None:
             offs_list, new_o = walked
-            cols = _gather(arr, offs_list, m, nq, nc, layout)
+            cols = _gather(arr, offs_list, m, nq, nc, layout, shared)
     if cols is None:
-        cols, new_o = _careful_records(data, o, end, m, nq, nc, compress)
+        cols, new_o = _careful_records(data, o, end, m, nq, nc, compress, shared)
     return Circuit._from_columns(nq, nc, cols), new_o
 
 
@@ -452,9 +458,10 @@ def decode(data) -> list[Circuit]:
     end = len(data)
     arr = np.frombuffer(data, dtype=np.uint8)
     compress, count, o = _parse_stream_header(data, end)
+    shared: dict = {}
     out = []
     for _ in range(count):
-        c, o = _decode_circuit(data, arr, o, end, compress)
+        c, o = _decode_circuit(data, arr, o, end, compress, shared)
         out.append(c)
     if o != end:
         raise TrailingBytes(f"{end - o} trailing bytes after last circuit", o)
@@ -549,6 +556,7 @@ class StreamDecoder:
         self._consumed = 0  # absolute offset of _buf[0] in the stream
         self._compress: bool | None = None  # None until the header is in
         self._remaining = 0  # circuits not yet decoded
+        self._shared: dict = {}  # parameter-free instructions of every circuit
         # scan cursor in _buf; records left to size in the pending circuit
         # (-1 before its header); index varints, then raw bytes, left in the
         # current record
@@ -638,11 +646,13 @@ class StreamDecoder:
             o = 0
             try:
                 for stop in ends:
-                    c, o = _decode_circuit(chunk, arr, o, stop, self._compress)
+                    c, o = _decode_circuit(chunk, arr, o, stop, self._compress,
+                                           self._shared)
                     out.append(c)
                 if fault is not None:
                     # reports an earlier bad operand, else the scan's fault
-                    _decode_circuit(chunk, arr, o, len(chunk), self._compress)
+                    _decode_circuit(chunk, arr, o, len(chunk), self._compress,
+                                    self._shared)
                     raise fault
             except BisDecodeError as e:
                 raise _shifted(e, self._consumed) from None
@@ -668,7 +678,7 @@ class StreamDecoder:
                 _parse_stream_header(tail, len(tail))
             else:
                 _decode_circuit(tail, np.frombuffer(tail, dtype=np.uint8), 0,
-                                len(tail), self._compress)
+                                len(tail), self._compress, self._shared)
         except BisDecodeError as e:
             raise _shifted(e, self._consumed) from None
         raise Truncated("stream ended before the declared circuits",

@@ -6,9 +6,12 @@ columnar form -- an opcode byte array plus operand/parameter arrays -- so
 that serialization and structural equality run as bulk array operations.
 The packed columns and the Instruction list are two views of the same body;
 each is built lazily from the other and cached.  Instructions are immutable,
-so a body built from columns (as after decoding) holds one shared instance
-per distinct parameter-free row (1Q, 2Q, MEASURE): equal such rows in one
-body are the same object.  Rotation, U3 and BARRIER rows are built per row.
+so a body built from columns holds one shared instance per distinct
+parameter-free row (1Q, 2Q, MEASURE).  Columns a reader decoded share one
+row table per read: equal such rows in any circuits of one ``bis.decode``
+call, or of one ``bis.StreamDecoder``, are the same object.  Columns packed
+from a caller's own instructions get a table per body.  Rotation, U3 and
+BARRIER rows are built per row.
 """
 from __future__ import annotations
 
@@ -190,24 +193,28 @@ class _Columns:
 
     code: opcode byte; a: qubit (or qubit count for BARRIER); b: second qubit
     (class 3), cbit (class 4), else -1; params: rotation/U3 angles in body
-    order; extra: BARRIER qubit pool in body order.
+    order; extra: BARRIER qubit pool in body order.  shared: the
+    ``(opcode, a, b) -> Instruction`` table of parameter-free rows that
+    materializing these columns fills, owned by the reader that decoded
+    them; None for a table of this body's own.
     """
 
-    __slots__ = ("code", "a", "b", "params", "extra")
+    __slots__ = ("code", "a", "b", "params", "extra", "shared")
 
-    def __init__(self, code, a, b, params, extra):
+    def __init__(self, code, a, b, params, extra, shared=None):
         self.code = code
         self.a = a
         self.b = b
         self.params = params
         self.extra = extra
+        self.shared = shared
 
     @classmethod
-    def from_lists(cls, code, a, b, params, extra) -> "_Columns":
+    def from_lists(cls, code, a, b, params, extra, shared=None) -> "_Columns":
         return cls(np.array(code, dtype=np.uint8), np.array(a, dtype=np.int64),
                    np.array(b, dtype=np.int64),
                    np.array(params, dtype=np.float64),
-                   np.array(extra, dtype=np.int64))
+                   np.array(extra, dtype=np.int64), shared)
 
     def __len__(self):
         return len(self.code)
@@ -255,9 +262,12 @@ def _unpack_body(cols: _Columns) -> list[Instruction]:
     app = out.append
     raw = Instruction._raw
     # parameter-free rows (classes 1Q, 2Q, MEASURE) are fully named by
-    # (opcode, a, b): each distinct row is built once and shared, which is
-    # safe because instructions are immutable
-    shared: dict[tuple, Instruction] = {}
+    # (opcode, a, b): each distinct row is built once and shared by every
+    # body of the read that decoded it, which is safe because instructions
+    # are immutable
+    shared = cols.shared
+    if shared is None:
+        shared = {}
     lookup = shared.get
     params = cols.params.tolist()
     extra = cols.extra.tolist()

@@ -410,6 +410,50 @@ class TestFastPaths:
             assert body[i] == body[i + 1] and body[i] is not body[i + 1]
         assert body[16] is not body[0] and body[17] is not body[2]
 
+    @staticmethod
+    def _two_circuits():
+        # the same rows in either circuit, in another order in the second
+        a = (Circuit(3).h(0).cnot(0, 1).measure(2, 1).x1(1, dagger=True)
+             .rz(0, 0.5).u3(2, 0.1, 0.2, 0.3).barrier(0, 1))
+        b = (Circuit(3).barrier(0, 1).u3(2, 0.1, 0.2, 0.3).rz(0, 0.5)
+             .x1(1, dagger=True).measure(2, 1).cnot(0, 1).h(0))
+        return a, b
+
+    @classmethod
+    def _assert_shared_across(cls, first, second):
+        # rows 0-3 of the first circuit are parameter-free, rows 4-6 are not
+        one, two = first.body, second.body[::-1]
+        for i in range(4):
+            assert one[i] is two[i]
+        for i in range(4, 7):
+            assert one[i] == two[i] and one[i] is not two[i]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_one_decode_shares_rows_across_circuits(self, compress):
+        cs = self._two_circuits()
+        first, second = bis.decode(bis.encode(cs, compress=compress))
+        assert (first, second) == cs
+        self._assert_shared_across(first, second)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_one_stream_decoder_shares_rows_across_feeds(self, compress):
+        cs = self._two_circuits()
+        data = bis.encode(cs, compress=compress)
+        dec = bis.StreamDecoder()
+        out = []
+        for i in range(0, len(data), 7):
+            out += dec.feed(data[i:i + 7])
+        dec.finish()
+        assert tuple(out) == cs
+        self._assert_shared_across(*out)
+
+    def test_separate_decodes_share_nothing(self):
+        data = bis.encode(Circuit(2).h(0).cnot(0, 1).measure(1, 1))
+        (one,), (two,) = bis.decode(data), bis.decode(data)
+        assert one == two
+        for x, y in zip(one.body, two.body):
+            assert x is not y
+
     def test_append_to_one_decoded_circuit_leaves_the_others(self):
         c = Circuit(2).h(0).cnot(0, 1).h(0).measure(1, 1)
         out = bis.decode(bis.encode([c, c, c]))
