@@ -22,22 +22,32 @@ fields, or one-byte varints), so one encoder and one gatherer serve both
 modes: offsets are computed for all records up front and fields move as
 bulk array copies.  Decoding walks record offsets assuming the fixed shape,
 then checks the assumption (any multi-byte varint exposes a continuation
-bit at a checked position) and every operand.  Circuits that don't fit --
-barriers, compressed indices >= 128, padded varints -- or that hold any bad
-operand take a careful per-record path.  Every malformed input raises a
-:class:`BisDecodeError` subclass carrying the byte ``offset`` of the first
-fault in byte order.
+bit at a checked position) and every operand, each row against its own
+circuit's register widths.  One gather serves a batch of circuits: one at a
+time in :func:`decode`, every circuit a feed completes in
+:class:`StreamDecoder`.  If a batch fails, its circuits are decoded one by
+one; circuits that don't fit -- barriers, compressed indices >= 128, padded
+varints -- or that hold any bad operand take a careful per-record path.
+Every malformed input raises a :class:`BisDecodeError` subclass carrying
+the byte ``offset`` of the first fault in byte order.
 
-:func:`decode` and :class:`StreamDecoder` share one per-circuit decoder, so
-both readers raise the same error at the same offset.  The stream decoder
-itself only sizes circuits as bytes arrive; it reports a circuit's operand
-errors once that circuit is complete, or at :meth:`StreamDecoder.finish`,
-rather than when the bad record arrives.
+:func:`decode` and :class:`StreamDecoder` share this decoder, so both
+readers raise the same error at the same offset.  The stream decoder itself
+only sizes circuits as bytes arrive; it reports a circuit's operand errors
+once that circuit is complete, or at :meth:`StreamDecoder.finish`, rather
+than when the bad record arrives.
+
+Each reader owns one table of parameter-free instructions (1Q, 2Q,
+MEASURE): one per :func:`decode` call, one per :class:`StreamDecoder` for
+its lifetime.  Equal such rows in any of the circuits it returns are the
+same immutable :class:`~quantir.circuit.Instruction` once their bodies are
+materialized; separate reads share none.
 """
 from __future__ import annotations
 
 import math
 import struct
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -192,7 +202,8 @@ def _angle_bytes(starts, cls):
     record's angles start and the records' opcode classes."""
     n = _ANGLE_BYTES_BY_CLASS[cls]
     ends = np.cumsum(n)
-    return np.repeat(starts - (ends - n), n) + np.arange(int(ends[-1]))
+    first = np.repeat(starts - (ends - n), n)
+    return first + np.arange(len(first))
 
 
 # -- encoding -----------------------------------------------------------------
@@ -381,14 +392,19 @@ def _walk_offsets(data, o: int, end: int, m: int, step_lut) -> tuple[list, int] 
     return offs, o
 
 
-def _gather(arr, offs_list, m: int, nq: int, nc: int, layout: _Layout,
-            shared: dict) -> _Columns | None:
-    """Columns of ``m`` fixed-shape records at ``offs_list``.
+def _gather(arr, blocks, layout: _Layout, shared: dict) -> list[_Columns] | None:
+    """Columns of each circuit's fixed-shape records, gathered in one pass.
 
-    None if the shape does not hold (a multi-byte varint) or any operand is
-    bad; the careful path then decodes the circuit or reports its first fault.
+    ``blocks`` holds one ``(offsets, nq, nc)`` per circuit: where its records
+    start and its register widths, against which each of its rows is
+    checked.  Each circuit's columns are slices of the batch arrays.  None if
+    the shape does not hold (a multi-byte varint) or any operand is bad
+    anywhere in the batch; the caller then decodes the circuits one by one.
     """
-    offs = np.fromiter(offs_list, dtype=np.int64, count=m)
+    counts = [len(offs) for offs, _, _ in blocks]
+    m = sum(counts)
+    offs = np.fromiter(chain.from_iterable(offs for offs, _, _ in blocks),
+                       dtype=np.int64, count=m)
     code = arr[offs]
     cls = code >> 5
     w = layout.width
@@ -398,35 +414,59 @@ def _gather(arr, offs_list, m: int, nq: int, nc: int, layout: _Layout,
     b = np.full(m, -1, dtype=np.int64)
     b[two] = arr[offs[two][:, None] + w + field].view(layout.itype).ravel()
     params = arr[_angle_bytes(offs + 1 + w, cls)].view("<f8")
-    qlim = min(nq, layout.limit)
+    qlim = np.repeat([min(nq, layout.limit) for _, nq, _ in blocks], counts)
+    clim = np.repeat([min(nc, layout.limit) for _, _, nc in blocks], counts)
     q2 = cls == 3
-    if ((a >= qlim).any() or (b[q2] >= qlim).any() or (b[q2] == a[q2]).any()
-            or (b[cls == 4] >= min(nc, layout.limit)).any()
-            or not np.isfinite(params).all()):
+    # b is -1 below class 3, so every row passes its b check there
+    if ((a >= qlim).any() or (b >= np.where(cls == 4, clim, qlim)).any()
+            or (b[q2] == a[q2]).any() or not np.isfinite(params).all()):
         return None
-    return _Columns(code, a, b, params, np.empty(0, dtype=np.int64), shared)
+    extra = np.empty(0, dtype=np.int64)
+    rows = np.cumsum([0] + counts)
+    angles = np.concatenate(([0], np.cumsum(_ANGLE_BYTES_BY_CLASS[cls] >> 3)))
+    r, p = rows.tolist(), angles[rows].tolist()
+    return [_Columns(code[r[k]:r[k + 1]], a[r[k]:r[k + 1]], b[r[k]:r[k + 1]],
+                     params[p[k]:p[k + 1]], extra, shared)
+            for k in range(len(blocks))]
 
 
-def _decode_circuit(data, arr, o: int, end: int, compress: bool,
-                    shared: dict) -> tuple[Circuit, int]:
-    """Decode the circuit block at ``o``: the one decoder behind both readers.
+def _decode_circuits(data, arr, o: int, stops, compress: bool,
+                     shared: dict) -> tuple[list[Circuit], int]:
+    """Decode one circuit block per entry of ``stops``, the k-th ending by
+    ``stops[k]``: the one decoder behind both readers.
 
-    ``shared`` is the reader's table of parameter-free instructions, which
-    every circuit it decodes fills and reads when its body is materialized.
+    One gather serves all the blocks.  If it fails, each block is decoded
+    again on its own, and a lone block that fails takes the careful path,
+    so the first fault in byte order is reported.  ``shared`` is the
+    reader's table of parameter-free instructions, which every circuit it
+    decodes fills and reads when its body is materialized.
     """
-    nq, o = _read_varint(data, o, end)
-    nc, o = _read_varint(data, o, end)
-    m, o = _read_varint(data, o, end)
     layout = _LAYOUTS[compress]
-    cols = None
-    if m:
-        walked = _walk_offsets(data, o, end, m, layout.step)
-        if walked is not None:
-            offs_list, new_o = walked
-            cols = _gather(arr, offs_list, m, nq, nc, layout, shared)
-    if cols is None:
-        cols, new_o = _careful_records(data, o, end, m, nq, nc, compress, shared)
-    return Circuit._from_columns(nq, nc, cols), new_o
+    blocks = []
+    at = o
+    for stop in stops:
+        nq, at = _read_varint(data, at, stop)
+        nc, at = _read_varint(data, at, stop)
+        m, records = _read_varint(data, at, stop)
+        walked = _walk_offsets(data, records, stop, m, layout.step)
+        if walked is None:
+            break
+        offs, at = walked
+        blocks.append((offs, nq, nc))
+    else:
+        cols = _gather(arr, blocks, layout, shared)
+        if cols is not None:
+            return [Circuit._from_columns(nq, nc, c)
+                    for (_, nq, nc), c in zip(blocks, cols)], at
+    if len(stops) == 1:
+        cols, at = _careful_records(data, records, stops[0], m, nq, nc,
+                                    compress, shared)
+        return [Circuit._from_columns(nq, nc, cols)], at
+    out = []
+    for stop in stops:
+        (c,), o = _decode_circuits(data, arr, o, [stop], compress, shared)
+        out.append(c)
+    return out, o
 
 
 def _parse_stream_header(data, end: int) -> tuple[bool, int, int]:
@@ -461,7 +501,7 @@ def decode(data) -> list[Circuit]:
     shared: dict = {}
     out = []
     for _ in range(count):
-        c, o = _decode_circuit(data, arr, o, end, compress, shared)
+        (c,), o = _decode_circuits(data, arr, o, [end], compress, shared)
         out.append(c)
     if o != end:
         raise TrailingBytes(f"{end - o} trailing bytes after last circuit", o)
@@ -544,11 +584,13 @@ class StreamDecoder:
     an earlier fault in the unfinished circuit).  Bytes after the declared
     circuit count raise :class:`TrailingBytes`.
 
-    A length-only scan finds where the pending circuit ends; once all its
-    records are in, it is decoded by the same per-circuit decoder as
-    :func:`decode`, so every error matches :func:`decode`'s class and
-    absolute offset.  Operand errors therefore surface when their circuit is
-    complete, or at :meth:`finish`.
+    A length-only scan finds where each pending circuit ends.  All circuits
+    a feed completes are then gathered at once by the same decoder as
+    :func:`decode`, which decodes them one by one if any of them is bad, so
+    every error matches :func:`decode`'s class and absolute offset.  Operand
+    errors therefore surface when their circuit is complete, or at
+    :meth:`finish`.  Parameter-free instructions are shared across every
+    circuit this decoder returns.
     """
 
     def __init__(self):
@@ -645,14 +687,13 @@ class StreamDecoder:
             arr = np.frombuffer(chunk, dtype=np.uint8)
             o = 0
             try:
-                for stop in ends:
-                    c, o = _decode_circuit(chunk, arr, o, stop, self._compress,
-                                           self._shared)
-                    out.append(c)
+                if ends:
+                    out, o = _decode_circuits(chunk, arr, 0, ends, self._compress,
+                                              self._shared)
                 if fault is not None:
                     # reports an earlier bad operand, else the scan's fault
-                    _decode_circuit(chunk, arr, o, len(chunk), self._compress,
-                                    self._shared)
+                    _decode_circuits(chunk, arr, o, [len(chunk)], self._compress,
+                                     self._shared)
                     raise fault
             except BisDecodeError as e:
                 raise _shifted(e, self._consumed) from None
@@ -677,8 +718,8 @@ class StreamDecoder:
             if self._compress is None:
                 _parse_stream_header(tail, len(tail))
             else:
-                _decode_circuit(tail, np.frombuffer(tail, dtype=np.uint8), 0,
-                                len(tail), self._compress, self._shared)
+                _decode_circuits(tail, np.frombuffer(tail, dtype=np.uint8), 0,
+                                 [len(tail)], self._compress, self._shared)
         except BisDecodeError as e:
             raise _shifted(e, self._consumed) from None
         raise Truncated("stream ended before the declared circuits",

@@ -426,7 +426,7 @@ class TestStreamMatchesDecode:
     def test_random_splits_match_one_shot(self, data):
         cs = data.draw(st.lists(
             st.one_of(circuits(max_len=10, measures=True), wide_circuits()),
-            max_size=3))
+            max_size=8))
         blob = bytearray(encode(cs, compress=data.draw(st.booleans())))
         at = st.integers(min_value=0, max_value=len(blob) - 1)
         damage = data.draw(st.sampled_from(["none", "corrupt", "truncate"]))
@@ -440,6 +440,24 @@ class TestStreamMatchesDecode:
             st.integers(min_value=0, max_value=len(blob)), max_size=8))
         assert _outcome(lambda: _stream_read(blob, cuts)) == \
             _outcome(lambda: decode(blob))
+
+    @pytest.mark.parametrize("fault", ["qubit", "cbit"])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_bad_operand_mid_batch(self, compress, fault):
+        # three fixed-shape circuits that one feed completes together; the
+        # middle one is narrower, so its bad index fits the other two
+        wide = Circuit(5).h(0).cnot(0, 1).rz(2, 0.5).measure(1, 0)
+        cs = [wide, Circuit(3).h(0).cnot(0, 1).rz(2, 0.5).measure(1, 0), wide]
+        if fault == "qubit":
+            # after the middle circuit's three header varints and first opcode
+            field = len(encode(cs[:1], compress=compress)) + 4
+        else:  # the middle circuit's last field
+            field = len(encode(cs[:2], compress=compress)) - (1 if compress else 4)
+        blob = bytearray(encode(cs, compress=compress))
+        blob[field] = 3
+        blob = bytes(blob)
+        assert _outcome(lambda: decode(blob)) == (BadOperand, field)
+        assert _outcome(lambda: _stream_read(blob, [])) == (BadOperand, field)
 
 
 class TestEncodeErrors:
