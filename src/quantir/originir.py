@@ -123,6 +123,13 @@ def _split_operands(rest: str, line: int) -> list[str]:
     return parts
 
 
+def _int(digits: str, what: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses over sys.get_int_max_str_digits()
+        raise OriginIRError(f"{what} has too many digits", line) from None
+
+
 def _parse_angles(tok: str, line: int) -> list[float]:
     inner = tok[1:-1]
     vals = []
@@ -151,7 +158,8 @@ def parse(text: str) -> Circuit:
             continue
         m = _HEADER_RE.match(stmt)
         if m:
-            word, count = m.group(1), int(m.group(2))
+            word = m.group(1)
+            count = _int(m.group(2), f"{word} size", lineno)
             if word == "QINIT":
                 if num_qubits is not None:
                     raise OriginIRError("duplicate QINIT", lineno)
@@ -203,7 +211,7 @@ def parse(text: str) -> Circuit:
             if qm:
                 if cbit is not None:
                     raise OriginIRError("qubit operand after classical operand", lineno)
-                qubits.append(int(qm.group(1)))
+                qubits.append(_int(qm.group(1), "qubit index", lineno))
                 continue
             cm = _CREF_RE.match(tok)
             if cm:
@@ -212,7 +220,7 @@ def parse(text: str) -> Circuit:
                         f"c[...] operand only valid for MEASURE, not {name}", lineno)
                 if cbit is not None:
                     raise OriginIRError("duplicate classical operand", lineno)
-                cbit = int(cm.group(1))
+                cbit = _int(cm.group(1), "cbit index", lineno)
                 continue
             if tok.startswith("(") and tok.endswith(")"):
                 if params:

@@ -89,6 +89,13 @@ def _statements(text: str):
         raise QasmError("statement missing ';'", _first_line(line, tail))
 
 
+def _int(digits: str, what: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses over sys.get_int_max_str_digits()
+        raise QasmError(f"{what} has too many digits", line) from None
+
+
 def _parse_angle(expr: str, line: int) -> float:
     expr = expr.strip()
     if _DECIMAL.match(expr):
@@ -96,13 +103,14 @@ def _parse_angle(expr: str, line: int) -> float:
     m = _PI_FORM.match(expr)
     if m:
         sign, mul, div = m.groups()
-        value = math.pi
-        if mul is not None:
-            value *= int(mul)
-        if div is not None:
-            if int(div) == 0:
-                raise QasmError("division by zero in angle", line)
-            value /= int(div)
+        mul = _int(mul or "1", "angle integer", line)
+        div = _int(div or "1", "angle integer", line)
+        if div == 0:
+            raise QasmError("division by zero in angle", line)
+        try:
+            value = math.pi * mul / div
+        except OverflowError:  # an integer beyond the double range
+            raise QasmError("angle integer out of range", line) from None
         return -value if sign == "-" else value
     raise UnsupportedFeature(f"angle expression {expr!r}", line)
 
@@ -133,7 +141,7 @@ class _Registers:
         if idx is None:
             raise UnsupportedFeature("register broadcast", line)
         offset, size = self.offsets[name]
-        i = int(idx)
+        i = _int(idx, "index", line)
         if i >= size:
             raise QasmError(f"index {i} out of range for {name}[{size}]", line)
         return offset + i
@@ -172,9 +180,10 @@ def import_qasm2(text: str) -> Circuit:
             if not m:
                 raise QasmError(f"bad register declaration {stmt!r}", line)
             _, name, size = m.groups()
-            if int(size) < 1:
+            size = _int(size, "register size", line)
+            if size < 1:
                 raise QasmError("register size must be >= 1", line)
-            (qregs if head == "qreg" else cregs).declare(name, int(size), line)
+            (qregs if head == "qreg" else cregs).declare(name, size, line)
             continue
         if head in ("gate", "if", "opaque"):
             raise UnsupportedFeature(head, line)

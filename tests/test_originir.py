@@ -114,6 +114,13 @@ class TestParseErrors:
         ("QINIT 1\nCREG 1\nH (q[0]\n", 3, "unbalanced"),
         ("QINIT 1\nCREG 1\n%%%\n", 3, "cannot parse"),
         ("", 1, "QINIT"),
+        # more digits than int() converts
+        ("QINIT 1\nCREG 1\nH q[" + "1" * 5000 + "]\n", 3,
+         "qubit index has too many digits"),
+        ("QINIT 1\nCREG 1\nMEASURE q[0],c[" + "1" * 5000 + "]\n", 3,
+         "cbit index has too many digits"),
+        ("QINIT " + "1" * 5000 + "\n", 1, "QINIT size has too many digits"),
+        ("QINIT 1\nCREG " + "1" * 5000 + "\n", 2, "CREG size has too many digits"),
     ])
     def test_error_lines(self, text, line, frag):
         with pytest.raises(OriginIRError) as exc:

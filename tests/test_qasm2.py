@@ -290,6 +290,16 @@ _PINNED_REJECTIONS = [
      "unsupported feature: badgate"),
     (_REG2 + "\u00a0\n\u00a0\u00a0h q[0]\n", QasmError, 6,
      "statement missing ';'"),
+    # integers past int() or the double range
+    (_at5("rz(" + "9" * 400 + "*pi) q[0];"), QasmError, 5,
+     "angle integer out of range"),
+    (_at5("rz(pi/" + "7" * 400 + ") q[0];"), QasmError, 5,
+     "angle integer out of range"),
+    (_at5("rz(pi/" + "7" * 5000 + ") q[0];"), QasmError, 5,
+     "angle integer has too many digits"),
+    (_at5("h q[" + "1" * 5000 + "];"), QasmError, 5, "index has too many digits"),
+    (HEADER + "qreg q[" + "1" * 5000 + "];\n", QasmError, 3,
+     "register size has too many digits"),
 ]
 
 
