@@ -265,9 +265,7 @@ def _unpack_body(cols: _Columns) -> list[Instruction]:
     # (opcode, a, b): each distinct row is built once and shared by every
     # body of the read that decoded it, which is safe because instructions
     # are immutable
-    shared = cols.shared
-    if shared is None:
-        shared = {}
+    shared = {} if cols.shared is None else cols.shared
     lookup = shared.get
     params = cols.params.tolist()
     extra = cols.extra.tolist()

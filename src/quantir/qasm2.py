@@ -103,12 +103,15 @@ def _parse_angle(expr: str, line: int) -> float:
     m = _PI_FORM.match(expr)
     if m:
         sign, mul, div = m.groups()
-        mul = _int(mul or "1", "angle integer", line)
-        div = _int(div or "1", "angle integer", line)
-        if div == 0:
-            raise QasmError("division by zero in angle", line)
+        value = math.pi
         try:
-            value = math.pi * mul / div
+            if mul is not None:
+                value *= _int(mul, "angle integer", line)
+            if div is not None:
+                div = _int(div, "angle integer", line)
+                if div == 0:
+                    raise QasmError("division by zero in angle", line)
+                value /= div
         except OverflowError:  # an integer beyond the double range
             raise QasmError("angle integer out of range", line) from None
         return -value if sign == "-" else value
