@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -374,9 +373,9 @@ def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
 
 # -- decoding: fast columnar path ---------------------------------------------
 
-def _walk_offsets(data, o: int, end: int, m: int, step_lut) -> tuple[list, int] | None:
-    """Record offsets assuming fixed-size records; None means fall back."""
-    offs: list = []
+def _walk_offsets(data, o: int, end: int, m: int, step_lut, offs: list) -> int | None:
+    """Append ``m`` record offsets to ``offs`` assuming fixed-size records and
+    return where the records end; None means fall back."""
     ap = offs.append
     try:
         for _ in range(m):
@@ -389,22 +388,23 @@ def _walk_offsets(data, o: int, end: int, m: int, step_lut) -> tuple[list, int] 
         return None
     if o > end:
         return None
-    return offs, o
+    return o
 
 
-def _gather(arr, blocks, layout: _Layout, shared: dict) -> list[_Columns] | None:
+def _gather(arr, offs_list, blocks, layout: _Layout,
+            shared: dict) -> list[_Columns] | None:
     """Columns of each circuit's fixed-shape records, gathered in one pass.
 
-    ``blocks`` holds one ``(offsets, nq, nc)`` per circuit: where its records
-    start and its register widths, against which each of its rows is
-    checked.  Each circuit's columns are slices of the batch arrays.  None if
-    the shape does not hold (a multi-byte varint) or any operand is bad
-    anywhere in the batch; the caller then decodes the circuits one by one.
+    ``offs_list`` holds where every record of the batch starts, circuit
+    after circuit; ``blocks`` holds one ``(records, nq, nc)`` per circuit,
+    against whose register widths each of its rows is checked.  Each
+    circuit's columns are slices of the batch arrays.  None if the shape
+    does not hold (a multi-byte varint) or any operand is bad anywhere in
+    the batch; the caller then decodes the circuits one by one.
     """
-    counts = [len(offs) for offs, _, _ in blocks]
-    m = sum(counts)
-    offs = np.fromiter(chain.from_iterable(offs for offs, _, _ in blocks),
-                       dtype=np.int64, count=m)
+    counts = [n for n, _, _ in blocks]
+    m = len(offs_list)
+    offs = np.fromiter(offs_list, dtype=np.int64, count=m)
     code = arr[offs]
     cls = code >> 5
     w = layout.width
@@ -422,6 +422,8 @@ def _gather(arr, blocks, layout: _Layout, shared: dict) -> list[_Columns] | None
             or (b[q2] == a[q2]).any() or not np.isfinite(params).all()):
         return None
     extra = np.empty(0, dtype=np.int64)
+    if len(blocks) == 1:
+        return [_Columns(code, a, b, params, extra, shared)]
     rows = np.cumsum([0] + counts)
     angles = np.concatenate(([0], np.cumsum(_ANGLE_BYTES_BY_CLASS[cls] >> 3)))
     r, p = rows.tolist(), angles[rows].tolist()
@@ -442,19 +444,19 @@ def _decode_circuits(data, arr, o: int, stops, compress: bool,
     decodes fills and reads when its body is materialized.
     """
     layout = _LAYOUTS[compress]
+    offs: list = []
     blocks = []
     at = o
     for stop in stops:
         nq, at = _read_varint(data, at, stop)
         nc, at = _read_varint(data, at, stop)
         m, records = _read_varint(data, at, stop)
-        walked = _walk_offsets(data, records, stop, m, layout.step)
-        if walked is None:
+        at = _walk_offsets(data, records, stop, m, layout.step, offs)
+        if at is None:
             break
-        offs, at = walked
-        blocks.append((offs, nq, nc))
+        blocks.append((m, nq, nc))
     else:
-        cols = _gather(arr, blocks, layout, shared)
+        cols = _gather(arr, offs, blocks, layout, shared)
         if cols is not None:
             return [Circuit._from_columns(nq, nc, c)
                     for (_, nq, nc), c in zip(blocks, cols)], at
