@@ -419,8 +419,8 @@ class TestFastPaths:
              .x1(1, dagger=True).measure(2, 1).cnot(0, 1).h(0))
         return a, b
 
-    @classmethod
-    def _assert_shared_across(cls, first, second):
+    @staticmethod
+    def _assert_shared_across(first, second):
         # rows 0-3 of the first circuit are parameter-free, rows 4-6 are not
         one, two = first.body, second.body[::-1]
         for i in range(4):
