@@ -422,8 +422,6 @@ def _gather(arr, offs_list, blocks, layout: _Layout,
             or (b[q2] == a[q2]).any() or not np.isfinite(params).all()):
         return None
     extra = np.empty(0, dtype=np.int64)
-    if len(blocks) == 1:
-        return [_Columns(code, a, b, params, extra, shared)]
     rows = np.cumsum([0] + counts)
     angles = np.concatenate(([0], np.cumsum(_ANGLE_BYTES_BY_CLASS[cls] >> 3)))
     r, p = rows.tolist(), angles[rows].tolist()
@@ -452,7 +450,9 @@ def _decode_circuits(data, arr, o: int, stops, compress: bool,
         nc, at = _read_varint(data, at, stop)
         m, records = _read_varint(data, at, stop)
         at = _walk_offsets(data, records, stop, m, layout.step, offs)
-        if at is None:
+        # a batch's stops are exact circuit ends: a walk that falls short (a
+        # multi-byte index) would read the next header inside a record
+        if at is None or (len(stops) > 1 and at != stop):
             break
         blocks.append((m, nq, nc))
     else:

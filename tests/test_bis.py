@@ -459,6 +459,24 @@ class TestStreamMatchesDecode:
         assert _outcome(lambda: decode(blob)) == (BadOperand, field)
         assert _outcome(lambda: _stream_read(blob, [])) == (BadOperand, field)
 
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_multi_byte_index_mid_batch(self, fault):
+        # the wide circuit's two-byte index makes a fixed-size walk stop at
+        # the rz's qubit byte; the angle bytes after it (9A 99 ...) are no
+        # circuit header, so the batch must not read one there
+        wide = Circuit(200).h(150).rz(0, -0.8)
+        cs = [Circuit(3).h(0), wide, Circuit(1).h(0)]
+        blob = bytearray(encode(cs, compress=True))
+        if fault:
+            # the first circuit's qubit, after its three header varints and opcode
+            field = len(encode([], compress=True)) + 4
+            blob[field] = 3
+        blob = bytes(blob)
+        assert _outcome(lambda: _stream_read(blob, [])) == \
+            _outcome(lambda: decode(blob))
+        if fault:
+            assert _outcome(lambda: decode(blob)) == (BadOperand, field)
+
 
 class TestEncodeErrors:
     def test_register_too_wide(self):
