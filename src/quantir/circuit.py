@@ -9,9 +9,11 @@ each is built lazily from the other and cached.  Instructions are immutable,
 so a body built from columns holds one shared instance per distinct
 parameter-free row (1Q, 2Q, MEASURE).  Columns a reader decoded share one
 row table per read: equal such rows in any circuits of one ``bis.decode``
-call, or of one ``bis.StreamDecoder``, are the same object.  Columns packed
-from a caller's own instructions get a table per body.  Rotation, U3 and
-BARRIER rows are built per row.
+call, or of one ``bis.StreamDecoder``, are the same object.  A body lets go
+of the table once built, so the table lives only as long as its reader or a
+circuit of it whose body is not yet built.  Columns packed from a caller's
+own instructions get a table per body.  Rotation, U3 and BARRIER rows are
+built per row.
 """
 from __future__ import annotations
 
@@ -196,7 +198,7 @@ class _Columns:
     order; extra: BARRIER qubit pool in body order.  shared: the
     ``(opcode, a, b) -> Instruction`` table of parameter-free rows that
     materializing these columns fills, owned by the reader that decoded
-    them; None for a table of this body's own.
+    them; None for a table of this body's own, and once the body is built.
     """
 
     __slots__ = ("code", "a", "b", "params", "extra", "shared")
@@ -293,6 +295,9 @@ def _unpack_body(cols: _Columns) -> list[Instruction]:
                 ins = raw(kind, tuple(extra[xi:xi + av]), (), None, False)
                 xi += av
         app(ins)
+    # the body is built: let go of the read's table, which then lives only
+    # as long as its reader or a circuit not yet materialized
+    cols.shared = None
     return out
 
 

@@ -447,6 +447,15 @@ class TestFastPaths:
         assert tuple(out) == cs
         self._assert_shared_across(*out)
 
+    def test_built_body_lets_go_of_the_read_table(self):
+        first, second = bis.decode(bis.encode(self._two_circuits()))
+        table = first._cols.shared
+        assert table is not None and second._cols.shared is table
+        first.body
+        assert first._cols.shared is None and second._cols.shared is table
+        second.body
+        assert second._cols.shared is None
+
     def test_separate_decodes_share_nothing(self):
         data = bis.encode(Circuit(2).h(0).cnot(0, 1).measure(1, 1))
         (one,), (two,) = bis.decode(data), bis.decode(data)
