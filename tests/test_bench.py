@@ -1,15 +1,18 @@
 """Random-circuit generator and the transmission benchmark harness."""
+import hashlib
 import io
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantir import bench, bis
 from quantir.bench import (
     CSV_HEADER, FORMATS, SWEEPS, BenchConfig, BenchError, BenchRow,
     random_circuit, run_transmission_bench, write_csv,
 )
-from quantir.circuit import Circuit, depth, gate_counts
+from quantir.circuit import Circuit, Instruction, depth, gate_counts
 from quantir.gates import CLS_2Q, CLS_ROT, GateKind
 
 ONE_Q = {GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S,
@@ -87,6 +90,78 @@ def test_gate_total_matches_flat_length():
 def test_generator_rejects_nonpositive_shape(n, d):
     with pytest.raises(BenchError):
         random_circuit(n, d, seed=0)
+
+
+def _stdlib_random_circuit(num_qubits, depth, seed):
+    """Reference generator: the same draws through random.Random's own
+    randrange, shuffle and uniform, one Instruction per gate."""
+    rng = random.Random(seed)
+    one_q = bench._ONE_Q
+    two_q = bench._TWO_Q
+    items = []
+    order = list(range(num_qubits))
+    for _ in range(depth):
+        rng.shuffle(order)
+        i = 0
+        while i < num_qubits:
+            if num_qubits - i >= 2 and rng.random() >= 0.7:
+                j = rng.randrange(i + 1, num_qubits)
+                order[i + 1], order[j] = order[j], order[i + 1]
+                kind = two_q[rng.randrange(3)]
+                items.append(Instruction(kind, (order[i], order[i + 1])))
+                i += 2
+            else:
+                kind = one_q[rng.randrange(10)]
+                params = ((rng.uniform(0.0, 2 * math.pi),)
+                          if kind.opclass == CLS_ROT else ())
+                items.append(Instruction(kind, (order[i],), params))
+                i += 1
+    return Circuit._from_items(num_qubits, num_qubits, items)
+
+
+# sha256 of the compressed encoding: the four benchmark workload shapes, then
+# widths at the edges of the bounded-draw redraw loop (1, 2, 3, 64, 65, 128,
+# 129 are powers of two and one past them) and of the compressed index,
+# which takes two bytes from 128 on
+PINNED = [
+    (72, 100, 1, "d13a1b4ce610dad643fe9e6db7365660bf790212c143ca97190493900658339c"),
+    (12, 20, 2, "99d744c0eaf9fb8a4c9d1e02a086eda939ee445febf4dd0a18f888b98d631fc4"),
+    (57, 5, 3, "cc84d0baa1f05cb8260402a4a9c608da2e0d96197bbb3218f2fb934617745b61"),
+    (10, 60, 4, "4ab3c6549b883c71aa6838bf828eed38351aef21d9dc13ba2f18259e6af99952"),
+    (1, 30, 5, "db647c2a240d75a6a108518c47ce81d7697bcb12764d04ec5f9cb8497f6feefe"),
+    (2, 30, 6, "8e2834f9c20c7d54196c118b6257fd688695e07b25bd455bffdeada683549379"),
+    (3, 30, 7, "632c79642fa9529b677ebd183c35007285beb63d46600f18e08b4c44de270b2e"),
+    (64, 10, 8, "f8f839abd76c179fe2aa836aca34bd1d91b33ea286a70fec953d7686c19541fb"),
+    (65, 10, 9, "e399d75a86fa315da900f41edb0a6f5d0ad1336e0386dc3864b679dcee30057a"),
+    (128, 4, 10, "43ae318f499b8fcb3438cb8fb415349e0826fdfdfa211f48d2d355e721bc4213"),
+    (129, 4, 11, "234f9bfd26d0b71d9436abef3fd45024cc3bd8b15a5a18d86c9f3c40e1e475e3"),
+]
+
+
+@pytest.mark.parametrize("n,d,seed,digest", PINNED)
+def test_generator_output_is_pinned(n, d, seed, digest):
+    blob = bis.encode(random_circuit(n, d, seed), compress=True)
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=140), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+def test_generator_matches_stdlib_draws(n, d, seed):
+    got = random_circuit(n, d, seed)
+    want = _stdlib_random_circuit(n, d, seed)
+    assert bis.encode(got) == bis.encode(want)
+    assert got.body == want.body
+
+
+def test_appending_to_one_circuit_leaves_its_twin():
+    a = random_circuit(6, 10, seed=21)
+    b = random_circuit(6, 10, seed=21)
+    want = bis.encode(b)
+    a.h(0).cnot(1, 2)
+    assert len(a) == len(b) + 2
+    assert bis.encode(b) == want
+    assert b.body == _stdlib_random_circuit(6, 10, 21).body
 
 
 # -- BenchConfig ------------------------------------------------------------------
