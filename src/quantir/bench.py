@@ -14,11 +14,12 @@ pair times whole-batch encode (circuit objects -> transmitted bytes) and
 decode (bytes -> circuit objects whose bodies have all been iterated),
 reporting the median over repetitions plus the serialized size and total
 gate count.  Every repetition encodes a batch freshly built from the same
-seeds, outside the timer, so no encode reuses columns packed by an earlier
-one.  After the last repetition, outside the timers, the decoded batch must
-equal the encoded one for both binary modes and the text IR; QASM output
-rewrites gates by design (u1/u2/u3 forms, SWAP as three ``cx``), so for it
-only the circuit count is checked.  Text formats serialize one UTF-8
+seeds, outside the timer: the binary formats encode the packed columns the
+generator wrote, and the text formats first build each ``.body`` from them,
+which no earlier repetition has done.  After the last repetition, outside
+the timers, the decoded batch must equal the encoded one for both binary
+modes and the text IR; QASM output rewrites gates by design (u1/u2/u3
+forms, SWAP as three ``cx``), so for it only the circuit count is checked.  Text formats serialize one UTF-8
 document per circuit; the binary formats use a single multi-circuit stream.
 Timing runs single-threaded so points are comparable.
 """
@@ -32,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import bis, originir
-from .circuit import Circuit, Instruction
+from .circuit import Circuit, _Columns
 from .gates import CLS_ROT, GateKind
 from .qasm2 import emit_qasm2, import_qasm2
 
@@ -51,6 +52,9 @@ _TAU = 6.283185307179586
 _ONE_Q = (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S,
           GateKind.T, GateKind.X1, GateKind.RX, GateKind.RY, GateKind.RZ)
 _TWO_Q = (GateKind.CNOT, GateKind.CZ, GateKind.SWAP)
+_ONE_Q_CODES = tuple(k._value_ for k in _ONE_Q)
+_TWO_Q_CODES = tuple(k._value_ for k in _TWO_Q)
+_ONE_Q_ROT = tuple(k.opclass == CLS_ROT for k in _ONE_Q)
 
 
 class BenchError(ValueError):
@@ -109,34 +113,62 @@ class BenchRow:
 
 
 def random_circuit(num_qubits: int, depth: int, seed: int = 0) -> Circuit:
-    """Reproducible random circuit whose greedy depth is exactly ``depth``."""
+    """Reproducible random circuit whose greedy depth is exactly ``depth``.
+
+    The gates go straight into packed columns; the circuit holds no
+    ``Instruction`` until its ``.body`` is read.  Every integer is drawn by
+    ``_randbelow`` and every float by ``random()`` of one
+    ``random.Random(seed)``, so the output for a seed depends on
+    ``getrandbits`` and ``random`` alone.
+    """
     if num_qubits < 1:
         raise BenchError("num_qubits must be >= 1")
     if depth < 1:
         raise BenchError("depth must be >= 1")
     rng = random.Random(seed)
-    rand, randrange, shuffle, uniform = (rng.random, rng.randrange,
-                                         rng.shuffle, rng.uniform)
-    items: list[Instruction] = []
-    append = items.append
-    raw = Instruction._raw
+    rand, bits = rng.random, rng.getrandbits
+    code: list[int] = []
+    a: list[int] = []
+    b: list[int] = []
+    params: list[float] = []
+    code_app, a_app, b_app, param_app = (code.append, a.append, b.append,
+                                         params.append)
     order = list(range(num_qubits))
     for _ in range(depth):
-        shuffle(order)
+        # random.shuffle: a descending Fisher-Yates
+        for i in range(num_qubits - 1, 0, -1):
+            j = _randbelow(bits, i + 1)
+            order[i], order[j] = order[j], order[i]
         i = 0
         while i < num_qubits:
             if num_qubits - i >= 2 and rand() >= 0.7:
-                j = randrange(i + 1, num_qubits)
+                j = i + 1 + _randbelow(bits, num_qubits - i - 1)
                 order[i + 1], order[j] = order[j], order[i + 1]
-                kind = _TWO_Q[randrange(3)]
-                append(raw(kind, (order[i], order[i + 1]), (), None, False))
+                code_app(_TWO_Q_CODES[_randbelow(bits, 3)])
+                a_app(order[i])
+                b_app(order[i + 1])
                 i += 2
             else:
-                kind = _ONE_Q[randrange(10)]
-                params = (uniform(0.0, _TAU),) if kind.value >> 5 == CLS_ROT else ()
-                append(raw(kind, (order[i],), params, None, False))
+                k = _randbelow(bits, 10)
+                code_app(_ONE_Q_CODES[k])
+                a_app(order[i])
+                b_app(-1)
+                if _ONE_Q_ROT[k]:
+                    # uniform(0.0, _TAU) is 0.0 + (_TAU - 0.0) * random():
+                    # the same float, bit for bit
+                    param_app(_TAU * rand())
                 i += 1
-    return Circuit._from_items(num_qubits, num_qubits, items)
+    return Circuit._from_columns(num_qubits, num_qubits,
+                                 _Columns.from_lists(code, a, b, params, []))
+
+
+def _randbelow(getrandbits, n: int) -> int:
+    # random.Random._randbelow, which randrange and shuffle draw through
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 # -- format codecs ----------------------------------------------------------------
@@ -199,7 +231,8 @@ def run_transmission_bench(config: BenchConfig) -> list[BenchRow]:
             enc_times, dec_times = [], []
             payload = decoded = None
             for _ in range(config.repetitions):
-                # fresh circuits every time: no packed columns cached yet
+                # fresh circuits every time: each encode starts from the
+                # columns the generator wrote, no .body built yet
                 batch = [random_circuit(qubits, depth, s) for s in seeds]
                 t0 = time.perf_counter()
                 payload = encode(batch)

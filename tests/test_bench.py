@@ -154,6 +154,16 @@ def test_generator_matches_stdlib_draws(n, d, seed):
     assert got.body == want.body
 
 
+def test_built_circuit_holds_columns_until_body_is_read():
+    c = random_circuit(8, 12, seed=4)
+    assert c._items is None
+    bis.encode(c)
+    assert len(c) == len(c._cols) and c._items is None
+    body = c.body
+    assert c._items is body
+    assert body == _stdlib_random_circuit(8, 12, 4).body
+
+
 def test_appending_to_one_circuit_leaves_its_twin():
     a = random_circuit(6, 10, seed=21)
     b = random_circuit(6, 10, seed=21)
