@@ -57,7 +57,7 @@ def emit(c: Circuit) -> str:
     append = parts.append
     for ins in flat.body:
         kind = ins.kind
-        op = kind.value
+        op = kind._value_
         cls = op >> 5
         q = ins.qubits
         if cls == CLS_1Q:
