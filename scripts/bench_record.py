@@ -19,7 +19,8 @@ gives, per workload and metric, the relative change of this checkout's
 median against the parent's and whether it lies within the metric's
 ``bound``: a change for the better always does, a change for the worse
 when it is at most ``bound``.  Failed operations are summed per side and
-workload.
+workload.  After each run it prints that run's end-to-end metrics, so the
+signal of any of them shows while the record runs.
 """
 from __future__ import annotations
 
@@ -92,8 +93,10 @@ def main() -> int:
             for name, checkout in order:
                 result = run_once(checkout, workload, seed, seconds)
                 runs[name][workload].append(result)
-                path_s = result["metrics"]["path_s"]["value"]
-                print(f"{workload} seed {seed} {name}: path_s {path_s:.6g}"
+                values = " ".join(
+                    f"{m['name']} {result['metrics'][m['name']]['value']:.6g}"
+                    for m in metrics)
+                print(f"{workload} seed {seed} {name}: {values}"
                       f"{'' if result['correct'] else '  FAILED CHECKS'}", flush=True)
 
     record = {

@@ -5,14 +5,18 @@ elements.  Flat bodies (instructions only) are additionally kept in a packed
 columnar form -- an opcode byte array plus operand/parameter arrays -- so
 that serialization and structural equality run as bulk array operations.
 The packed columns and the Instruction list are two views of the same body;
-each is built lazily from the other and cached.  Instructions are immutable,
-so a body built from columns holds one shared instance per distinct
-parameter-free row (1Q, 2Q, MEASURE).  Columns a reader decoded share one
-row table per read: equal such rows in any circuits of one ``bis.decode``
-call, or of one ``bis.StreamDecoder``, are the same object.  A body lets go
-of the table once built, so the table lives only as long as its reader or a
-circuit of it whose body is not yet built.  Columns packed from a caller's
-own instructions get a table per body.  Rotation, U3 and BARRIER rows are
+each is built lazily from the other and cached.  Circuits that ``bis``
+readers decode and that ``bench.random_circuit`` builds start with columns
+only: the generator writes them as it draws, so their first encode packs
+nothing, and the Instruction list is built when ``.body`` is first read.
+Instructions are immutable, so a body built from columns holds one shared
+instance per distinct parameter-free row (1Q, 2Q, MEASURE).  Columns a
+reader decoded share one row table per read: equal such rows in any
+circuits of one ``bis.decode`` call, or of one ``bis.StreamDecoder``, are
+the same object.  A body lets go of the table once built, so the table
+lives only as long as its reader or a circuit of it whose body is not yet
+built.  Other columns, packed from a caller's own instructions or written
+by the generator, get a table per body.  Rotation, U3 and BARRIER rows are
 built per row.
 """
 from __future__ import annotations

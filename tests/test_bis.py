@@ -386,17 +386,25 @@ class TestStreamDecoder:
 
 @st.composite
 def wide_circuits(draw):
-    """Over 128 qubits, so compressed indices take multi-byte varints."""
+    """Over 128 qubits, so compressed indices take multi-byte varints.
+
+    Half the qubit draws land at 128 or above, where a compressed index takes
+    two bytes; angles are any finite double, so the angle bytes after a
+    short walk can have their high bits set.
+    """
     n = draw(st.integers(min_value=129, max_value=300))
-    qubit = st.integers(min_value=0, max_value=n - 1)
+    qubit = st.one_of(st.integers(min_value=128, max_value=n - 1),
+                      st.integers(min_value=0, max_value=n - 1))
+    angle = st.floats(allow_nan=False, allow_infinity=False)
     c = Circuit(n, 2)
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         q0, q1 = draw(qubit), draw(qubit)
         if q0 == q1:
-            c.rz(q0, 0.25)
+            c.rz(q0, draw(angle))
         else:
             c.cnot(q0, q1)
-    c.barrier(*sorted(set(draw(st.lists(qubit, min_size=1, max_size=5)))))
+    if draw(st.booleans()):
+        c.barrier(*sorted(set(draw(st.lists(qubit, min_size=1, max_size=5)))))
     c.measure(draw(qubit), 1)
     return c
 
