@@ -19,9 +19,10 @@ generator wrote, and the text formats first build each ``.body`` from them,
 which no earlier repetition has done.  After the last repetition, outside
 the timers, the decoded batch must equal the encoded one for both binary
 modes and the text IR; QASM output rewrites gates by design (u1/u2/u3
-forms, SWAP as three ``cx``), so for it only the circuit count is checked.  Text formats serialize one UTF-8
-document per circuit; the binary formats use a single multi-circuit stream.
-Timing runs single-threaded so points are comparable.
+forms, SWAP as three ``cx``), so for it only the circuit count is checked.
+Text formats serialize one UTF-8 document per circuit; the binary formats
+use a single multi-circuit stream.  Timing runs single-threaded so points
+are comparable.
 """
 from __future__ import annotations
 
@@ -154,8 +155,8 @@ def random_circuit(num_qubits: int, depth: int, seed: int = 0) -> Circuit:
                 a_app(order[i])
                 b_app(-1)
                 if _ONE_Q_ROT[k]:
-                    # uniform(0.0, _TAU) is 0.0 + (_TAU - 0.0) * random():
-                    # the same float, bit for bit
+                    # uniform(0.0, _TAU) returns 0.0 + (_TAU - 0.0) * random(),
+                    # which is this product bit for bit
                     param_app(_TAU * rand())
                 i += 1
     return Circuit._from_columns(num_qubits, num_qubits,
