@@ -12,19 +12,30 @@ recently swapped wires and resets on every gate execution and every
 touching any blocked gate's operands; ties break on the lexicographically
 smallest edge, so routing is fully deterministic.
 
+Routing is split in two.  The core (``_route_core``) makes every decision
+and records only what it emits, in order: a node index, or a negative code
+for a SWAP on a physical pair.  It returns that order list, its swap count
+and the final layout.  The body builder (``_build``) is the one place routed
+``Instruction``s are made: it replays the SWAPs on a copy of the initial
+layout and maps each node through it.  ``sabre_route`` is the core followed
+by the builder.
+
 Placement runs a few trials: from a random initial permutation, route the
 circuit forward, route its reversal back (yielding a layout adapted to both
-ends), then score a final forward pass by inserted swaps and depth.  The best
-trial's layout is returned; ``transpile`` also keeps that trial's final
-forward pass as its route instead of routing the layout a second time.  The
-search stops at the first trial that inserts no SWAP, because no later trial
-can beat it: every swap-free route has the same depth.  Depth counts qubit
-wires only, and the DAG orders every two instructions that share a qubit, so
-every order the router can emit, on any relabeling of the wires, layers each
-wire the same way.  A later swap-free trial ties and loses on its index.  A
-trial whose first forward pass is swap-free ends there, since its reverse and
-final passes would route from the same layout again; on a complete graph that
-is one route per circuit instead of three per trial.
+ends), then score a final forward pass by inserted swaps and depth.  Trials
+run the core alone; the depth comes from the order list (``_depth``, the
+same per-wire layering as ``circuit.depth``), so no trial builds a body.
+The best trial's layout is returned; ``transpile`` also keeps that trial's
+final forward pass as its route, built once, instead of routing the layout
+a second time.  The search stops at the first trial that inserts no SWAP,
+because no later trial can beat it: every swap-free route has the same
+depth.  Depth counts qubit wires only, and the DAG orders every two
+instructions that share a qubit, so every order the router can emit, on any
+relabeling of the wires, layers each wire the same way.  A later swap-free
+trial ties and loses on its index.  A trial whose first forward pass is
+swap-free ends there, since its reverse and final passes would route from
+the same layout again; on a complete graph that is one route per circuit
+instead of three per trial.
 
 Scoring a candidate swap costs work in proportion to the gates on its two
 wires, not to the size of the front and extended set (after LightSABRE, Zou
@@ -57,11 +68,12 @@ Transpiler, has the command).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit import Circuit, Instruction, depth, flatten
+from .circuit import Circuit, Instruction, flatten
 from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 from .topology import CouplingGraph
@@ -147,6 +159,12 @@ class SabreConfig:
     decay_reset_interval: int = 5
 
     def __post_init__(self):
+        for name in ("layout_trials", "extended_set_size", "decay_reset_interval"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         for name, low in (("layout_trials", 1), ("extended_set_size", 0),
                           ("extended_weight", 0), ("decay_delta", 0),
                           ("decay_reset_interval", 1)):
@@ -178,26 +196,25 @@ def _extended_set(dag: CircuitDag, front: list[int], size: int) -> list[int]:
     return ext
 
 
-def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
-                config: SabreConfig = SabreConfig()) -> tuple[Circuit, Layout]:
-    """Route a circuit onto ``graph``; returns (physical circuit, final layout).
+def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
+                config: SabreConfig) -> tuple[list[int], int, Layout]:
+    """Route without building a body; returns (order, swaps, final layout).
 
-    The output circuit acts on ``graph.num_qubits`` wires; logical wire ``l``
-    starts at physical ``initial_layout[l]`` and ends at the returned
-    layout's ``phys(l)``.
+    ``order`` lists the emitted elements in sequence: a node index, or
+    ``-1 - (a * n + b)`` for a SWAP on physical ``(a, b)`` of an ``n``-wire
+    device.  ``swaps`` counts the SWAPs.  ``_build`` turns the order into
+    the routed circuit and ``_depth`` gives that circuit's depth.
     """
     circ = dag.circuit
     n_phys = graph.num_qubits
     if circ.num_qubits > n_phys:
         raise RoutingError(
             f"circuit has {circ.num_qubits} qubits but device has {n_phys}")
-    layout = initial_layout.copy() if isinstance(initial_layout, Layout) \
-        else Layout(initial_layout)
+    layout = initial_layout.copy()
     if len(layout) != n_phys:
         raise RoutingError(
             f"layout covers {len(layout)} wires, device has {n_phys}")
 
-    body = dag.body
     succs = dag.succs
     pairs = dag.pairs
     indeg = dag.pred_counts()
@@ -206,10 +223,8 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
     edges = [[(p, nb) if p < nb else (nb, p) for nb in graph.neighbors(p)]
              for p in range(n_phys)]
     l2p, p2l = layout._l2p, layout._p2l
-    items: list[Instruction] = []
-    emit = items.append
-    raw = Instruction._raw
-    swap = GateKind.SWAP
+    order: list[int] = []
+    emit = order.append
 
     stall_limit = max(50, 10 * n_phys)
     w = config.extended_weight
@@ -228,17 +243,11 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
         queue = deque(ready)
         while queue:
             node = queue.popleft()
-            ins = body[node]
             pair = pairs[node]
-            if pair is not None:
-                p0, p1 = l2p[pair[0]], l2p[pair[1]]
-                if dist[p0][p1] != 1:
-                    continue  # blocked two-qubit gate
-                qs = (p0, p1)
-            else:
-                qs = tuple([l2p[q] for q in ins.qubits])
+            if pair is not None and dist[l2p[pair[0]]][l2p[pair[1]]] != 1:
+                continue  # blocked two-qubit gate
             front.discard(node)
-            emit(raw(ins.kind, qs, ins.params, ins.cbit, ins.dagger))
+            emit(node)
             executed = True
             for s in succs[node]:
                 indeg[s] -= 1
@@ -352,7 +361,7 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
                     best_score = score
                     best_edge = e
         a, b = best_edge
-        emit(raw(swap, (a, b), (), None, False))
+        emit(-1 - (a * n_phys + b))
         layout.swap_physical(a, b)
         decay[a] += delta
         decay[b] += delta
@@ -379,15 +388,90 @@ def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
         # only front gates on the two swapped wires can have become executable
         ready = sorted({front_node[la], front_node[lb]} - {-1})
 
-    return Circuit._from_items(n_phys, circ.num_cbits, items), layout
+    return order, len(order) - len(dag), layout
+
+
+def _build(dag: CircuitDag, n_phys: int, initial_layout: Layout,
+           order: list[int]) -> Circuit:
+    """The routed circuit of ``order`` from ``initial_layout``.
+
+    Replays the SWAPs on a copy of the layout and maps each node's operands
+    through it; the only place routed instructions are made.
+    """
+    body = dag.body
+    layout = initial_layout.copy()
+    l2p = layout._l2p
+    items: list[Instruction] = []
+    emit = items.append
+    raw = Instruction._raw
+    swap = GateKind.SWAP
+    for x in order:
+        if x >= 0:
+            ins = body[x]
+            emit(raw(ins.kind, tuple([l2p[q] for q in ins.qubits]), ins.params,
+                     ins.cbit, ins.dagger))
+        else:
+            a, b = divmod(-1 - x, n_phys)
+            emit(raw(swap, (a, b), (), None, False))
+            layout.swap_physical(a, b)
+    return Circuit._from_items(n_phys, dag.circuit.num_cbits, items)
+
+
+def _depth(dag: CircuitDag, initial_layout: Layout, order: list[int]) -> int:
+    """``depth`` of ``_build``'s circuit for ``order``, without building it.
+
+    The same per-wire greedy layering, kept per logical wire: a SWAP puts its
+    two wires on one level, so it only has to know which logical wires sit
+    on its physical pair.
+    """
+    n = len(initial_layout)
+    p2l = list(initial_layout._p2l)
+    body = dag.body
+    level = [0] * n
+    for x in order:
+        if x < 0:
+            a, b = divmod(-1 - x, n)
+            qs = p2l[a], p2l[b]
+            p2l[a], p2l[b] = qs[1], qs[0]
+        else:
+            qs = body[x].qubits
+        if len(qs) == 1:
+            level[qs[0]] += 1
+        elif len(qs) == 2:
+            a, b = qs
+            la, lb = level[a], level[b]
+            level[a] = level[b] = (la if la > lb else lb) + 1
+        else:  # a barrier over more than two wires
+            layer = 1 + max(level[q] for q in qs)
+            for q in qs:
+                level[q] = layer
+    return max(level, default=0)
+
+
+def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,
+                config: SabreConfig = SabreConfig()) -> tuple[Circuit, Layout]:
+    """Route a circuit onto ``graph``; returns (physical circuit, final layout).
+
+    The output circuit acts on ``graph.num_qubits`` wires; logical wire ``l``
+    starts at physical ``initial_layout[l]`` and ends at the returned
+    layout's ``phys(l)``.
+    """
+    if not isinstance(initial_layout, Layout):
+        initial_layout = Layout(initial_layout)
+    order, _, final = _route_core(dag, graph, initial_layout, config)
+    return _build(dag, graph.num_qubits, initial_layout, order), final
 
 
 def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,
                 seed: int) -> tuple[Layout, Circuit, Layout]:
     """Layout trials; the winner's initial layout and its forward route.
 
-    The last forward pass of each trial is exactly the route ``transpile``
-    needs for that trial's layout, so the winner's is kept, not recomputed.
+    Each pass runs the routing core alone, which returns the emitted order,
+    its swap count and its final layout, not a body.  A trial is scored by
+    the swap count and the depth of its last forward pass, the depth taken
+    from the order (``_depth``).  That pass is exactly the route
+    ``transpile`` needs for the trial's layout, so only the winner's order
+    is built into a circuit, once, and no route is recomputed.
 
     The search stops at the first trial that inserts no SWAP.  A later trial
     that inserts swaps scores worse; one that inserts none has the same depth
@@ -395,31 +479,32 @@ def _best_trial(dag: CircuitDag, graph: CouplingGraph, config: SabreConfig,
     and every such order has the same per-wire layering), so it ties and
     loses on the trial index.  When a trial's first forward pass is already
     swap-free, its reverse and final passes would repeat that route from the
-    same layout, so they are skipped.
+    same layout, so they are skipped and that first pass is built.
     """
+    n_phys = graph.num_qubits
     if not dag.two_qubit_nodes():
         # nothing to place; any permutation routes identically
-        initial = Layout.identity(graph.num_qubits)
+        initial = Layout.identity(n_phys)
         return (initial, *sabre_route(dag, graph, initial, config))
     rng = random.Random(seed)
-    nodes = len(dag)  # a route holds every node plus the SWAPs it inserts
     rev_dag = None
     best = None
     for trial in range(config.layout_trials):
-        l0 = Layout.shuffled(graph.num_qubits, rng)
-        routed, l1 = sabre_route(dag, graph, l0, config)
-        if len(routed) == nodes:
-            return l0, routed, l1
+        l0 = Layout.shuffled(n_phys, rng)
+        order, swaps, l1 = _route_core(dag, graph, l0, config)
+        if not swaps:
+            return l0, _build(dag, n_phys, l0, order), l1
         if rev_dag is None:
             rev_dag = CircuitDag(dag.reversed_circuit())
-        _, l2 = sabre_route(rev_dag, graph, l1, config)
-        routed, final = sabre_route(dag, graph, l2, config)
-        key = (len(routed) - nodes, depth(routed), trial)
+        _, _, l2 = _route_core(rev_dag, graph, l1, config)
+        order, swaps, final = _route_core(dag, graph, l2, config)
+        key = (swaps, _depth(dag, l2, order), trial)
         if best is None or key < best[0]:
-            best = (key, l2, routed, final)
-        if key[0] == 0:
+            best = (key, l2, order, final)
+        if not swaps:
             break
-    return best[1:]
+    _, initial, order, final = best
+    return initial, _build(dag, n_phys, initial, order), final
 
 
 def sabre_layout(dag: CircuitDag, graph: CouplingGraph,

@@ -68,6 +68,28 @@ def ghz(n: int = 3) -> Circuit:
     return c
 
 
+def count_routes(monkeypatch, *importers) -> list:
+    """Count the routing passes made while the test runs.
+
+    Wraps ``sabre._route_core``, which every route and layout trial pass runs
+    once; also under that name in each module of ``importers``, should one
+    bind it directly.  Returns the list that gains one entry per pass.
+    """
+    from quantir import sabre
+
+    calls = []
+    real = sabre._route_core
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sabre, "_route_core", counting)
+    for module in importers:
+        monkeypatch.setattr(module, "_route_core", counting, raising=False)
+    return calls
+
+
 def check_routing(circuit: Circuit, graph, routed: Circuit, initial, final) -> None:
     """Replay a routed circuit onto logical wires; assert it routes ``circuit``.
 

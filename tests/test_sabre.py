@@ -14,7 +14,7 @@ from quantir.sabre import (Layout, RoutingError, SabreConfig, _best_trial,
 from quantir.sim import routed_fidelity
 from quantir import sabre, topology
 
-from conftest import TWO_Q, check_routing, circuits
+from conftest import TWO_Q, check_routing, circuits, count_routes
 
 
 # -- Layout ----------------------------------------------------------------
@@ -184,6 +184,17 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SabreConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["layout_trials", "extended_set_size",
+                                  "decay_reset_interval"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+def test_config_rejects_non_integer_counts(name, value):
+    # 2.5 trials passed the >= check, then range() raised TypeError in the
+    # layout search; a 2.5-gate extended set never filled, so it took every
+    # upcoming two-qubit gate
+    with pytest.raises(ValueError, match=name):
+        SabreConfig(**{name: value})
 
 
 # -- oracle equivalence across topologies ------------------------------------
@@ -762,16 +773,35 @@ EXIT_ROUTES = {"first-pass": 3 * 3 + 1, "final-pass": 3 * 2}
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
 def test_layout_search_stops_at_a_swap_free_trial(monkeypatch, case):
-    calls = []
-    real = sabre.sabre_route
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(sabre, "sabre_route", counting)
+    calls = count_routes(monkeypatch)
     _exit_case(case)
     assert len(calls) == EXIT_ROUTES[case]
+
+
+# -- routing core against its body ---------------------------------------------
+# Layout trials run the core alone and are scored from its order list; only the
+# winner is built.  The core's counts must describe the body ``_build`` makes.
+
+CORE_GRAPHS = {
+    "linear": topology.linear,
+    "square": topology.square,
+    "heavy_hex": lambda n: topology.heavy_hex(3),  # 19 wires
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits(max_qubits=7, max_len=40, measures=True),
+       st.sampled_from(sorted(CORE_GRAPHS)), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=2**16), routing_configs)
+def test_core_counts_match_the_built_body(c, gname, spare, seed, cfg):
+    graph = CORE_GRAPHS[gname](c.num_qubits + spare)
+    lay = Layout.shuffled(graph.num_qubits, random.Random(seed))
+    dag = CircuitDag(c)
+    order, swaps, final = sabre._route_core(dag, graph, lay, cfg)
+    built = sabre._build(dag, graph.num_qubits, lay, order)
+    assert swaps == gate_counts(built)[GateKind.SWAP] - gate_counts(c)[GateKind.SWAP]
+    assert sabre._depth(dag, lay, order) == depth(built)
+    assert final == sabre_route(dag, graph, lay, cfg)[1]
 
 
 @settings(max_examples=60, deadline=None)

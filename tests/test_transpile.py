@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import sampled_from
 
-from quantir import sabre, topology
+from quantir import topology
 from quantir.bench import random_circuit as bench_circuit
 from quantir.bis import encode
 from quantir.circuit import Circuit, depth, flatten, gate_counts
@@ -20,7 +20,7 @@ from quantir.transpile import (LEVELS, TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
                                transpile)
 
-from conftest import check_routing, circuits
+from conftest import check_routing, circuits, count_routes
 
 # the package re-exports the function ``transpile`` under the module's name
 transpile_mod = importlib.import_module("quantir.transpile")
@@ -322,30 +322,15 @@ def test_route_replays_to_the_routed_dag_at_device_width(monkeypatch, name, leve
 
 
 def test_winning_trial_route_is_not_recomputed(monkeypatch):
-    calls = []
-    real = sabre.sabre_route
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(sabre, "sabre_route", counting)
     # also count a direct call from the pipeline, should one come back
-    monkeypatch.setattr(transpile_mod, "sabre_route", counting, raising=False)
+    calls = count_routes(monkeypatch, transpile_mod)
     cfg = TranspileConfig(routing=SabreConfig(layout_trials=3))
     transpile(random_circuit(5, 40, seed=2), GRAPHS["linear"], cfg)
     assert len(calls) == 3 * 3  # forward, reverse, forward per trial; no extra route
 
 
 def test_swap_free_first_route_ends_the_layout_search(monkeypatch):
-    calls = []
-    real = sabre.sabre_route
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(sabre, "sabre_route", counting)
+    calls = count_routes(monkeypatch)
     cfg = TranspileConfig(level=2, routing=SabreConfig(layout_trials=4))
     res = transpile(random_circuit(6, 60, seed=3), topology.full(6), cfg)
     # on a complete graph the first route inserts no SWAP, and it is kept
