@@ -530,9 +530,13 @@ def depth(c: Circuit) -> int:
     on each of its qubits.
     """
     flat = flatten(c)
-    level = [0] * flat.num_qubits
-    for ins in flat.body:
-        qs = ins.qubits
+    return layered_depth(flat.num_qubits, [ins.qubits for ins in flat.body])
+
+
+def layered_depth(num_qubits: int, operands) -> int:
+    """``depth`` of instructions given only by their qubit tuples, in order."""
+    level = [0] * num_qubits
+    for qs in operands:
         if len(qs) == 1:
             level[qs[0]] += 1
         elif len(qs) == 2:

@@ -60,10 +60,11 @@ Distances are integers, so these sums equal a float re-sum over every gate
 exactly: scores, tie-breaks and the routed output are the same, byte for
 byte, as routing that applies each candidate swap and re-sums the front and
 extended set.  ``transpile`` of a 57-qubit depth-60 circuit on ``heavy_hex:5``
-at level 2 takes 0.83 reference s (``perfbench.measure.Pace``), against 1.35
-when every decision rebuilt, sorted and rescored all its candidates (median
-of 10 runs each, from two alternating processes per side; README,
-Transpiler, has the command).
+at level 2 takes 0.66 reference s (``perfbench.measure.Pace``), against 0.85
+when every layout trial pass built its routed body (median of 10 runs each,
+from two alternating processes per side; README, Transpiler, has the
+command).  An earlier timing put the latter at 0.83, and at 1.35 when every
+decision also rebuilt, sorted and rescored all its candidates.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit import Circuit, Instruction, flatten
+from .circuit import Circuit, Instruction, flatten, layered_depth
 from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 from .topology import CouplingGraph
@@ -420,32 +421,23 @@ def _build(dag: CircuitDag, n_phys: int, initial_layout: Layout,
 def _depth(dag: CircuitDag, initial_layout: Layout, order: list[int]) -> int:
     """``depth`` of ``_build``'s circuit for ``order``, without building it.
 
-    The same per-wire greedy layering, kept per logical wire: a SWAP puts its
-    two wires on one level, so it only has to know which logical wires sit
-    on its physical pair.
+    Layered per logical wire: a SWAP puts its two wires on one level, so it
+    stands for the logical pair on its physical wires when it runs.
     """
     n = len(initial_layout)
     p2l = list(initial_layout._p2l)
     body = dag.body
-    level = [0] * n
+    operands = []
+    emit = operands.append
     for x in order:
-        if x < 0:
-            a, b = divmod(-1 - x, n)
-            qs = p2l[a], p2l[b]
-            p2l[a], p2l[b] = qs[1], qs[0]
+        if x >= 0:
+            emit(body[x].qubits)
         else:
-            qs = body[x].qubits
-        if len(qs) == 1:
-            level[qs[0]] += 1
-        elif len(qs) == 2:
-            a, b = qs
-            la, lb = level[a], level[b]
-            level[a] = level[b] = (la if la > lb else lb) + 1
-        else:  # a barrier over more than two wires
-            layer = 1 + max(level[q] for q in qs)
-            for q in qs:
-                level[q] = layer
-    return max(level, default=0)
+            a, b = divmod(-1 - x, n)
+            la, lb = p2l[a], p2l[b]
+            p2l[a], p2l[b] = lb, la
+            emit((la, lb))
+    return layered_depth(n, operands)
 
 
 def sabre_route(dag: CircuitDag, graph: CouplingGraph, initial_layout,

@@ -6,6 +6,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
+from quantir import sabre
 from quantir.circuit import Circuit, Instruction, flatten
 from quantir.gates import GateKind
 
@@ -75,8 +76,6 @@ def count_routes(monkeypatch, *importers) -> list:
     once; also under that name in each module of ``importers``, should one
     bind it directly.  Returns the list that gains one entry per pass.
     """
-    from quantir import sabre
-
     calls = []
     real = sabre._route_core
 
