@@ -530,7 +530,27 @@ def depth(c: Circuit) -> int:
     on each of its qubits.
     """
     flat = flatten(c)
+    if flat._items is None:  # packed: read the wires without building a body
+        return layered_depth(flat.num_qubits, _column_qubits(flat._cols))
     return layered_depth(flat.num_qubits, [ins.qubits for ins in flat.body])
+
+
+def _column_qubits(cols: _Columns) -> list:
+    """Each packed row's qubits, as its instruction would hold them."""
+    extra = cols.extra.tolist()
+    out = []
+    app = out.append
+    xi = 0
+    for op, a, b in zip(cols.code.tolist(), cols.a.tolist(), cols.b.tolist()):
+        cls = op >> 5
+        if cls == CLS_2Q:
+            app((a, b))
+        elif cls == CLS_BARRIER:
+            app(extra[xi:xi + a])
+            xi += a
+        else:
+            app((a,))
+    return out
 
 
 def layered_depth(num_qubits: int, operands) -> int:

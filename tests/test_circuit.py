@@ -239,6 +239,11 @@ class TestDepth:
             left -= layer
             rounds += 1
         assert depth(c) == rounds
+        # packed columns are layered as they are, without building a body
+        packed = Circuit._from_columns(c.num_qubits, c.num_cbits,
+                                       flatten(c)._columns())
+        assert depth(packed) == rounds
+        assert packed._items is None
 
 
 class TestEquality:
