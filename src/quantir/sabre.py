@@ -421,8 +421,9 @@ def _build(dag: CircuitDag, n_phys: int, initial_layout: Layout,
 def _depth(dag: CircuitDag, initial_layout: Layout, order: list[int]) -> int:
     """``depth`` of ``_build``'s circuit for ``order``, without building it.
 
-    Layered per logical wire: a SWAP puts its two wires on one level, so it
-    stands for the logical pair on its physical wires when it runs.
+    Layered per logical wire, so nodes need no mapping: a SWAP puts both its
+    wires on one level, so it is layered on the logical pair that sits on
+    its physical wires when it runs.
     """
     n = len(initial_layout)
     p2l = list(initial_layout._p2l)
