@@ -17,7 +17,9 @@ the same object.  A body lets go of the table once built, so the table
 lives only as long as its reader or a circuit of it whose body is not yet
 built.  Other columns, packed from a caller's own instructions or written
 by the generator, get a table per body.  Rotation, U3 and BARRIER rows are
-built per row.
+built per row.  Bodies from the QASM reader (one object per repeated
+statement text), from basis lowering and from the route builder (one object
+per repeated input object) may also hold one instruction at many positions.
 """
 from __future__ import annotations
 

@@ -41,12 +41,14 @@ _NAME_BY_OPCODE = [""] * 256
 for _k in GateKind:
     _NAME_BY_OPCODE[_k.value] = _k.name
 
+# re.ASCII: in a str pattern \d matches any Unicode decimal digit, and int()
+# and float() convert them; the text IR takes ASCII digits only
 # decimal literal, optionally signed, optional exponent; no inf/nan/pi names
-_ANGLE_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
-_QREF_RE = re.compile(r"q\s*\[\s*(\d+)\s*\]\Z")
-_CREF_RE = re.compile(r"c\s*\[\s*(\d+)\s*\]\Z")
-_HEADER_RE = re.compile(r"(QINIT|CREG)\s+(\d+)\Z")
-_STMT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(.*)\Z")
+_ANGLE_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+_QREF_RE = re.compile(r"q\s*\[\s*(\d+)\s*\]\Z", re.ASCII)
+_CREF_RE = re.compile(r"c\s*\[\s*(\d+)\s*\]\Z", re.ASCII)
+_HEADER_RE = re.compile(r"(QINIT|CREG)\s+(\d+)\Z", re.ASCII)
+_STMT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(.*)\Z", re.ASCII)
 
 
 def emit(c: Circuit) -> str:

@@ -119,6 +119,8 @@ def merge_adjacent_rotations(c: Circuit) -> Circuit:
         total = prev.params[0] + ins.params[0]
         if abs(math.remainder(total, math.tau)) <= _FULL_TURN_TOL:
             return None
+        # always a new object, never one from a table: the driver reads a
+        # result that ``is ins`` as "keep both"
         return _raw(ins.kind, ins.qubits, (total,), None, False)
 
     return _peephole(c, (_RX, _RY, _RZ), merge)
@@ -264,7 +266,17 @@ _RULES = {
 
 
 def _lower(c: Circuit, basis: str, kinds) -> Circuit:
-    """Rewrite each instruction of ``kinds`` into ``basis``; keep the rest."""
+    """Rewrite each instruction of ``kinds`` into ``basis``; keep the rest.
+
+    A rule runs once per distinct instruction object: ``lowered`` maps
+    ``id(ins)`` to the sequence its rule built, and every later position of
+    the same object (bodies from the QASM reader or the route builder hold
+    one object at many positions) reuses that sequence's instructions.  An
+    id is unique only while its object lives; ``flat.body`` holds every
+    keyed object until this call returns, and the table dies with the call,
+    so no id is reused inside it.  Never key it by value: equal angles
+    0.0 and -0.0 hash alike, and the output is bit-exact.
+    """
     if basis not in BASES:
         raise PassError(f"unknown basis {basis!r}; choose from {BASES}")
     flat = flatten(c)
@@ -272,12 +284,16 @@ def _lower(c: Circuit, basis: str, kinds) -> Circuit:
         return flat
     rules = _RULES[basis]
     codes = _opcodes(kinds)
+    lowered: dict[int, list] = {}
     items: list = []
     keep = items.append
     for ins in flat.body:
         code = ins.kind._value_
         if code in codes:
-            items += rules[code](ins)
+            seq = lowered.get(id(ins))
+            if seq is None:
+                seq = lowered[id(ins)] = rules[code](ins)
+            items += seq
         else:
             keep(ins)
     return Circuit._from_items(flat.num_qubits, flat.num_cbits, items, flat.name)

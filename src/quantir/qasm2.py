@@ -17,6 +17,11 @@ last ``;`` the line where that text starts.  Each statement is checked in
 full, down to distinct operands and finite angles, before the next one is
 read, so a document reports its first fault in document order.
 
+A gate, ``measure`` or ``barrier`` statement whose stripped text repeats an
+earlier one of the same document is not parsed again: it reuses the
+``Instruction`` that statement built, so the returned body may hold one
+(immutable) instruction at many positions.  The table lives for one call.
+
 The renderer emits the same subset back, writing every one-qubit gate in
 u1/u2/u3 form (so a fixed three-gate vocabulary covers the whole gate set)
 and SWAP as three ``cx``.  ``import_qasm2(emit_qasm2(c))`` reproduces the
@@ -63,12 +68,17 @@ _GATES = {
 }
 _PARAMETERS = ("no parameters", "1 parameter", "2 parameters", "3 parameters")
 
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
-_PI_FORM = re.compile(r"([+-])?\s*(?:(\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+))?\Z")
+# re.ASCII: in a str pattern \d matches any Unicode decimal digit, and int()
+# and float() convert them; the grammar takes ASCII digits only
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+_PI_FORM = re.compile(r"([+-])?\s*(?:(\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+))?\Z",
+                      re.ASCII)
 _REG_DECL = re.compile(r"(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*"
-                       r"\[\s*(\d+)\s*\]\Z")
-_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?\Z")
-_HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)")
+                       r"\[\s*(\d+)\s*\]\Z", re.ASCII)
+_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?\Z", re.ASCII)
+_HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)", re.ASCII)
+_MEASURE_ARGS = re.compile(r"(.+?)->(.+)\Z", re.ASCII)
+_COMMENT = re.compile(r"//[^\n]*", re.ASCII)
 
 
 def _first_line(line: int, part: str) -> int:
@@ -78,7 +88,7 @@ def _first_line(line: int, part: str) -> int:
 
 def _statements(text: str):
     """Yield (line_number, statement) splitting on ';' outside comments."""
-    *parts, tail = re.sub(r"//[^\n]*", "", text).split(";")
+    *parts, tail = _COMMENT.sub("", text).split(";")
     line = 1
     for part in parts:
         stmt = part.strip()
@@ -155,9 +165,19 @@ def import_qasm2(text: str) -> Circuit:
     qregs = _Registers()
     cregs = _Registers()
     items: list[Instruction] = []
+    # statement text -> the Instruction it built.  Registers only grow and
+    # never change, so a text that built an instruction builds the same one
+    # at any later line.  Keyed by text, never by angle values: 0.0 == -0.0
+    # and the two hash alike.  Declarations and headers are never stored,
+    # so they are checked at every line.
+    built: dict[str, Instruction] = {}
     saw_header = False
 
     for line, stmt in _statements(text):
+        ins = built.get(stmt)
+        if ins is not None:
+            items.append(ins)
+            continue
         head_m = _HEAD.match(stmt)
         if not head_m:
             raise QasmError(f"bad statement {stmt!r}", line)
@@ -194,7 +214,7 @@ def import_qasm2(text: str) -> Circuit:
         params: tuple[float, ...] = ()
         cbit = None
         if head == "measure":
-            m = re.match(r"(.+?)->(.+)\Z", rest)
+            m = _MEASURE_ARGS.match(rest)
             if not m:
                 raise QasmError("measure needs 'q[i] -> c[j]'", line)
             kind = GateKind.MEASURE
@@ -229,9 +249,11 @@ def import_qasm2(text: str) -> Circuit:
             if len(qs) != n_qubits:
                 raise QasmError(f"{head} takes {n_qubits} qubit operand(s)", line)
         try:
-            items.append(Instruction(kind, qs, params, cbit))
+            ins = Instruction(kind, qs, params, cbit)
         except CircuitError as exc:
             raise QasmError(str(exc), line) from exc
+        built[stmt] = ins
+        items.append(ins)
 
     if not saw_header:
         raise QasmError("missing OPENQASM header", None)

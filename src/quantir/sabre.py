@@ -397,7 +397,13 @@ def _build(dag: CircuitDag, n_phys: int, initial_layout: Layout,
     """The routed circuit of ``order`` from ``initial_layout``.
 
     Replays the SWAPs on a copy of the layout and maps each node's operands
-    through it; the only place routed instructions are made.
+    through it; the only place routed instructions are made.  A body may
+    hold one instruction object at many nodes (the QASM reader and lowering
+    make them so), and ``routed`` maps ``id(ins)`` of a node's instruction
+    to its routed copy, so each object is mapped once while the layout
+    stands.  The mapping changes at every SWAP, so the table is cleared
+    there.  ``dag.body`` holds every keyed object until this call returns
+    and the table dies with the call, so no id is reused inside it.
     """
     body = dag.body
     layout = initial_layout.copy()
@@ -406,15 +412,21 @@ def _build(dag: CircuitDag, n_phys: int, initial_layout: Layout,
     emit = items.append
     raw = Instruction._raw
     swap = GateKind.SWAP
+    routed: dict[int, Instruction] = {}
     for x in order:
         if x >= 0:
             ins = body[x]
-            emit(raw(ins.kind, tuple([l2p[q] for q in ins.qubits]), ins.params,
-                     ins.cbit, ins.dagger))
+            out = routed.get(id(ins))
+            if out is None:
+                out = routed[id(ins)] = raw(
+                    ins.kind, tuple([l2p[q] for q in ins.qubits]), ins.params,
+                    ins.cbit, ins.dagger)
+            emit(out)
         else:
             a, b = divmod(-1 - x, n_phys)
             emit(raw(swap, (a, b), (), None, False))
             layout.swap_physical(a, b)
+            routed.clear()
     return Circuit._from_items(n_phys, dag.circuit.num_cbits, items)
 
 

@@ -21,9 +21,13 @@ angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi,
 
 @st.composite
 def circuits(draw, max_qubits: int = 5, max_len: int = 24,
-             measures: bool = False, barriers: bool = True):
-    """Random flat circuit; trailing measures only (when enabled)."""
-    n = draw(st.integers(min_value=1, max_value=max_qubits))
+             measures: bool = False, barriers: bool = True,
+             angle_values=angles, min_qubits: int = 1):
+    """Random flat circuit; trailing measures only (when enabled).
+
+    Rotation and U3 angles are drawn from ``angle_values``.
+    """
+    n = draw(st.integers(min_value=min_qubits, max_value=max_qubits))
     c = Circuit(n)
     length = draw(st.integers(min_value=0, max_value=max_len))
     for _ in range(length):
@@ -40,10 +44,11 @@ def circuits(draw, max_qubits: int = 5, max_len: int = 24,
             c.append_gate(kind, (q,), (), dagger=dag)
         elif which == "rot":
             kind = draw(st.sampled_from(ROTATIONS))
-            c.append_gate(kind, (q,), (draw(angles),), dagger=dag)
+            c.append_gate(kind, (q,), (draw(angle_values),), dagger=dag)
         elif which == "u3":
             c.append_gate(GateKind.U3, (q,),
-                          (draw(angles), draw(angles), draw(angles)), dagger=dag)
+                          (draw(angle_values), draw(angle_values),
+                           draw(angle_values)), dagger=dag)
         elif which == "2q":
             q2 = draw(st.integers(min_value=0, max_value=n - 2))
             if q2 >= q:
@@ -59,6 +64,28 @@ def circuits(draw, max_qubits: int = 5, max_len: int = 24,
         for i, q in enumerate(sorted(draw(st.permutations(range(n)))[:k])):
             c.measure(q, i)
     return c
+
+
+def _bits(ins: Instruction) -> tuple:
+    # float.hex tells -0.0 from 0.0, as Instruction equality does
+    return (ins.opcode, ins.qubits, tuple(p.hex() for p in ins.params),
+            ins.cbit)
+
+
+def shared_copy(c: Circuit) -> Circuit:
+    """``flatten(c)`` with all equal instructions one object."""
+    flat = flatten(c)
+    first: dict = {}
+    body = [first.setdefault(_bits(ins), ins) for ins in flat.body]
+    return Circuit._from_items(flat.num_qubits, flat.num_cbits, body, flat.name)
+
+
+def fresh_copy(c: Circuit) -> Circuit:
+    """``flatten(c)`` with a new instruction object at every position."""
+    flat = flatten(c)
+    body = [Instruction(ins.kind, ins.qubits, ins.params, ins.cbit, ins.dagger)
+            for ins in flat.body]
+    return Circuit._from_items(flat.num_qubits, flat.num_cbits, body, flat.name)
 
 
 def ghz(n: int = 3) -> Circuit:

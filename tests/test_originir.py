@@ -132,6 +132,21 @@ class TestParseErrors:
         with pytest.raises(OriginIRError):
             parse("QINIT 1\nCREG 1\nRZ q[0],(e5)\n")
 
+    @pytest.mark.parametrize("text,line,message", [
+        # Arabic-Indic digits (U+0660..U+0669): int() and float() convert
+        # them, the text IR does not take them
+        ("QINIT \u0662\nCREG 0\n", 1, "expected QINIT header"),
+        ("QINIT 1\nCREG 0\nH q[\u0660]\n", 3, "bad operand 'q[\u0660]'"),
+        ("QINIT 1\nCREG 0\nRZ q[0],(\u0661.\u0665)\n", 3,
+         "bad angle literal '\u0661.\u0665'"),
+    ], ids=["size", "index", "angle"])
+    def test_rejects_non_ascii_digits(self, text, line, message):
+        with pytest.raises(OriginIRError) as exc:
+            parse(text)
+        assert type(exc.value) is OriginIRError
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
 
 class TestRoundTrip:
     @settings(max_examples=80, deadline=None)

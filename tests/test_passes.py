@@ -12,7 +12,7 @@ from quantir.passes import (BASES, PassError, cancel_adjacent_inverses,
                             merge_adjacent_rotations)
 from quantir.sim import circuit_unitary, equivalent
 
-from conftest import circuits
+from conftest import circuits, shared_copy
 
 PI = math.pi
 
@@ -104,6 +104,16 @@ def test_merge_fixpoint_across_deletion():
     m = merge_adjacent_rotations(c)
     assert kinds_of(m) == [GateKind.RX]
     assert m.body[0].params[0] == pytest.approx(1.0)
+
+
+def test_merge_combines_its_own_result_with_a_zero_rotation():
+    # the drop of the RX pair makes RZ(0.0) meet the merged RZ(0.5) in a
+    # second walk; that walk must replace the pair with a new instruction,
+    # not read a merged result it returns again as "keep both"
+    c = Circuit(1).rz(0, 0.0).rx(0, PI).rx(0, PI).rz(0, 0.2).rz(0, 0.3)
+    m = merge_adjacent_rotations(c)
+    assert kinds_of(m) == [GateKind.RZ]
+    assert m.body[0].params == (0.0 + (0.2 + 0.3),)
 
 
 def test_merge_flattens_input():
@@ -513,5 +523,23 @@ def test_passes_match_reference_loops(c, basis):
     _same_output(expand_swaps(c, basis), _ref_expand_swaps(c, basis))
     # the pipeline order, where each pass sees another's output
     lowered = decompose_to_basis(c, basis)
+    _same_output(cancel_adjacent_inverses(merge_adjacent_rotations(lowered)),
+                 _ref_cancel(_ref_merge(_ref_decompose(c, basis))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.one_of(rewritable(), circuits(max_qubits=4, max_len=24,
+                                           measures=True, barriers=True)),
+       basis=st.sampled_from(BASES))
+def test_passes_on_shared_instructions_match_reference_loops(c, basis):
+    # one object for all equal instructions, as the QASM reader, lowering
+    # and the route builder may leave them; the reference loops keep no
+    # table, so an instruction's output must not depend on another's
+    s = shared_copy(c)
+    _same_output(merge_adjacent_rotations(s), _ref_merge(c))
+    _same_output(cancel_adjacent_inverses(s), _ref_cancel(c))
+    _same_output(decompose_to_basis(s, basis), _ref_decompose(c, basis))
+    _same_output(expand_swaps(s, basis), _ref_expand_swaps(c, basis))
+    lowered = shared_copy(decompose_to_basis(s, basis))
     _same_output(cancel_adjacent_inverses(merge_adjacent_rotations(lowered)),
                  _ref_cancel(_ref_merge(_ref_decompose(c, basis))))

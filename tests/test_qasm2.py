@@ -1,9 +1,11 @@
 """OpenQASM 2 importer and renderer."""
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantir import bis
 from quantir.bench import random_circuit
@@ -12,7 +14,7 @@ from quantir.gates import GateKind
 from quantir.qasm2 import QasmError, UnsupportedFeature, emit_qasm2, import_qasm2
 from quantir.sim import fidelity_up_to_phase, simulate
 
-from conftest import circuits
+from conftest import angles, circuits
 
 
 def fidelity(a, b):
@@ -325,6 +327,80 @@ def test_import_reports_first_fault_in_document_order(stmt, message):
     assert type(err.value) is QasmError
     assert err.value.line == 5
     assert str(err.value) == f"line 5: {message}"
+
+@pytest.mark.parametrize("text,cls,line,message", [
+    # Arabic-Indic digits (U+0660..U+0669): int() and float() convert them,
+    # the grammar does not take them
+    (HEADER + "qreg q[\u0662];\n", QasmError, 3,
+     "bad register declaration 'qreg q[\u0662]'"),
+    (_at5("h q[\u0660];"), QasmError, 5, "bad operand 'q[\u0660]'"),
+    (_at5("rz(\u0661.\u0665) q[0];"), UnsupportedFeature, 5,
+     "unsupported feature: angle expression '\u0661.\u0665'"),
+    (_at5("rz(pi/\u0662) q[0];"), UnsupportedFeature, 5,
+     "unsupported feature: angle expression 'pi/\u0662'"),
+], ids=["size", "index", "angle", "pi-form"])
+def test_import_rejects_non_ascii_digits(text, cls, line, message):
+    with pytest.raises(QasmError) as err:
+        import_qasm2(text)
+    assert type(err.value) is cls
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+# -- importer: one instruction per repeated statement -----------------------------
+
+def test_import_repeated_statement_text_is_one_object():
+    b = import_qasm2(_REG2 + "rz(0.5) q[0];\nh q[1];\nrz(0.5) q[0];\n"
+                     "measure q[0] -> c[1];\nmeasure q[0] -> c[1];\n").body
+    assert b[0] is b[2] and b[3] is b[4]
+    assert b[0] is not b[1]
+
+
+def test_import_signed_zero_angles_stay_distinct():
+    c = import_qasm2(_REG2 + "rz(0.0) q[0];\nrz(-0.0) q[0];\n" * 2)
+    b = c.body
+    assert [math.copysign(1.0, ins.params[0]) for ins in b] == [1.0, -1.0] * 2
+    assert b[0] is b[2] and b[1] is b[3] and b[0] is not b[1]
+    want = Circuit(2, 2).rz(0, 0.0).rz(0, -0.0).rz(0, 0.0).rz(0, -0.0)
+    assert bis.encode([c]) == bis.encode([want])
+
+
+def test_import_register_declared_twice_raises_at_its_line():
+    # a declaration is checked at every line, even when its text repeats
+    with pytest.raises(QasmError) as err:
+        import_qasm2(_REG2 + "h q[0];\nh q[0];\nqreg q[2];\n")
+    assert err.value.line == 7
+    assert str(err.value) == "line 7: register 'q' already declared"
+
+
+def test_import_fault_after_repeated_statements_reports_its_line():
+    with pytest.raises(QasmError) as err:
+        import_qasm2(_REG2 + "cx q[0],q[1];\n" * 3 + "cx q[1],q[1];\n")
+    assert type(err.value) is QasmError
+    assert str(err.value) == "line 8: CNOT qubits must be distinct: (1, 1)"
+
+
+def _spaced(text):
+    # i spaces after the first word of line i: no two statement texts are
+    # equal, so the reader builds a new instruction for every statement
+    return "\n".join(re.sub(r"\A([A-Za-z_0-9]+)", r"\1" + " " * i, line)
+                     for i, line in enumerate(text.split("\n")))
+
+
+_TURNS = st.sampled_from([0.0, -0.0, math.pi, 2 * math.pi, 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_qubits=4, max_len=30, measures=True,
+                angle_values=st.one_of(_TURNS, angles)))
+def test_import_with_repeats_matches_import_of_unique_texts(c):
+    text = emit_qasm2(c)
+    ref = import_qasm2(_spaced(text))
+    assert len({id(ins) for ins in ref.body}) == len(ref)
+    got = import_qasm2(text)
+    assert got == ref
+    assert bis.encode([got]) == bis.encode([ref])
+
 
 # -- importer: golden bodies ------------------------------------------------------
 # sha256 of the .bis encoding of what the importer builds, pinned so a rewrite

@@ -6,12 +6,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.strategies import sampled_from
 
 from quantir import topology
 from quantir.bench import random_circuit as bench_circuit
 from quantir.bis import encode
-from quantir.circuit import Circuit, depth, flatten, gate_counts
+from quantir.circuit import (Circuit, Instruction, depth, flatten, gate_counts,
+                             split_trailing_measures)
 from quantir.gates import CLS_2Q, GateKind
 from quantir.sabre import Layout, SabreConfig
 from quantir.sim import routed_fidelity
@@ -20,7 +22,8 @@ from quantir.transpile import (LEVELS, TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
                                transpile)
 
-from conftest import check_routing, circuits, count_routes
+from conftest import (angles, check_routing, circuits, count_routes,
+                      fresh_copy, shared_copy)
 
 # the package re-exports the function ``transpile`` under the module's name
 transpile_mod = importlib.import_module("quantir.transpile")
@@ -454,3 +457,51 @@ def _lowering_run(case: str) -> str:
 @pytest.mark.parametrize("case", list(_lowering_cases()))
 def test_golden_lowering(case):
     assert _lowering_run(case) == GOLDEN_LOWERING[case]
+
+
+# -- one instruction object at many positions -----------------------------------
+# The QASM reader, lowering and the route builder may put one instruction
+# object at many positions of a body, and lowering and the builder key
+# tables by object identity.  A body whose equal instructions are one object
+# must compile to the same bytes and layouts as the same body with a new
+# object at every position.
+
+_TURNS = st.sampled_from([0.0, -0.0, 2 * PI, -2 * PI, 4 * PI, PI, PI / 2])
+_SHARING_DEVICES = (topology.full(5), topology.linear(5), topology.heavy_hex(3))
+
+
+@st.composite
+def repeating_circuits(draw):
+    """A ``conftest.circuits`` circuit whose gates repeat.
+
+    A ring of CNOTs, which no layout on ``linear`` or ``heavy_hex`` routes
+    without a SWAP, follows its gates; then drawn gates of both come again,
+    ahead of the trailing measures.
+    """
+    c = draw(circuits(max_qubits=5, max_len=20, measures=True, barriers=True,
+                      angle_values=st.one_of(_TURNS, angles), min_qubits=3))
+    gates, measures = split_trailing_measures(flatten(c))
+    n = c.num_qubits
+    body = gates.body + [Instruction(GateKind.CNOT, (q, (q + 1) % n))
+                         for q in range(n)]
+    picks = draw(st.lists(st.integers(0, len(body) - 1), max_size=20))
+    body += [body[i] for i in picks]
+    return Circuit._from_items(n, c.num_cbits, body + measures)
+
+
+def _compiled(c, graph, level, basis):
+    res = transpile(c, graph, TranspileConfig(level=level, basis=basis, seed=1))
+    return (encode([res.circuit]), list(res.initial_layout),
+            list(res.final_layout))
+
+
+@settings(max_examples=15, deadline=None)
+@given(repeating_circuits())
+def test_shared_instructions_compile_like_fresh_ones(c):
+    shared, fresh = shared_copy(c), fresh_copy(c)
+    assert len({id(ins) for ins in fresh.body}) == len(fresh)
+    for graph in _SHARING_DEVICES:
+        for level in LEVELS:
+            for basis in BASES:
+                assert (_compiled(shared, graph, level, basis)
+                        == _compiled(fresh, graph, level, basis))
