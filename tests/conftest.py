@@ -17,6 +17,12 @@ TWO_Q = [GateKind.CNOT, GateKind.CZ, GateKind.SWAP]
 
 angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi,
                    allow_nan=False, allow_infinity=False)
+# signed zeros and whole turns, which compare or merge to the edge cases,
+# mixed with arbitrary angles
+turn_angles = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, 2 * math.pi,
+                     -2 * math.pi, 4 * math.pi]),
+    angles)
 
 
 @st.composite

@@ -5,7 +5,6 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quantir import bis
 from quantir.bench import random_circuit
@@ -14,7 +13,7 @@ from quantir.gates import GateKind
 from quantir.qasm2 import QasmError, UnsupportedFeature, emit_qasm2, import_qasm2
 from quantir.sim import fidelity_up_to_phase, simulate
 
-from conftest import angles, circuits
+from conftest import circuits, turn_angles
 
 
 def fidelity(a, b):
@@ -387,12 +386,9 @@ def _spaced(text):
                      for i, line in enumerate(text.split("\n")))
 
 
-_TURNS = st.sampled_from([0.0, -0.0, math.pi, 2 * math.pi, 0.5])
-
-
 @settings(max_examples=60, deadline=None)
 @given(circuits(max_qubits=4, max_len=30, measures=True,
-                angle_values=st.one_of(_TURNS, angles)))
+                angle_values=turn_angles))
 def test_import_with_repeats_matches_import_of_unique_texts(c):
     text = emit_qasm2(c)
     ref = import_qasm2(_spaced(text))

@@ -22,8 +22,8 @@ from quantir.transpile import (LEVELS, TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
                                transpile)
 
-from conftest import (angles, check_routing, circuits, count_routes,
-                      fresh_copy, shared_copy)
+from conftest import (check_routing, circuits, count_routes, fresh_copy,
+                      shared_copy, turn_angles)
 
 # the package re-exports the function ``transpile`` under the module's name
 transpile_mod = importlib.import_module("quantir.transpile")
@@ -466,7 +466,6 @@ def test_golden_lowering(case):
 # must compile to the same bytes and layouts as the same body with a new
 # object at every position.
 
-_TURNS = st.sampled_from([0.0, -0.0, 2 * PI, -2 * PI, 4 * PI, PI, PI / 2])
 _SHARING_DEVICES = (topology.full(5), topology.linear(5), topology.heavy_hex(3))
 
 
@@ -479,7 +478,7 @@ def repeating_circuits(draw):
     ahead of the trailing measures.
     """
     c = draw(circuits(max_qubits=5, max_len=20, measures=True, barriers=True,
-                      angle_values=st.one_of(_TURNS, angles), min_qubits=3))
+                      angle_values=turn_angles, min_qubits=3))
     gates, measures = split_trailing_measures(flatten(c))
     n = c.num_qubits
     body = gates.body + [Instruction(GateKind.CNOT, (q, (q + 1) % n))
