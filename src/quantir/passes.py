@@ -119,8 +119,8 @@ def merge_adjacent_rotations(c: Circuit) -> Circuit:
         total = prev.params[0] + ins.params[0]
         if abs(math.remainder(total, math.tau)) <= _FULL_TURN_TOL:
             return None
-        # always a new object, never one from a table: the driver reads a
-        # result that ``is ins`` as "keep both"
+        # always a new object, never one from a table: ``_peephole`` reads
+        # a result that ``is ins`` as "keep both"
         return _raw(ins.kind, ins.qubits, (total,), None, False)
 
     return _peephole(c, (_RX, _RY, _RZ), merge)
