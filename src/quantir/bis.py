@@ -20,22 +20,24 @@ Encode and decode run on the packed column form of flat circuits.  A
 record-layout table gives each mode's fixed-size record shape (u32 index
 fields, or one-byte varints), so one encoder and one gatherer serve both
 modes: offsets are computed for all records up front and fields move as
-bulk array copies.  Decoding walks record offsets assuming the fixed shape,
-then checks the assumption (any multi-byte varint exposes a continuation
-bit at a checked position) and every operand, each row against its own
-circuit's register widths.  One gather serves a batch of circuits: one at a
-time in :func:`decode`, every circuit a feed completes in
-:class:`StreamDecoder`.  If a batch fails, its circuits are decoded one by
-one; circuits that don't fit -- barriers, compressed indices >= 128, padded
-varints -- or that hold any bad operand take a careful per-record path.
-Every malformed input raises a :class:`BisDecodeError` subclass carrying
-the byte ``offset`` of the first fault in byte order.
+bulk array copies.  The gather takes where each record starts and checks
+the fixed shape (any multi-byte varint exposes a continuation bit at a
+checked position) and every operand, each row against its own circuit's
+register widths.  :func:`decode` finds those offsets by walking one circuit
+at a time, assuming the fixed shape; :class:`StreamDecoder`'s scan records
+them as it sizes each circuit, so one gather serves every circuit a feed
+completes without a second walk.  If a batch fails, its circuits are
+decoded one by one as :func:`decode` would; circuits that don't fit --
+barriers, compressed indices >= 128, padded varints -- or that hold any bad
+operand take a careful per-record path.  Every malformed input raises a
+:class:`BisDecodeError` subclass carrying the byte ``offset`` of the first
+fault in byte order.
 
-:func:`decode` and :class:`StreamDecoder` share this decoder, so both
-readers raise the same error at the same offset.  The stream decoder itself
-only sizes circuits as bytes arrive; it reports a circuit's operand errors
-once that circuit is complete, or at :meth:`StreamDecoder.finish`, rather
-than when the bad record arrives.
+:func:`decode` and :class:`StreamDecoder` share this gatherer and this
+fallback, so both readers raise the same error at the same offset.  The
+stream decoder itself only sizes circuits as bytes arrive; it reports a
+circuit's operand errors once that circuit is complete, or at
+:meth:`StreamDecoder.finish`, rather than when the bad record arrives.
 
 Each reader owns one table of parameter-free instructions (1Q, 2Q,
 MEASURE): one per :func:`decode` call, one per :class:`StreamDecoder` for
@@ -171,6 +173,7 @@ class _Layout(NamedTuple):
     limit: int
     lens: np.ndarray    # record length by opcode class, 0 = no fixed size
     step: list          # record length by opcode, 0 = barrier or unknown opcode
+    span: list          # step, with 0 made longer than any buffer
     varints: list       # index varints by opcode (compressed mode only)
 
 
@@ -183,7 +186,8 @@ def _layout(itype: str, limit: int, compress: bool) -> _Layout:
     for op in KIND_BY_OPCODE:
         step[op] = int(lens[op >> 5])
         varints[op] = int(_NIDX_BY_CLASS[op >> 5]) if compress else 0
-    return _Layout(itype, width, limit, lens, step, varints)
+    span = [n or 1 << 62 for n in step]
+    return _Layout(itype, width, limit, lens, step, span, varints)
 
 
 # indexed by the compressed flag; a compressed index below 128 is one octet
@@ -395,18 +399,23 @@ def _gather(arr, offs_list, blocks, layout: _Layout,
             shared: dict) -> list[_Columns] | None:
     """Columns of each circuit's fixed-shape records, gathered in one pass.
 
-    ``offs_list`` holds where every record of the batch starts, circuit
-    after circuit; ``blocks`` holds one ``(records, nq, nc)`` per circuit,
-    against whose register widths each of its rows is checked.  Each
-    circuit's columns are slices of the batch arrays.  None if the shape
-    does not hold (a multi-byte varint) or any operand is bad anywhere in
-    the batch; the caller then decodes the circuits one by one.
+    ``offs_list`` starts with where every record of the batch starts,
+    circuit after circuit; entries past the batch's records are not read.
+    ``blocks`` holds one ``(records, nq, nc)`` per circuit, against whose
+    register widths each of its rows is checked.  Each circuit's columns are
+    slices of the batch arrays.  None if the shape does not hold (a barrier,
+    a multi-byte varint) or any operand is bad anywhere in the batch; the
+    caller then decodes the circuits one by one.
     """
     counts = [n for n, _, _ in blocks]
-    m = len(offs_list)
+    m = sum(counts)
     offs = np.fromiter(offs_list, dtype=np.int64, count=m)
     code = arr[offs]
     cls = code >> 5
+    # the gather has no barrier shape, and a barrier row whose count fits
+    # nq would pass every check below
+    if (cls == 5).any():
+        return None
     w = layout.width
     field = 1 + np.arange(w)
     a = arr[offs[:, None] + field].view(layout.itype).ravel().astype(np.int64)
@@ -417,7 +426,9 @@ def _gather(arr, offs_list, blocks, layout: _Layout,
     qlim = np.repeat([min(nq, layout.limit) for _, nq, _ in blocks], counts)
     clim = np.repeat([min(nc, layout.limit) for _, _, nc in blocks], counts)
     q2 = cls == 3
-    # b is -1 below class 3, so every row passes its b check there
+    # b is -1 below class 3, so every row passes its b check there.  The
+    # index limit (128 when compressed) is what rejects a multi-byte or
+    # padded varint: its first byte carries the continuation bit
     if ((a >= qlim).any() or (b >= np.where(cls == 4, clim, qlim)).any()
             or (b[q2] == a[q2]).any() or not np.isfinite(params).all()):
         return None
@@ -430,45 +441,54 @@ def _gather(arr, offs_list, blocks, layout: _Layout,
             for k in range(len(blocks))]
 
 
-def _decode_circuits(data, arr, o: int, stops, compress: bool,
-                     shared: dict) -> tuple[list[Circuit], int]:
-    """Decode one circuit block per entry of ``stops``, the k-th ending by
-    ``stops[k]``: the one decoder behind both readers.
+def _decode_circuit(data, arr, o: int, end: int, compress: bool,
+                    shared: dict) -> tuple[Circuit, int]:
+    """Decode the circuit at ``o``, whose bytes end by ``end``; returns it
+    and where it ends.
 
-    One gather serves all the blocks.  If it fails, each block is decoded
-    again on its own, and a lone block that fails takes the careful path,
-    so the first fault in byte order is reported.  ``shared`` is the
-    reader's table of parameter-free instructions, which every circuit it
-    decodes fills and reads when its body is materialized.
+    The walk: record offsets are found assuming the fixed shape, then
+    gathered, which checks the assumption.  If that fails, the careful path
+    reports the first fault in byte order.  ``shared`` is the reader's table
+    of parameter-free instructions, which every circuit it decodes fills
+    and reads when its body is materialized.
     """
     layout = _LAYOUTS[compress]
+    nq, o = _read_varint(data, o, end)
+    nc, o = _read_varint(data, o, end)
+    m, records = _read_varint(data, o, end)
     offs: list = []
-    blocks = []
-    at = o
-    for stop in stops:
-        nq, at = _read_varint(data, at, stop)
-        nc, at = _read_varint(data, at, stop)
-        m, records = _read_varint(data, at, stop)
-        at = _walk_offsets(data, records, stop, m, layout.step, offs)
-        # a batch's stops are exact circuit ends: a walk that falls short (a
-        # multi-byte index) would read the next header inside a record
-        if at is None or (len(stops) > 1 and at != stop):
-            break
-        blocks.append((m, nq, nc))
-    else:
-        cols = _gather(arr, offs, blocks, layout, shared)
+    at = _walk_offsets(data, records, end, m, layout.step, offs)
+    if at is not None:
+        cols = _gather(arr, offs, [(m, nq, nc)], layout, shared)
         if cols is not None:
-            return [Circuit._from_columns(nq, nc, c)
-                    for (_, nq, nc), c in zip(blocks, cols)], at
-    if len(stops) == 1:
-        cols, at = _careful_records(data, records, stops[0], m, nq, nc,
-                                    compress, shared)
-        return [Circuit._from_columns(nq, nc, cols)], at
+            return Circuit._from_columns(nq, nc, cols[0]), at
+    cols, at = _careful_records(data, records, end, m, nq, nc, compress, shared)
+    return Circuit._from_columns(nq, nc, cols), at
+
+
+def _decode_batch(data, arr, stops, offs, blocks, compress: bool,
+                  shared: dict) -> list[Circuit]:
+    """Decode the circuits that ``data`` starts with, the k-th ending at
+    ``stops[k]``.
+
+    ``offs`` starts with the exact offset of every record of the batch, as
+    the stream decoder's scan records them, and ``blocks`` holds one
+    ``(records, nq, nc)`` per circuit; one gather serves them all.  The
+    offsets must be exact: a fixed-shape walk across circuits could fall
+    short at a multi-byte index and read the next header inside a record.
+    If the gather fails, the circuits are decoded again one by one by
+    :func:`_decode_circuit`, so the first fault in byte order is reported.
+    """
+    cols = _gather(arr, offs, blocks, _LAYOUTS[compress], shared)
+    if cols is not None:
+        return [Circuit._from_columns(nq, nc, c)
+                for (_, nq, nc), c in zip(blocks, cols)]
     out = []
+    o = 0
     for stop in stops:
-        (c,), o = _decode_circuits(data, arr, o, [stop], compress, shared)
+        c, o = _decode_circuit(data, arr, o, stop, compress, shared)
         out.append(c)
-    return out, o
+    return out
 
 
 def _parse_stream_header(data, end: int) -> tuple[bool, int, int]:
@@ -503,7 +523,7 @@ def decode(data) -> list[Circuit]:
     shared: dict = {}
     out = []
     for _ in range(count):
-        (c,), o = _decode_circuits(data, arr, o, [end], compress, shared)
+        c, o = _decode_circuit(data, arr, o, end, compress, shared)
         out.append(c)
     if o != end:
         raise TrailingBytes(f"{end - o} trailing bytes after last circuit", o)
@@ -586,13 +606,15 @@ class StreamDecoder:
     an earlier fault in the unfinished circuit).  Bytes after the declared
     circuit count raise :class:`TrailingBytes`.
 
-    A length-only scan finds where each pending circuit ends.  All circuits
-    a feed completes are then gathered at once by the same decoder as
-    :func:`decode`, which decodes them one by one if any of them is bad, so
-    every error matches :func:`decode`'s class and absolute offset.  Operand
-    errors therefore surface when their circuit is complete, or at
-    :meth:`finish`.  Parameter-free instructions are shared across every
-    circuit this decoder returns.
+    A length-only scan finds where each pending circuit ends, and records
+    where each of its records starts as it goes.  All circuits a feed
+    completes are then gathered at those offsets in one pass by the same
+    gatherer as :func:`decode`; if any of them is bad or holds a barrier,
+    they are decoded one by one as :func:`decode` would, so every error
+    matches :func:`decode`'s class and absolute offset.  Operand errors
+    therefore surface when their circuit is complete, or at :meth:`finish`.
+    Parameter-free instructions are shared across every circuit this
+    decoder returns.
     """
 
     def __init__(self):
@@ -608,29 +630,40 @@ class StreamDecoder:
         self._left = -1
         self._varints = 0
         self._skip = 0
+        # (records, nq, nc) of the pending circuit; where in _buf each record
+        # of the circuits not yet gathered starts, circuit after circuit
+        self._head = (0, 0, 0)
+        self._offs: list[int] = []
 
     def _drop(self, n: int) -> None:
         del self._buf[:n]
         self._consumed += n
         self._pos -= n
+        # the pending circuit's record offsets move with the buffer
+        if self._offs:
+            self._offs = [x - n for x in self._offs]
 
     def _scan(self) -> bool:
         """Size the pending circuit from the cursor on; True once it is complete.
 
-        Reads only opcodes, barrier counts and varint continuation bits.  The
-        cursor stops after the last whole field, so a circuit split across
-        feeds is scanned once.
+        Reads only opcodes, barrier counts and varint continuation bits, and
+        appends each record's start to ``_offs``.  The cursor stops after the
+        last whole field, so a circuit split across feeds is scanned once.
         """
         buf = self._buf
         end = len(buf)
-        layout = _LAYOUTS[self._compress]
-        step, varint_lut = layout.step, layout.varints
+        compress = self._compress
+        layout = _LAYOUTS[compress]
+        step, span, varint_lut = layout.step, layout.span, layout.varints
+        offs = self._offs
+        ap = offs.append
         o, left, varints, skip = self._pos, self._left, self._varints, self._skip
         try:
             if left < 0:  # circuit header: num_qubits, num_cbits, record count
-                _, h = _read_varint(buf, o, end)
-                _, h = _read_varint(buf, h, end)
+                nq, h = _read_varint(buf, o, end)
+                nc, h = _read_varint(buf, h, end)
                 left, o = _read_varint(buf, h, end)
+                self._head = (left, nq, nc)
             while True:
                 while varints:
                     _, o = _read_varint(buf, o, end)
@@ -642,19 +675,51 @@ class StreamDecoder:
                         return False
                     o += skip
                     skip = 0
+                # the tight loop: fixed-size records that lie wholly in the
+                # buffer (a barrier's or unknown opcode's span never does)
+                # and, compressed, have one-byte indices: no continuation bit
+                # at o+1 .. o+k.  Such a record's size is its step
+                sized = len(offs)
+                try:
+                    if compress:
+                        for _ in range(left):
+                            op = buf[o]
+                            n = span[op]
+                            if (o + n > end
+                                    or (buf[o + 1] | buf[o + varint_lut[op]]) & 0x80):
+                                break
+                            ap(o)
+                            o += n
+                    else:
+                        for _ in range(left):
+                            n = span[buf[o]]
+                            if o + n > end:
+                                break
+                            ap(o)
+                            o += n
+                except IndexError:  # o reached the end of the buffer
+                    pass
+                left -= len(offs) - sized
                 if not left:
                     return True
                 if o >= end:
                     return False
+                # any other record: the exact per-field path.  A record's
+                # start is committed once its opcode (and a barrier's count)
+                # is consumed, never before: a feed that stops inside the
+                # count re-reads the record, which must not add it twice
                 op = buf[o]
                 n = step[op]
                 if n:
+                    ap(o)
                     varints = varint_lut[op]
                     skip = n - 1 - varints
                     o += 1
                 elif op == _BARRIER:
-                    cnt, o = _read_varint(buf, o + 1, end)
-                    if self._compress:
+                    cnt, after = _read_varint(buf, o + 1, end)
+                    ap(o)
+                    o = after
+                    if compress:
                         varints = cnt
                     else:
                         skip = 4 * cnt
@@ -676,10 +741,12 @@ class StreamDecoder:
                 return []
             self._drop(self._pos)
         ends: list[int] = []
+        blocks: list[tuple[int, int, int]] = []
         fault = None
         try:
             while len(ends) < self._remaining and self._scan():
                 ends.append(self._pos)
+                blocks.append(self._head)
                 self._left = -1
         except BisDecodeError as e:
             fault = e
@@ -687,19 +754,21 @@ class StreamDecoder:
         if ends or fault is not None:
             chunk = bytes(self._buf)
             arr = np.frombuffer(chunk, dtype=np.uint8)
-            o = 0
+            o = ends[-1] if ends else 0
             try:
                 if ends:
-                    out, o = _decode_circuits(chunk, arr, 0, ends, self._compress,
-                                              self._shared)
+                    out = _decode_batch(chunk, arr, ends, self._offs, blocks,
+                                        self._compress, self._shared)
                 if fault is not None:
                     # reports an earlier bad operand, else the scan's fault
-                    _decode_circuits(chunk, arr, o, [len(chunk)], self._compress,
-                                     self._shared)
+                    _decode_circuit(chunk, arr, o, len(chunk), self._compress,
+                                    self._shared)
                     raise fault
             except BisDecodeError as e:
                 raise _shifted(e, self._consumed) from None
             self._remaining -= len(ends)
+            # free the gathered circuits' offsets; the pending one's remain
+            del self._offs[:sum(m for m, _, _ in blocks)]
             self._drop(o)
         if not self._remaining and self._buf:
             raise TrailingBytes(
@@ -720,8 +789,8 @@ class StreamDecoder:
             if self._compress is None:
                 _parse_stream_header(tail, len(tail))
             else:
-                _decode_circuits(tail, np.frombuffer(tail, dtype=np.uint8), 0,
-                                 [len(tail)], self._compress, self._shared)
+                _decode_circuit(tail, np.frombuffer(tail, dtype=np.uint8), 0,
+                                len(tail), self._compress, self._shared)
         except BisDecodeError as e:
             raise _shifted(e, self._consumed) from None
         raise Truncated("stream ended before the declared circuits",

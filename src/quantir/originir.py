@@ -41,14 +41,15 @@ _NAME_BY_OPCODE = [""] * 256
 for _k in GateKind:
     _NAME_BY_OPCODE[_k.value] = _k.name
 
-# re.ASCII: in a str pattern \d matches any Unicode decimal digit, and int()
-# and float() convert them; the text IR takes ASCII digits only
+# digits are written [0-9]: \d matches any Unicode decimal digit, and int()
+# and float() convert them, but the text IR takes ASCII digits only.  No
+# re.ASCII, so \s is the blank set of str.isspace, as in strip() and split()
 # decimal literal, optionally signed, optional exponent; no inf/nan/pi names
-_ANGLE_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
-_QREF_RE = re.compile(r"q\s*\[\s*(\d+)\s*\]\Z", re.ASCII)
-_CREF_RE = re.compile(r"c\s*\[\s*(\d+)\s*\]\Z", re.ASCII)
-_HEADER_RE = re.compile(r"(QINIT|CREG)\s+(\d+)\Z", re.ASCII)
-_STMT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(.*)\Z", re.ASCII)
+_ANGLE_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
+_QREF_RE = re.compile(r"q\s*\[\s*([0-9]+)\s*\]\Z")
+_CREF_RE = re.compile(r"c\s*\[\s*([0-9]+)\s*\]\Z")
+_HEADER_RE = re.compile(r"(QINIT|CREG)\s+([0-9]+)\Z")
+_STMT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(.*)\Z")
 
 
 def emit(c: Circuit) -> str:

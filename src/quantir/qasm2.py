@@ -68,17 +68,17 @@ _GATES = {
 }
 _PARAMETERS = ("no parameters", "1 parameter", "2 parameters", "3 parameters")
 
-# re.ASCII: in a str pattern \d matches any Unicode decimal digit, and int()
-# and float() convert them; the grammar takes ASCII digits only
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
-_PI_FORM = re.compile(r"([+-])?\s*(?:(\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+))?\Z",
-                      re.ASCII)
+# digits are written [0-9]: \d matches any Unicode decimal digit, and int()
+# and float() convert them, but the grammar takes ASCII digits only.  No
+# re.ASCII, so \s is the blank set of str.isspace, as in strip() and split()
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
+_PI_FORM = re.compile(r"([+-])?\s*(?:([0-9]+)\s*\*\s*)?pi(?:\s*/\s*([0-9]+))?\Z")
 _REG_DECL = re.compile(r"(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*"
-                       r"\[\s*(\d+)\s*\]\Z", re.ASCII)
-_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?\Z", re.ASCII)
-_HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)", re.ASCII)
-_MEASURE_ARGS = re.compile(r"(.+?)->(.+)\Z", re.ASCII)
-_COMMENT = re.compile(r"//[^\n]*", re.ASCII)
+                       r"\[\s*([0-9]+)\s*\]\Z")
+_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*([0-9]+)\s*\])?\Z")
+_HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)")
+_MEASURE_ARGS = re.compile(r"(.+?)->(.+)\Z")
+_COMMENT = re.compile(r"//[^\n]*")
 
 
 def _first_line(line: int, part: str) -> int:
@@ -87,13 +87,19 @@ def _first_line(line: int, part: str) -> int:
 
 
 def _statements(text: str):
-    """Yield (line_number, statement) splitting on ';' outside comments."""
+    """Yield (line, part, statement) splitting on ';' outside comments.
+
+    ``part`` is the raw text before the ';', starting on ``line``, and
+    ``statement`` is it stripped; :func:`_first_line` gives the statement's
+    own line.  It is left to the caller, which needs it only for a statement
+    it parses: a repeat that reuses an earlier instruction cannot raise.
+    """
     *parts, tail = _COMMENT.sub("", text).split(";")
     line = 1
     for part in parts:
         stmt = part.strip()
         if stmt:
-            yield _first_line(line, part), stmt
+            yield line, part, stmt
         line += part.count("\n")
     if tail.strip():
         raise QasmError("statement missing ';'", _first_line(line, tail))
@@ -173,11 +179,12 @@ def import_qasm2(text: str) -> Circuit:
     built: dict[str, Instruction] = {}
     saw_header = False
 
-    for line, stmt in _statements(text):
+    for start, part, stmt in _statements(text):
         ins = built.get(stmt)
         if ins is not None:
             items.append(ins)
             continue
+        line = _first_line(start, part)
         head_m = _HEAD.match(stmt)
         if not head_m:
             raise QasmError(f"bad statement {stmt!r}", line)

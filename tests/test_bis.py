@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantir import bis
 from quantir.bis import (
     BadMagic, BadOperand, BisDecodeError, BisEncodeError, ReservedBits,
     StreamDecoder, StreamEncoder, TrailingBytes, Truncated, UnknownOpcode,
@@ -484,6 +485,95 @@ class TestStreamMatchesDecode:
             _outcome(lambda: decode(blob))
         if fault:
             assert _outcome(lambda: decode(blob)) == (BadOperand, field)
+
+
+def _payload(c: Circuit, compress: bool) -> bytes:
+    """One circuit's bytes (header and records) as a stream holds them."""
+    return encode([c], compress=compress)[len(encode([], compress=compress)):]
+
+
+def _stream_of(payloads, compress: bool) -> bytes:
+    head = encode([], compress=compress)[:-1]  # without the count 0
+    return head + bytes([len(payloads)]) + b"".join(payloads)
+
+
+def _fixed(n: int) -> Circuit:
+    return (Circuit(n, 1).h(0).cnot(0, n - 1).rz(1, -0.75)
+            .u3(n - 1, 0.5, 1.5, -2.5).measure(n - 1, 0))
+
+
+def _one_walk_batch(compress: bool, fault: str) -> bytes:
+    """A barrier circuit, fixed-shape circuits, a two-byte index and a padded
+    varint, each followed by fixed-shape circuits of other widths."""
+    wide = Circuit(200).h(150).rz(0, -0.8)
+    parts = [_payload(Circuit(4).h(1).barrier(0, 2, 3).x(2), compress),
+             _payload(_fixed(3), compress), _payload(_fixed(5), compress),
+             _payload(wide, compress), _payload(_fixed(4), compress)]
+    # a padded varint: the index of H q[1] (compressed), or the count of a
+    # one-qubit barrier (uncompressed), written as 0x8? 0x00
+    last = _payload(Circuit(2).h(1), compress=True)[:-1] + b"\x81\x00"
+    if not compress:
+        last = (_payload(Circuit(2).barrier(1), compress=False)[:4]
+                + b"\x81\x00" + (1).to_bytes(4, "little"))
+    parts += [last, _payload(_fixed(2), compress), _payload(_fixed(3), compress)]
+    blob = bytearray(_stream_of(parts, compress))
+    if fault == "operand":
+        blob[-1 if compress else -4] = 5  # the last measure's cbit
+    elif fault == "truncate":
+        del blob[-3:]
+    return bytes(blob)
+
+
+class TestOneWalk:
+    """The stream decoder gathers at the offsets its scan records."""
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_clean_feed_never_walks(self, compress, monkeypatch):
+        walks = []
+        real = bis._walk_offsets
+
+        def spy(*args):
+            walks.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(bis, "_walk_offsets", spy)
+        cs = [_fixed(n) for n in (2, 3, 5, 4)] + [ghz(6), Circuit(1)]
+        data = encode(cs, compress=compress)
+        for chunk in (7, 64, len(data)):
+            dec = StreamDecoder()
+            got = []
+            for i in range(0, len(data), chunk):
+                got.extend(dec.feed(data[i:i + chunk]))
+            dec.finish()
+            assert got == cs
+        assert walks == []
+        assert decode(data) == cs and walks  # the spy sees decode's walks
+
+    @pytest.mark.parametrize("fault", ["none", "operand", "truncate"])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_every_split_matches_one_shot(self, compress, fault):
+        blob = _one_walk_batch(compress, fault)
+        want = _outcome(lambda: decode(blob))
+        if fault == "none":
+            assert len(want) == 8
+        for cut in range(len(blob) + 1):
+            assert _outcome(lambda: _stream_read(blob, [cut])) == want, cut
+        assert _outcome(lambda: _stream_read(blob, range(len(blob)))) == want
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_split_barrier_count_is_recorded_once(self, compress):
+        # a feed that stops between a barrier's opcode and its count; the
+        # fixed-shape circuits after it arrive in a later feed and must be
+        # gathered at their own offsets.  The barrier record is two H
+        # records long, so an offset list shifted by one stale entry would
+        # still hold valid rows (H and X swapped)
+        first = _payload(Circuit(2).barrier(0, 1), compress)
+        alternating = Circuit(1).h(0).x(0).h(0).x(0).h(0)
+        rest = [_payload(alternating, compress)] * 3
+        blob = _stream_of([first] + rest, compress)
+        cut = blob.index(bytes([0xA0])) + 1
+        first_end = len(blob) - sum(map(len, rest))
+        assert _stream_read(blob, [cut, first_end]) == decode(blob)
 
 
 class TestEncodeErrors:

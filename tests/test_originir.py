@@ -147,6 +147,14 @@ class TestParseErrors:
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: {message}"
 
+    @pytest.mark.parametrize("text", [
+        "QINIT\u00a02\nCREG 0\nH q[1]\n",
+        "QINIT 2\nCREG 0\nCNOT q[0],\u00a0q[1]\n",
+    ], ids=["header", "operand"])
+    def test_no_break_space_is_blank_everywhere(self, text):
+        # U+00A0 is blank inside a statement as at its edges (str.isspace)
+        assert parse(text) == parse(text.replace("\u00a0", " "))
+
 
 class TestRoundTrip:
     @settings(max_examples=80, deadline=None)

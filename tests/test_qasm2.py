@@ -346,6 +346,16 @@ def test_import_rejects_non_ascii_digits(text, cls, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("text", [
+    HEADER + "qreg\u00a0q[2];\nh q[1];\n",
+    HEADER + "qreg q[2];\nrz(pi\u00a0/ 2) q[0];\n",
+    HEADER + "qreg q[2];\ncx q[0],\u00a0q[1];\n",
+], ids=["declaration", "angle", "operand"])
+def test_import_no_break_space_is_blank_everywhere(text):
+    # U+00A0 is blank inside a statement as at its edges (str.isspace)
+    assert import_qasm2(text) == import_qasm2(text.replace("\u00a0", " "))
+
+
 # -- importer: one instruction per repeated statement -----------------------------
 
 def test_import_repeated_statement_text_is_one_object():
