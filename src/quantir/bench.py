@@ -256,16 +256,8 @@ def run_transmission_bench(config: BenchConfig) -> list[BenchRow]:
 
 
 def write_csv(config: BenchConfig, rows, out) -> None:
-    """Write rows as CSV; ``out`` is a path or a text file object."""
-    if hasattr(out, "write"):
-        _write_csv(config, rows, out)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(config, rows, fh)
-
-
-def _write_csv(config, rows, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+    """Write rows as CSV to the text stream ``out``."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
         writer.writerow([config.sweep, row.sweep_value, row.format,

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, _Columns, flatten
-from .gates import KIND_BY_OPCODE
+from .gates import KIND_BY_OPCODE, PARAM_COUNT
 
 __all__ = [
     "encode", "decode", "StreamEncoder", "StreamDecoder",
@@ -75,10 +75,12 @@ class BisEncodeError(ValueError):
 
 
 class BisDecodeError(ValueError):
-    """Malformed stream; ``offset`` is the byte position of the fault."""
+    """Malformed stream; ``offset`` is the byte position of the fault, and
+    ``message`` the text without it."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -158,7 +160,8 @@ def _read_varint(data, o: int, end: int) -> tuple[int, int]:
 _BARRIER = 0xA0
 # per opcode class: index fields and angle bytes; class 5 (barrier) has no fixed shape
 _NIDX_BY_CLASS = np.array([1, 1, 1, 2, 2, 0, 0, 0], dtype=np.int64)
-_ANGLE_BYTES_BY_CLASS = np.array([0, 8, 24, 0, 0, 0, 0, 0], dtype=np.int64)
+_ANGLE_BYTES_BY_CLASS = np.array(
+    [8 * PARAM_COUNT.get(c, 0) for c in range(8)], dtype=np.int64)
 
 
 class _Layout(NamedTuple):
@@ -594,8 +597,7 @@ class StreamEncoder:
 
 def _shifted(err: BisDecodeError, base: int) -> BisDecodeError:
     """``err`` with its buffer offset moved ``base`` bytes into the stream."""
-    msg = str(err).rsplit(" (at byte ", 1)[0]
-    return type(err)(msg, err.offset + base)
+    return type(err)(err.message, err.offset + base)
 
 
 class StreamDecoder:

@@ -32,7 +32,8 @@ import numpy as np
 
 from .gates import (
     CLS_1Q, CLS_2Q, CLS_BARRIER, CLS_MEASURE, CLS_ROT, CLS_U3,
-    DAGGER_SWAP, GateKind, KIND_BY_OPCODE, SELF_INVERSE, X1_DAGGER_OPCODE,
+    DAGGER_SWAP, GateKind, KIND_BY_OPCODE, PARAM_COUNT, SELF_INVERSE,
+    X1_DAGGER_OPCODE,
 )
 
 
@@ -70,7 +71,7 @@ class Instruction:
             raise CircuitError(f"{kind.name} takes 1 qubit, got {len(qubits)}")
         if len(set(qubits)) != len(qubits):
             raise CircuitError(f"{kind.name} qubits must be distinct: {qubits}")
-        want = 1 if cls == CLS_ROT else 3 if cls == CLS_U3 else 0
+        want = PARAM_COUNT[cls]
         if len(params) != want:
             raise CircuitError(f"{kind.name} takes {want} params, got {len(params)}")
         for p in params:

@@ -303,17 +303,20 @@ def _build_parser() -> _Parser:
                    choices=tuple(_SWEEP_ALIASES) + bench_mod.SWEEPS)
     p.add_argument("--values", required=True, metavar="A,B,...",
                    help="comma-separated sweep values")
-    p.add_argument("--count", type=int, default=500,
-                   help="fixed circuit count (default 500)")
-    p.add_argument("--depth", type=int, default=500,
-                   help="fixed circuit depth (default 500)")
-    p.add_argument("--qubits", type=int, default=72,
-                   help="fixed qubit count (default 72)")
-    p.add_argument("--seed", type=int, default=0)
+    default = {f.name: f.default
+               for f in dataclasses.fields(bench_mod.BenchConfig)}
+    p.add_argument("--count", type=int, default=default["fixed_circuit_count"],
+                   help="fixed circuit count (default %(default)s)")
+    p.add_argument("--depth", type=int, default=default["fixed_depth"],
+                   help="fixed circuit depth (default %(default)s)")
+    p.add_argument("--qubits", type=int, default=default["fixed_qubits"],
+                   help="fixed qubit count (default %(default)s)")
+    p.add_argument("--seed", type=int, default=default["seed"],
+                   help="seed of the batch seeds (default %(default)s)")
     p.add_argument("--formats", metavar="A,B,...",
                    help=f"subset of {','.join(bench_mod.FORMATS)}; default all")
-    p.add_argument("--reps", type=int, default=5,
-                   help="repetitions per point (default 5)")
+    p.add_argument("--reps", type=int, default=default["repetitions"],
+                   help="repetitions per point (default %(default)s)")
     p.add_argument("--csv", metavar="FILE", help="output path; default stdout")
     p.set_defaults(fn=_cmd_bench)
 

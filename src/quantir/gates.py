@@ -55,6 +55,8 @@ KIND_BY_OPCODE[X1_DAGGER_OPCODE] = GateKind.X1
 
 KIND_BY_NAME: dict[str, GateKind] = {k.name: k for k in GateKind}
 
+# parameters per operand class: Instruction checks its params against it,
+# and the .bis codec sizes each record's angles by it
 PARAM_COUNT = {CLS_1Q: 0, CLS_ROT: 1, CLS_U3: 3, CLS_2Q: 0, CLS_MEASURE: 0,
                CLS_BARRIER: 0}
 

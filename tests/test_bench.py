@@ -311,14 +311,3 @@ def test_csv_header_and_shape():
     assert float(first[4]) == rows[0].decode_time
     assert int(first[5]) == rows[0].post_encoding_size
     assert int(first[6]) == rows[0].gate_count
-
-
-def test_csv_accepts_path(tmp_path):
-    cfg = BenchConfig(sweep="circuit_count", sweep_values=[2],
-                      formats=("bis_compressed",), **DESK)
-    rows = run_transmission_bench(cfg)
-    out = tmp_path / "bench.csv"
-    write_csv(cfg, rows, out)
-    text = out.read_text(encoding="utf-8")
-    assert text.startswith("sweep,value,format,")
-    assert text.count("\n") == 2

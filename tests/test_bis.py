@@ -418,6 +418,14 @@ def _outcome(read):
         return type(e), e.offset
 
 
+def _outcome_text(read):
+    """``_outcome`` with the error's text as well, for comparing readers."""
+    try:
+        return read()
+    except BisDecodeError as e:
+        return type(e), e.offset, str(e)
+
+
 def _stream_read(data: bytes, cuts) -> list:
     dec = StreamDecoder()
     got = []
@@ -447,8 +455,8 @@ class TestStreamMatchesDecode:
         blob = bytes(blob)
         cuts = data.draw(st.lists(
             st.integers(min_value=0, max_value=len(blob)), max_size=8))
-        assert _outcome(lambda: _stream_read(blob, cuts)) == \
-            _outcome(lambda: decode(blob))
+        assert _outcome_text(lambda: _stream_read(blob, cuts)) == \
+            _outcome_text(lambda: decode(blob))
 
     @pytest.mark.parametrize("fault", ["qubit", "cbit"])
     @pytest.mark.parametrize("compress", [False, True])
@@ -481,8 +489,8 @@ class TestStreamMatchesDecode:
             field = len(encode([], compress=True)) + 4
             blob[field] = 3
         blob = bytes(blob)
-        assert _outcome(lambda: _stream_read(blob, [])) == \
-            _outcome(lambda: decode(blob))
+        assert _outcome_text(lambda: _stream_read(blob, [])) == \
+            _outcome_text(lambda: decode(blob))
         if fault:
             assert _outcome(lambda: decode(blob)) == (BadOperand, field)
 
@@ -553,12 +561,13 @@ class TestOneWalk:
     @pytest.mark.parametrize("compress", [False, True])
     def test_every_split_matches_one_shot(self, compress, fault):
         blob = _one_walk_batch(compress, fault)
-        want = _outcome(lambda: decode(blob))
+        want = _outcome_text(lambda: decode(blob))
         if fault == "none":
             assert len(want) == 8
         for cut in range(len(blob) + 1):
-            assert _outcome(lambda: _stream_read(blob, [cut])) == want, cut
-        assert _outcome(lambda: _stream_read(blob, range(len(blob)))) == want
+            assert _outcome_text(lambda: _stream_read(blob, [cut])) == want, cut
+        every = range(len(blob))
+        assert _outcome_text(lambda: _stream_read(blob, every)) == want
 
     @pytest.mark.parametrize("compress", [False, True])
     def test_split_barrier_count_is_recorded_once(self, compress):
@@ -574,6 +583,44 @@ class TestOneWalk:
         cut = blob.index(bytes([0xA0])) + 1
         first_end = len(blob) - sum(map(len, rest))
         assert _stream_read(blob, [cut, first_end]) == decode(blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cuts_at_barrier_opcodes_match_one_shot(self, data):
+        # barrier circuits, each followed by fixed-shape circuits of H and X
+        # rows, all of one width; the feeds stop at or just after a
+        # barrier's opcode, so before or inside its count, and at circuit
+        # ends, so a later feed gathers fixed-shape circuits at offsets the
+        # scan recorded.  Every byte but a barrier opcode is below 0xA0
+        compress = data.draw(st.booleans())
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        qubit = st.integers(min_value=0, max_value=n - 1)
+        row = st.tuples(st.sampled_from(["h", "x"]), qubit)
+        gates = st.lists(row, max_size=6)
+        circuits = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            c = Circuit(n)
+            for name, q in data.draw(gates):
+                getattr(c, name)(q)
+            c.barrier(*sorted(data.draw(st.sets(qubit, min_size=1))))
+            for name, q in data.draw(gates):
+                getattr(c, name)(q)
+            circuits.append(c)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                c = Circuit(n)
+                for name, q in data.draw(st.lists(row, min_size=1,
+                                                  max_size=6)):
+                    getattr(c, name)(q)
+                circuits.append(c)
+        payloads = [_payload(c, compress) for c in circuits]
+        blob = _stream_of(payloads, compress)
+        ends = [len(blob) - sum(map(len, payloads[k:]))
+                for k in range(1, len(payloads))]
+        cuts = [p + data.draw(st.integers(min_value=0, max_value=1))
+                for p, byte in enumerate(blob) if byte == 0xA0]
+        cuts += data.draw(st.lists(st.sampled_from(ends)))
+        assert _outcome_text(lambda: _stream_read(blob, cuts)) == \
+            _outcome_text(lambda: decode(blob))
 
 
 class TestEncodeErrors:

@@ -1,4 +1,6 @@
 """Command-line surface: exit codes, file plumbing, atomic writes."""
+import csv
+import io
 import json
 import math
 import subprocess
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from quantir import bis, originir
+from quantir import bench, bis, originir
 from quantir.cli import app
 from quantir.circuit import Circuit
 
@@ -330,6 +332,31 @@ def test_bench_stdout_and_full_sweep_names(capsys):
     out = capsys.readouterr().out
     assert out.startswith("sweep,value,format,")
     assert "circuit_count,2,bis_uncompressed," in out
+
+
+def test_bench_defaults_are_bench_config_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(bench, "run_transmission_bench",
+                        lambda config: seen.append(config) or [])
+    assert app(["bench", "--sweep", "count", "--values", "1"]) == 0
+    assert seen == [bench.BenchConfig(sweep="circuit_count", sweep_values=(1,))]
+
+
+def test_bench_csv_matches_the_library_for_the_same_config(tmp_path):
+    # flags left unset take BenchConfig's defaults, the seed among them
+    out = tmp_path / "bench.csv"
+    assert app(["bench", "--sweep", "depth", "--values", "2,4", "--count", "3",
+                "--qubits", "4", "--reps", "3", "--csv", str(out)]) == 0
+    config = bench.BenchConfig(sweep="circuit_depth", sweep_values=(2, 4),
+                               fixed_circuit_count=3, fixed_qubits=4,
+                               repetitions=3)
+    buf = io.StringIO()
+    bench.write_csv(config, bench.run_transmission_bench(config), buf)
+
+    def untimed(text):
+        return [row[:3] + row[5:] for row in csv.reader(io.StringIO(text))]
+
+    assert untimed(out.read_text(encoding="utf-8")) == untimed(buf.getvalue())
 
 
 def test_bench_bad_values_is_usage_error(capsys):

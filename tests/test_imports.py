@@ -1,5 +1,5 @@
-"""Every name a library module imports, and every local a library function
-binds, is read somewhere."""
+"""Every name a library module or a script imports, and every local a
+function of theirs binds, is read somewhere."""
 import ast
 from pathlib import Path
 
@@ -8,6 +8,9 @@ import pytest
 import quantir
 
 _MODULES = sorted(Path(quantir.__file__).parent.glob("*.py"))
+_SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+_CHECKED = _MODULES + _SCRIPTS
+_IDS = [p.name for p in _MODULES] + [f"scripts/{p.name}" for p in _SCRIPTS]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -35,7 +38,12 @@ def test_modules_found():
                                           "passes.py", "transpile.py"}
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_scripts_found():
+    assert {p.name for p in _SCRIPTS} >= {"bench_record.py",
+                                          "routing_quality.py"}
+
+
+@pytest.mark.parametrize("path", _CHECKED, ids=_IDS)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
@@ -102,7 +110,7 @@ def test_unread_locals_are_caught():
     assert _unread_locals(tree) == ["line 2: seen in f", "line 3: total in f"]
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+@pytest.mark.parametrize("path", _CHECKED, ids=_IDS)
 def test_no_unread_locals(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unread_locals(tree) == []
