@@ -20,10 +20,17 @@ Encode and decode run on the packed column form of flat circuits.  A
 record-layout table gives each mode's fixed-size record shape (u32 index
 fields, or one-byte varints), so one encoder and one gatherer serve both
 modes: offsets are computed for all records up front and fields move as
-bulk array copies.  The gather takes where each record starts and checks
-the fixed shape (any multi-byte varint exposes a continuation bit at a
-checked position) and every operand, each row against its own circuit's
-register widths.  :func:`decode` finds those offsets by walking one circuit
+bulk array copies.  The encoder works over a group of circuits: their
+columns are concatenated, checked and laid out in one pass, and each
+circuit's header and slice of the records are appended in turn.
+:func:`encode` and :class:`StreamEncoder` close a group once its
+circuits hold 4,096 rows, so a circuit that long closes the group it
+joins.  A group holding a barrier or a compressed index >= 128 is encoded
+again one circuit at a time, and only such a circuit takes a per-record
+loop.  The gather takes where each record starts and checks the fixed
+shape (any multi-byte varint exposes a continuation bit at a checked
+position) and every operand, each row against its own circuit's register
+widths.  :func:`decode` finds those offsets by walking one circuit
 at a time, assuming the fixed shape; :class:`StreamDecoder`'s scan records
 them as it sizes each circuit, so one gather serves every circuit a feed
 completes without a second walk.  If a batch fails, its circuits are
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -214,30 +222,77 @@ def _angle_bytes(starts, cls):
 
 # -- encoding -----------------------------------------------------------------
 
-def _encode_records(out: bytearray, cols: _Columns, compress: bool) -> None:
-    n = len(cols)
-    if n == 0:
-        return
+# a group of pending circuits closes once it holds this many rows: enough
+# that numpy's per-call overhead is paid once for many small circuits
+_GROUP_ROWS = 4096
+
+
+def _snapshot(c: Circuit) -> tuple[int, int, _Columns]:
+    """``(num_qubits, num_cbits, columns)`` of the flat circuit, as encoded.
+
+    A later change to ``c`` does not reach the snapshot: appending replaces
+    a circuit's columns, and nothing writes into column arrays.
+    """
+    flat = flatten(c)
+    if flat.num_qubits > _U32_MAX or flat.num_cbits > _U32_MAX:
+        raise BisEncodeError("register width exceeds 32 bits")
+    cols = flat._columns()
+    if len(cols) > _U32_MAX:
+        raise BisEncodeError("instruction count exceeds 32 bits")
+    return flat.num_qubits, flat.num_cbits, cols
+
+
+def _encode_group(out: bytearray, group: list, compress: bool) -> None:
+    """Append each snapshot's circuit header and records to ``out``.
+
+    The records of the whole group are checked and laid out in one
+    vectorized pass.  If any record does not fit the fixed shape (a
+    barrier, a compressed index >= 128), the circuits are encoded again as
+    groups of one, so only the offending circuit takes the per-record loop.
+    """
+    if len(group) == 1:
+        cols = group[0][2]
+        code, a, b, params = cols.code, cols.a, cols.b, cols.params
+    else:
+        code, a, b, params = (np.concatenate(col) for col in zip(
+            *((c.code, c.a, c.b, c.params) for _, _, c in group)))
+    n = len(code)
     layout = _LAYOUTS[compress]
-    cls = cols.code >> 5
+    cls = code >> 5
     # b is -1 where a record has no second index
-    if (cls == 5).any() or max(cols.a.max(), cols.b.max()) >= layout.limit:
-        _encode_records_loop(out, cols, compress)
-        return
-    two = cls >= 3
-    w = layout.width
-    field = 1 + np.arange(w)
-    lens = layout.lens[cls]
-    ends = np.cumsum(lens)
-    offs = ends - lens
-    buf = np.zeros(int(ends[-1]), dtype=np.uint8)
-    buf[offs] = cols.code
-    buf[offs[:, None] + field] = cols.a.astype(layout.itype).view(np.uint8).reshape(n, w)
-    buf[offs[two][:, None] + w + field] = (
-        cols.b[two].astype(layout.itype).view(np.uint8).reshape(-1, w))
-    buf[_angle_bytes(offs + 1 + w, cls)] = (
-        cols.params.astype("<f8", copy=False).view(np.uint8))
-    out += buf.tobytes()
+    if n and ((cls == 5).any() or max(a.max(), b.max()) >= layout.limit):
+        if len(group) > 1:
+            for snap in group:
+                _encode_group(out, [snap], compress)
+            return
+        body = bytearray()
+        _encode_records_loop(body, group[0][2], compress)
+        bodies = [body]
+    else:
+        two = cls >= 3
+        w = layout.width
+        field = 1 + np.arange(w)
+        # where each record starts, then where the last one ends
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(layout.lens[cls], out=starts[1:])
+        offs = starts[:-1]
+        buf = np.zeros(int(starts[-1]), dtype=np.uint8)
+        buf[offs] = code
+        buf[offs[:, None] + field] = a.astype(layout.itype).view(np.uint8).reshape(n, w)
+        buf[offs[two][:, None] + w + field] = (
+            b[two].astype(layout.itype).view(np.uint8).reshape(-1, w))
+        buf[_angle_bytes(offs + 1 + w, cls)] = (
+            params.astype("<f8", copy=False).view(np.uint8))
+        # where each circuit's records start, then where the last one ends
+        rows = np.fromiter(accumulate((len(c) for _, _, c in group), initial=0),
+                           dtype=np.int64, count=len(group) + 1)
+        cut = starts[rows].tolist()
+        bodies = [buf.data[cut[k]:cut[k + 1]] for k in range(len(group))]
+    for (nq, nc, cols), body in zip(group, bodies):
+        _write_varint(out, nq)
+        _write_varint(out, nc)
+        _write_varint(out, len(cols))
+        out += body
 
 
 def _encode_records_loop(out: bytearray, cols: _Columns, compress: bool) -> None:
@@ -277,19 +332,6 @@ def _encode_records_loop(out: bytearray, cols: _Columns, compress: bool) -> None
                 out += _PACK_U32(b[i])
 
 
-def _encode_circuit(out: bytearray, c: Circuit, compress: bool) -> None:
-    flat = flatten(c)
-    if flat.num_qubits > _U32_MAX or flat.num_cbits > _U32_MAX:
-        raise BisEncodeError("register width exceeds 32 bits")
-    cols = flat._columns()
-    if len(cols) > _U32_MAX:
-        raise BisEncodeError("instruction count exceeds 32 bits")
-    _write_varint(out, flat.num_qubits)
-    _write_varint(out, flat.num_cbits)
-    _write_varint(out, len(cols))
-    _encode_records(out, cols, compress)
-
-
 def _stream_header(compress: bool) -> bytearray:
     # the fixed octets; the circuit count varint follows them
     return bytearray((*MAGIC, VERSION, FLAG_COMPRESSED if compress else 0, 0, 0))
@@ -299,13 +341,10 @@ def encode(circuits, *, compress: bool = False) -> bytes:
     """Encode a circuit or a sequence of circuits into one stream."""
     if isinstance(circuits, Circuit):
         circuits = [circuits]
-    else:
-        circuits = list(circuits)
-    out = _stream_header(compress)
-    _write_varint(out, len(circuits))
+    enc = StreamEncoder(compress=compress)
     for c in circuits:
-        _encode_circuit(out, c, compress)
-    return bytes(out)
+        enc.add(c)
+    return enc.finish()
 
 
 # -- decoding: careful per-record path ----------------------------------------
@@ -406,13 +445,18 @@ def _gather(arr, offs_list, blocks, layout: _Layout,
     circuit after circuit; entries past the batch's records are not read.
     ``blocks`` holds one ``(records, nq, nc)`` per circuit, against whose
     register widths each of its rows is checked.  Each circuit's columns are
-    slices of the batch arrays.  None if the shape does not hold (a barrier,
-    a multi-byte varint) or any operand is bad anywhere in the batch; the
-    caller then decodes the circuits one by one.
+    slices of the batch arrays.  None if an offset lies outside ``arr``, the
+    shape does not hold (a barrier, a multi-byte varint) or any operand is
+    bad anywhere in the batch; the caller then decodes the circuits one by
+    one.
     """
     counts = [n for n, _, _ in blocks]
     m = sum(counts)
     offs = np.fromiter(offs_list, dtype=np.int64, count=m)
+    # offsets ascend, so the first and last bound them all; a stale
+    # negative offset would read from the end of the buffer
+    if m and (offs[0] < 0 or offs[-1] >= len(arr)):
+        return None
     code = arr[offs]
     cls = code >> 5
     # the gather has no barrier shape, and a barrier row whose count fits
@@ -538,11 +582,18 @@ def decode(data) -> list[Circuit]:
 class StreamEncoder:
     """Incremental encoder.
 
-    Without a sink, circuits accumulate in memory and :meth:`finish` returns
-    a stream byte-identical to ``encode(circuits)``.  With a seekable binary
-    ``sink``, each circuit is written through as it arrives; the circuit
-    count -- unknown until the end -- is reserved as a 5-octet padded varint
-    and patched by :meth:`finish`.
+    Each :meth:`add` flattens and checks its circuit at once, so it raises
+    any :class:`BisEncodeError` the circuit causes, and keeps a snapshot of
+    it: changing the circuit afterwards does not change the stream.  The
+    snapshots are encoded in groups, one vectorized pass each; a group
+    closes once its circuits hold 4,096 rows.
+
+    Without a sink, :meth:`finish` returns a stream byte-identical to
+    ``encode(circuits)``.  With a seekable binary ``sink``, the stream header
+    is written at once and each group is written through when it closes, so
+    the last circuits added reach the sink only at :meth:`finish`.  The
+    circuit count -- unknown until the end -- is reserved as a 5-octet
+    padded varint and patched by :meth:`finish`.
     """
 
     def __init__(self, *, compress: bool = False, sink=None):
@@ -550,10 +601,10 @@ class StreamEncoder:
         self._sink = sink
         self._count = 0
         self._finished = False
-        if sink is None:
-            self._chunks: list[bytearray] | None = []
-        else:
-            self._chunks = None
+        self._out = bytearray()  # encoded circuits not yet written to the sink
+        self._group: list = []  # snapshots not yet encoded
+        self._rows = 0  # their rows
+        if sink is not None:
             head = _stream_header(compress)
             self._count_pos = sink.tell() + len(head)
             _write_varint_padded5(head, 0)
@@ -566,13 +617,22 @@ class StreamEncoder:
     def add(self, circuit: Circuit) -> None:
         if self._finished:
             raise BisEncodeError("stream already finished")
-        chunk = bytearray()
-        _encode_circuit(chunk, circuit, self.compress)
-        if self._sink is None:
-            self._chunks.append(chunk)
-        else:
-            self._sink.write(bytes(chunk))
+        snap = _snapshot(circuit)
+        self._group.append(snap)
+        self._rows += len(snap[2])
         self._count += 1
+        if self._rows >= _GROUP_ROWS:
+            self._close_group()
+
+    def _close_group(self) -> None:
+        if not self._group:
+            return
+        _encode_group(self._out, self._group, self.compress)
+        self._group = []
+        self._rows = 0
+        if self._sink is not None:
+            self._sink.write(self._out)
+            self._out = bytearray()
 
     def finish(self) -> bytes | None:
         if self._finished:
@@ -580,12 +640,11 @@ class StreamEncoder:
         self._finished = True
         if self._count > _U32_MAX:
             raise BisEncodeError("circuit count exceeds 32 bits")
+        self._close_group()
         if self._sink is None:
             out = _stream_header(self.compress)
             _write_varint(out, self._count)
-            for chunk in self._chunks:
-                out += chunk
-            return bytes(out)
+            return b"".join((out, self._out))
         end_pos = self._sink.tell()
         self._sink.seek(self._count_pos)
         patch = bytearray()

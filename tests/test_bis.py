@@ -298,6 +298,52 @@ class TestStreamEncoder:
         enc.add(Circuit(2))
         assert enc.circuit_count == 2
 
+    @pytest.mark.parametrize("sink", [False, True])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_add_keeps_a_snapshot(self, compress, sink):
+        cs = [ghz(3), Circuit(2).rx(0, 0.5), Circuit(2, 1).h(1).measure(1, 0)]
+        want = encode(cs, compress=compress)
+        out = io.BytesIO() if sink else None
+        enc = StreamEncoder(compress=compress, sink=out)
+        for c in cs:
+            enc.add(c)
+        if sink:
+            assert out.tell() == _SINK_HEAD  # the group is still open
+        cs[0].x(2)
+        cs[1].num_qubits = 7
+        cs[2].append(Instruction(GateKind.T, (0,)))
+        got = enc.finish()
+        if sink:
+            assert got is None
+            got = _unpadded(out.getvalue())
+        assert got == want
+        assert encode(cs, compress=compress) != want
+
+    def test_a_full_group_is_written_through(self):
+        # four circuits of a quarter of the cap each: the fourth closes the group
+        quarter = Circuit(2)
+        for _ in range(bis._GROUP_ROWS // 4):
+            quarter.h(0)
+        sink = io.BytesIO()
+        enc = StreamEncoder(sink=sink)
+        for _ in range(3):
+            enc.add(quarter)
+            assert sink.tell() == _SINK_HEAD
+        enc.add(quarter)
+        assert sink.tell() > _SINK_HEAD
+        enc.finish()
+        assert _unpadded(sink.getvalue()) == encode([quarter] * 4)
+
+
+# a sink-mode stream header: the fixed octets, then a 5-octet padded count
+_SINK_HEAD = len(encode([])) - 1 + 5
+
+
+def _unpadded(data: bytes) -> bytes:
+    """A sink-mode stream of fewer than 128 circuits with its count minimal."""
+    head = len(encode([])) - 1
+    return data[:head] + bytes([data[head] & 0x7F]) + data[_SINK_HEAD:]
+
 
 class TestStreamDecoder:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, 10_000])
@@ -621,6 +667,144 @@ class TestOneWalk:
         cuts += data.draw(st.lists(st.sampled_from(ends)))
         assert _outcome_text(lambda: _stream_read(blob, cuts)) == \
             _outcome_text(lambda: decode(blob))
+
+
+class TestStaleOffsets:
+    """The gather fails closed on record offsets outside its buffer."""
+
+    def test_offset_before_the_buffer(self):
+        data = encode(Circuit(2).h(0))
+        arr = np.frombuffer(data, dtype=np.uint8)
+        assert len(data) == 17
+        assert bis._gather(arr, [-5], [(1, 2, 0)], bis._LAYOUTS[0], {}) is None
+
+    @pytest.mark.parametrize("shift", ["first_negative", "all_negative",
+                                       "last_past_end", "all_past_end"])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_shifted_offsets(self, compress, shift):
+        cs = [Circuit(2).h(0), _fixed(3), Circuit(2).h(0).x(1)]
+        payloads = [_payload(c, compress) for c in cs]
+        data = b"".join(payloads)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        layout = bis._LAYOUTS[compress]
+        offs, stops, blocks = [], [], []
+        for c, p in zip(cs, payloads):
+            start = stops[-1] if stops else 0
+            stops.append(start + len(p))
+            blocks.append((len(c), c.num_qubits, c.num_cbits))
+            # after the three one-octet header varints
+            assert bis._walk_offsets(data, start + 3, stops[-1], len(c),
+                                     layout.step, offs) == stops[-1]
+        assert bis._gather(arr, offs, blocks, layout, {}) is not None
+        by = {"first_negative": -offs[0] - 1, "all_negative": -len(data),
+              "last_past_end": len(data) - offs[-1], "all_past_end": len(data)}
+        stale = [o + by[shift] for o in offs]
+        assert bis._gather(arr, stale, blocks, layout, {}) is None
+        want = _outcome(lambda: decode(_stream_of(payloads, compress)))
+        assert want == cs
+        assert _outcome(lambda: bis._decode_batch(
+            data, arr, stops, stale, blocks, compress, {})) == want
+
+
+def _reference(c: Circuit, compress: bool) -> bytes:
+    """One circuit's bytes as a stream holds them, its records written by
+    the per-record loop."""
+    nq, nc, cols = bis._snapshot(c)
+    out = bytearray()
+    for v in (nq, nc, len(cols)):
+        bis._write_varint(out, v)
+    bis._encode_records_loop(out, cols, compress)
+    return bytes(out)
+
+
+def _rows(n: int, rows: int) -> Circuit:
+    c = Circuit(n, 1)
+    for i in range(rows):
+        [c.h, c.x][i % 2](i % n)
+    return c
+
+
+@st.composite
+def group_batches(draw, cap: int):
+    """Circuits the group encoder must lay out as their own encodes would:
+    empty, fixed-shape, barrier, compressed-wide and daggered-block
+    circuits, and circuits of about ``cap`` rows."""
+    def one():
+        kind = draw(st.sampled_from(
+            ["empty", "small", "barrier", "wide", "dagger", "cap"]))
+        if kind == "empty":
+            return Circuit(draw(st.integers(min_value=1, max_value=3)))
+        if kind == "small":
+            return draw(circuits(max_len=6, measures=True, barriers=False))
+        if kind == "barrier":
+            c = draw(circuits(max_len=4, barriers=False))
+            return c.barrier(*range(c.num_qubits))
+        if kind == "wide":
+            return draw(wide_circuits())
+        if kind == "dagger":
+            inner = draw(circuits(max_len=5, barriers=False, min_qubits=2))
+            return (Circuit(inner.num_qubits).h(0).sub(inner, dagger=True)
+                    .cnot(0, 1))
+        return _rows(2, draw(st.integers(min_value=max(cap - 1, 0),
+                                         max_value=cap + 1)))
+    return [one() for _ in range(draw(st.integers(min_value=0, max_value=8)))]
+
+
+class TestGroupEncoder:
+    """``encode(list)`` and ``StreamEncoder`` lay out groups of circuits in
+    one pass; every byte matches each circuit's own encode."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_group_matches_single_encodes(self, data):
+        cap = data.draw(st.sampled_from([1, 3, 8, 20]))
+        compress = data.draw(st.booleans())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bis, "_GROUP_ROWS", cap)
+            cs = data.draw(group_batches(cap))
+            self._check(cs, compress, cap)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_at_the_module_cap(self, compress):
+        cap = bis._GROUP_ROWS
+        cs = [Circuit(1), _rows(3, cap - 1), Circuit(2), _rows(3, cap),
+              ghz(3), _rows(3, cap + 1), Circuit(4).h(0).barrier(1, 3),
+              _rows(3, 5), Circuit(200).h(150), Circuit(1)]
+        self._check(cs, compress, cap)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_empty_circuits_at_group_edges(self, compress):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bis, "_GROUP_ROWS", 4)
+            for cs in ([], [Circuit(1)] * 3,
+                       [Circuit(1), _rows(2, 2), Circuit(2), _rows(2, 2),
+                        Circuit(3)],
+                       [Circuit(1), _rows(2, 4), Circuit(1), _rows(2, 3)]):
+                self._check(cs, compress, 4)
+
+    @staticmethod
+    def _check(cs, compress: bool, cap: int) -> None:
+        payloads = [_payload(c, compress) for c in cs]
+        assert payloads == [_reference(c, compress) for c in cs]
+        want = _stream_of(payloads, compress)
+        assert encode(cs, compress=compress) == want
+        enc = StreamEncoder(compress=compress)
+        for c in cs:
+            enc.add(c)
+        assert enc.finish() == want
+        # with a sink, whole circuits are written once a group closes, and
+        # the circuits still pending never hold the cap's rows
+        sink = io.BytesIO()
+        enc = StreamEncoder(compress=compress, sink=sink)
+        rows = [len(flatten(c)) for c in cs]
+        for i, c in enumerate(cs):
+            enc.add(c)
+            written = sink.tell() - _SINK_HEAD
+            done = [sum(map(len, payloads[:k])) for k in range(i + 2)]
+            assert written in done
+            assert sum(rows[done.index(written):i + 1]) < cap
+        enc.finish()
+        assert _unpadded(sink.getvalue()) == want
 
 
 class TestEncodeErrors:
