@@ -259,8 +259,10 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
     n = len(code)
     layout = _LAYOUTS[compress]
     cls = code >> 5
+    if not n:
+        bodies = [b""] * len(group)
     # b is -1 where a record has no second index
-    if n and ((cls == 5).any() or max(a.max(), b.max()) >= layout.limit):
+    elif (cls == 5).any() or max(a.max(), b.max()) >= layout.limit:
         if len(group) > 1:
             for snap in group:
                 _encode_group(out, [snap], compress)
@@ -283,11 +285,14 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
             b[two].astype(layout.itype).view(np.uint8).reshape(-1, w))
         buf[_angle_bytes(offs + 1 + w, cls)] = (
             params.astype("<f8", copy=False).view(np.uint8))
-        # where each circuit's records start, then where the last one ends
-        rows = np.fromiter(accumulate((len(c) for _, _, c in group), initial=0),
-                           dtype=np.int64, count=len(group) + 1)
-        cut = starts[rows].tolist()
-        bodies = [buf.data[cut[k]:cut[k + 1]] for k in range(len(group))]
+        view = buf.data
+        if len(group) == 1:
+            bodies = [view]
+        else:
+            # where each circuit's records start, then where the last one ends
+            cut = starts[list(accumulate((len(c) for _, _, c in group),
+                                         initial=0))].tolist()
+            bodies = [view[cut[k]:cut[k + 1]] for k in range(len(group))]
     for (nq, nc, cols), body in zip(group, bodies):
         _write_varint(out, nq)
         _write_varint(out, nc)
