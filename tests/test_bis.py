@@ -258,6 +258,16 @@ class TestDecodeErrors:
             assert "at byte" in str(e.value)
 
 
+# a sink-mode stream header: the fixed octets, then a 5-octet padded count
+_SINK_HEAD = len(encode([])) - 1 + 5
+
+
+def _unpadded(data: bytes) -> bytes:
+    """A sink-mode stream of fewer than 128 circuits with its count minimal."""
+    head = len(encode([])) - 1
+    return data[:head] + bytes([data[head] & 0x7F]) + data[_SINK_HEAD:]
+
+
 class TestStreamEncoder:
     def test_owned_buffer_matches_batch(self):
         cs = [ghz(3), Circuit(2).rx(0, 0.5), Circuit(1)]
@@ -333,16 +343,6 @@ class TestStreamEncoder:
         assert sink.tell() > _SINK_HEAD
         enc.finish()
         assert _unpadded(sink.getvalue()) == encode([quarter] * 4)
-
-
-# a sink-mode stream header: the fixed octets, then a 5-octet padded count
-_SINK_HEAD = len(encode([])) - 1 + 5
-
-
-def _unpadded(data: bytes) -> bytes:
-    """A sink-mode stream of fewer than 128 circuits with its count minimal."""
-    head = len(encode([])) - 1
-    return data[:head] + bytes([data[head] & 0x7F]) + data[_SINK_HEAD:]
 
 
 class TestStreamDecoder:
