@@ -66,6 +66,90 @@ class TestInstruction:
         assert a == Instruction(GateKind.RZ, (0,), (0.0,))
 
 
+_FIELDS = ("kind", "qubits", "params", "cbit", "dagger")
+
+
+def _samples():
+    """One instruction of each shape, each field set to a non-default."""
+    return [Instruction(GateKind.H, (0,)),
+            Instruction(GateKind.X1, (1,), dagger=True),
+            Instruction(GateKind.RZ, (2,), (-0.0,)),
+            Instruction(GateKind.U3, (0,), (0.1, 0.0, -2.5)),
+            Instruction(GateKind.CNOT, (1, 0)),
+            Instruction(GateKind.MEASURE, (1,), cbit=3),
+            Instruction(GateKind.BARRIER, (2, 0, 1))]
+
+
+class TestInstructionSemantics:
+    """Comparison, hashing and immutability, whatever the record's layout."""
+
+    def test_equality_is_bit_exact_on_every_angle(self):
+        for params in [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0),
+                       (0.0, 0.0, -0.0)]:
+            a = Instruction(GateKind.U3, (0,), params)
+            for other in [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0),
+                          (0.0, -0.0, 0.0), (0.0, 0.0, -0.0)]:
+                b = Instruction(GateKind.U3, (0,), other)
+                same = [math.copysign(1, p) for p in params] == \
+                    [math.copysign(1, p) for p in other]
+                assert (a == b) is same and (a != b) is (not same)
+        assert Instruction(GateKind.RZ, (0,), (-0.0,)) != \
+            Instruction(GateKind.RZ, (0,), (0.0,))
+
+    def test_ne_follows_eq(self):
+        ins = _samples()
+        for x in ins:
+            for y in ins + _samples():
+                assert (x != y) is (not (x == y))
+        assert (ins[0] == Instruction(GateKind.H, (0,))) is True
+        assert (ins[0] != Instruction(GateKind.H, (0,))) is False
+        assert (ins[0] != Instruction(GateKind.H, (1,))) is True
+        assert (ins[1] != Instruction(GateKind.X1, (1,))) is True
+        assert (ins[5] != Instruction(GateKind.MEASURE, (1,), cbit=2)) is True
+
+    def test_unhashable(self):
+        for ins in _samples():
+            with pytest.raises(TypeError):
+                hash(ins)
+            with pytest.raises(TypeError):
+                {ins}
+
+    def test_never_equals_a_plain_tuple(self):
+        for ins in _samples():
+            fields = tuple(getattr(ins, name) for name in _FIELDS)
+            for other in (fields, fields[:2], ()):
+                assert (ins == other) is False and (other == ins) is False
+                assert (ins != other) is True and (other != ins) is True
+            assert ins not in [fields]
+            assert [ins] != [fields] and [fields] != [ins]
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_unordered(self, op):
+        cmp = {"<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
+               ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}[op]
+        ins = _samples()
+        for x in ins:
+            fields = tuple(getattr(x, name) for name in _FIELDS)
+            for y in (x, ins[0], fields, ()):
+                with pytest.raises(TypeError):
+                    cmp(x, y)
+                with pytest.raises(TypeError):
+                    cmp(y, x)
+        with pytest.raises(TypeError):
+            sorted(ins)
+
+    def test_fields_and_new_attributes_refuse_assignment(self):
+        for ins in _samples():
+            before = [getattr(ins, name) for name in _FIELDS]
+            for name in _FIELDS:
+                with pytest.raises(AttributeError):
+                    setattr(ins, name, getattr(ins, name))
+            for name in ("extra", "opcode", "__dict__"):
+                with pytest.raises(AttributeError):
+                    setattr(ins, name, 1)
+            assert [getattr(ins, name) for name in _FIELDS] == before
+
+
 class TestDagger:
     def test_self_inverse(self):
         for k in (GateKind.I, GateKind.H, GateKind.X, GateKind.Y, GateKind.Z):
@@ -370,13 +454,13 @@ class TestFastPaths:
         full = Instruction(kind, qubits, params, cbit, dagger)
         assert raw == full
         assert raw.opcode == full.opcode
-        for name in Instruction.__slots__:
+        for name in _FIELDS:
             assert getattr(raw, name) == getattr(full, name)
         assert kind.opclass == kind.value >> 5
 
     @staticmethod
     def _assert_immutable(ins):
-        for name in Instruction.__slots__:
+        for name in _FIELDS:
             with pytest.raises(AttributeError):
                 setattr(ins, name, getattr(ins, name))
         with pytest.raises(AttributeError):
