@@ -184,6 +184,7 @@ class _Layout(NamedTuple):
     limit: int
     lens: np.ndarray    # record length by opcode class, 0 = no fixed size
     step: list          # record length by opcode, 0 = barrier or unknown opcode
+    steps: np.ndarray   # step as an array, for the gather's vector check
     span: list          # step, with 0 made longer than any buffer
     varints: list       # index varints by opcode (compressed mode only)
 
@@ -198,7 +199,8 @@ def _layout(itype: str, limit: int, compress: bool) -> _Layout:
         step[op] = int(lens[op >> 5])
         varints[op] = int(_NIDX_BY_CLASS[op >> 5]) if compress else 0
     span = [n or 1 << 62 for n in step]
-    return _Layout(itype, width, limit, lens, step, span, varints)
+    return _Layout(itype, width, limit, lens, step, np.array(step), span,
+                   varints)
 
 
 # indexed by the compressed flag; a compressed index below 128 is one octet
@@ -450,10 +452,10 @@ def _gather(arr, offs_list, blocks, layout: _Layout,
     circuit after circuit; entries past the batch's records are not read.
     ``blocks`` holds one ``(records, nq, nc)`` per circuit, against whose
     register widths each of its rows is checked.  Each circuit's columns are
-    slices of the batch arrays.  None if an offset lies outside ``arr``, the
-    shape does not hold (a barrier, a multi-byte varint) or any operand is
-    bad anywhere in the batch; the caller then decodes the circuits one by
-    one.
+    slices of the batch arrays.  None if a record would reach outside
+    ``arr``, the shape does not hold (a barrier, an unknown opcode, a
+    multi-byte varint) or any operand is bad anywhere in the batch; the
+    caller then decodes the circuits one by one.
     """
     counts = [n for n, _, _ in blocks]
     m = sum(counts)
@@ -463,11 +465,14 @@ def _gather(arr, offs_list, blocks, layout: _Layout,
     if m and (offs[0] < 0 or offs[-1] >= len(arr)):
         return None
     code = arr[offs]
-    cls = code >> 5
-    # the gather has no barrier shape, and a barrier row whose count fits
-    # nq would pass every check below
-    if (cls == 5).any():
+    # every record must be of a fixed shape (the gather has no barrier
+    # shape, and a barrier row whose count fits nq would pass every check
+    # below) and end inside the buffer: a stale offset inside it may land
+    # on any byte
+    step = layout.steps[code]
+    if (step == 0).any() or (offs + step > len(arr)).any():
         return None
+    cls = code >> 5
     w = layout.width
     field = 1 + np.arange(w)
     a = arr[offs[:, None] + field].view(layout.itype).ravel().astype(np.int64)

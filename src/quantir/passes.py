@@ -48,7 +48,7 @@ _S, _SDG, _T, _TDG = GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG
 _X1, _U3 = GateKind.X1, GateKind.U3
 _RX, _RY, _RZ = GateKind.RX, GateKind.RY, GateKind.RZ
 _CNOT, _CZ, _SWAP = GateKind.CNOT, GateKind.CZ, GateKind.SWAP
-_raw = Instruction._raw
+_new = tuple.__new__
 
 
 class PassError(ValueError):
@@ -79,12 +79,15 @@ def _peephole(c: Circuit, kinds, combine) -> Circuit:
     while changed:
         changed = False
         out: list = []
-        last: dict[int, int] = {}  # wire -> index in out of its last instruction
+        keep = out.append
+        # wire -> index in out of its last instruction, or -1; one slot per
+        # wire, as depth and CircuitDag keep
+        last = [-1] * flat.num_qubits
         for ins in body:
+            qs = ins.qubits
             if ins.kind._value_ in codes:
-                qs = ins.qubits
-                li = last.get(qs[0], -1)
-                if li >= 0 and (len(qs) == 1 or last.get(qs[1], -1) == li):
+                li = last[qs[0]]
+                if li >= 0 and (len(qs) == 1 or last[qs[1]] == li):
                     new = combine(out[li], ins)
                     if new is not ins:
                         out[li] = new
@@ -93,9 +96,9 @@ def _peephole(c: Circuit, kinds, combine) -> Circuit:
                                 last[q] = -1
                             changed = True
                         continue
-            out.append(ins)
-            idx = len(out) - 1
-            for q in ins.qubits:
+            idx = len(out)
+            keep(ins)
+            for q in qs:
                 last[q] = idx
         body = [ins for ins in out if ins is not None]
     return Circuit._from_items(flat.num_qubits, flat.num_cbits, body, flat.name)
@@ -121,7 +124,7 @@ def merge_adjacent_rotations(c: Circuit) -> Circuit:
             return None
         # always a new object, never one from a table: ``_peephole`` reads
         # a result that ``is ins`` as "keep both"
-        return _raw(ins.kind, ins.qubits, (total,), None, False)
+        return _new(Instruction, (ins.kind, ins.qubits, (total,), None, False))
 
     return _peephole(c, (_RX, _RY, _RZ), merge)
 
@@ -159,37 +162,43 @@ def cancel_adjacent_inverses(c: Circuit) -> Circuit:
 
 # -- basis lowering -------------------------------------------------------------
 
-def _rz(q, a):
-    return _raw(_RZ, (q,), (a,), None, False)
+# Each rule takes its input's operand tuple, ``qs``, and builds its
+# sequence on it, so a lowered sequence makes no new one-qubit tuple.  The
+# two-qubit rules make one ``(t,)`` for the target side of each CNOT.
+
+def _rz(qs, a):
+    return _new(Instruction, (_RZ, qs, (a,), None, False))
 
 
-def _rx(q, a):
-    return _raw(_RX, (q,), (a,), None, False)
+def _rx(qs, a):
+    return _new(Instruction, (_RX, qs, (a,), None, False))
 
 
-def _x1(q):
-    return _raw(_X1, (q,), (), None, False)
+def _x1(qs):
+    return _new(Instruction, (_X1, qs, (), None, False))
 
 
-def _cnot(a, b):
-    return _raw(_CNOT, (a, b), (), None, False)
+def _cnot(qs):
+    return _new(Instruction, (_CNOT, qs, (), None, False))
 
 
-def _h_as_x1(q):
-    return [_rz(q, _PI / 2), _x1(q), _rz(q, _PI / 2)]
+def _h_as_x1(qs):
+    return [_rz(qs, _PI / 2), _x1(qs), _rz(qs, _PI / 2)]
 
 
-def _h_as_rx(q):
-    return [_rz(q, _PI / 2), _rx(q, _PI / 2), _rz(q, _PI / 2)]
+def _h_as_rx(qs):
+    return [_rz(qs, _PI / 2), _rx(qs, _PI / 2), _rz(qs, _PI / 2)]
 
 
-def _cnot_as_cz(c, t):
-    cz = _raw(_CZ, (c, t), (), None, False)
+def _cnot_as_cz(qs):
+    t = (qs[1],)
+    cz = _new(Instruction, (_CZ, qs, (), None, False))
     return [*_h_as_x1(t), cz, *_h_as_x1(t)]
 
 
-def _swap_as_cnots(a, b):
-    return [_cnot(a, b), _cnot(b, a), _cnot(a, b)]
+def _swap_as_cnots(qs):
+    back = (qs[1], qs[0])
+    return [_cnot(qs), _cnot(back), _cnot(qs)]
 
 
 def _keep(ins):
@@ -197,23 +206,29 @@ def _keep(ins):
 
 
 def _one_q(build):
-    """The rule for a one-qubit kind whose sequence is ``build(q, *params)``."""
-    return lambda ins: build(ins.qubits[0], *ins.params)
+    """The rule for a one-qubit kind whose sequence is ``build(qs, *params)``."""
+    return lambda ins: build(ins.qubits, *ins.params)
 
 
 def _phase(a):
-    return _one_q(lambda q: [_rz(q, a)])
+    return _one_q(lambda qs: [_rz(qs, a)])
 
 
 def _x1_as_pulses(ins):
     if not ins.dagger:
         return [ins]
-    q = ins.qubits[0]
-    return [_rz(q, _PI), _x1(q), _rz(q, _PI)]
+    qs = ins.qubits
+    return [_rz(qs, _PI), _x1(qs), _rz(qs, _PI)]
 
 
 def _x1_as_rx(ins):
-    return [_rx(ins.qubits[0], -_PI / 2 if ins.dagger else _PI / 2)]
+    return [_rx(ins.qubits, -_PI / 2 if ins.dagger else _PI / 2)]
+
+
+def _cz_as_cnot(ins):
+    qs = ins.qubits
+    t = (qs[1],)
+    return [*_h_as_rx(t), _cnot(qs), *_h_as_rx(t)]
 
 
 _SHARED_RULES = {
@@ -234,33 +249,32 @@ _RULES = {
         **_SHARED_RULES,
         _X1: _x1_as_pulses,
         _H: _one_q(_h_as_x1),
-        _X: _one_q(lambda q: [_x1(q), _x1(q)]),
-        _Y: _one_q(lambda q: [_x1(q), _x1(q), _rz(q, _PI)]),
-        _RX: _one_q(lambda q, t: [_rz(q, _PI / 2), _x1(q), _rz(q, t + _PI),
-                                  _x1(q), _rz(q, _PI / 2)]),
-        _RY: _one_q(lambda q, t: [_x1(q), _rz(q, t + _PI), _x1(q),
-                                  _rz(q, _PI)]),
-        _U3: _one_q(lambda q, t, p, l: [_rz(q, l), _x1(q), _rz(q, t + _PI),
-                                        _x1(q), _rz(q, p + _PI)]),
+        _X: _one_q(lambda qs: [_x1(qs), _x1(qs)]),
+        _Y: _one_q(lambda qs: [_x1(qs), _x1(qs), _rz(qs, _PI)]),
+        _RX: _one_q(lambda qs, t: [_rz(qs, _PI / 2), _x1(qs), _rz(qs, t + _PI),
+                                   _x1(qs), _rz(qs, _PI / 2)]),
+        _RY: _one_q(lambda qs, t: [_x1(qs), _rz(qs, t + _PI), _x1(qs),
+                                   _rz(qs, _PI)]),
+        _U3: _one_q(lambda qs, t, p, l: [_rz(qs, l), _x1(qs), _rz(qs, t + _PI),
+                                         _x1(qs), _rz(qs, p + _PI)]),
         _CZ: _keep,
-        _CNOT: lambda ins: _cnot_as_cz(*ins.qubits),
-        _SWAP: lambda ins: [g for cnot in _swap_as_cnots(*ins.qubits)
-                            for g in _cnot_as_cz(*cnot.qubits)],
+        _CNOT: lambda ins: _cnot_as_cz(ins.qubits),
+        _SWAP: lambda ins: [g for cnot in _swap_as_cnots(ins.qubits)
+                            for g in _cnot_as_cz(cnot.qubits)],
     }),
     "rz-rx-cnot": _by_opcode({
         **_SHARED_RULES,
         _RX: _keep, _CNOT: _keep,
         _X1: _x1_as_rx,
         _H: _one_q(_h_as_rx),
-        _X: _one_q(lambda q: [_rx(q, _PI)]),
-        _Y: _one_q(lambda q: [_rz(q, -_PI / 2), _rx(q, _PI), _rz(q, _PI / 2)]),
-        _RY: _one_q(lambda q, t: [_rz(q, -_PI / 2), _rx(q, t),
-                                  _rz(q, _PI / 2)]),
-        _U3: _one_q(lambda q, t, p, l: [_rz(q, l - _PI / 2), _rx(q, t),
-                                        _rz(q, p + _PI / 2)]),
-        _CZ: lambda ins: [*_h_as_rx(ins.qubits[1]), _cnot(*ins.qubits),
-                          *_h_as_rx(ins.qubits[1])],
-        _SWAP: lambda ins: _swap_as_cnots(*ins.qubits),
+        _X: _one_q(lambda qs: [_rx(qs, _PI)]),
+        _Y: _one_q(lambda qs: [_rz(qs, -_PI / 2), _rx(qs, _PI), _rz(qs, _PI / 2)]),
+        _RY: _one_q(lambda qs, t: [_rz(qs, -_PI / 2), _rx(qs, t),
+                                   _rz(qs, _PI / 2)]),
+        _U3: _one_q(lambda qs, t, p, l: [_rz(qs, l - _PI / 2), _rx(qs, t),
+                                         _rz(qs, p + _PI / 2)]),
+        _CZ: _cz_as_cnot,
+        _SWAP: lambda ins: _swap_as_cnots(ins.qubits),
     }),
 }
 

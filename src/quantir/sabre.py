@@ -73,6 +73,7 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .circuit import Circuit, Instruction, flatten, layered_depth
 from .dag import CircuitDag
@@ -410,24 +411,47 @@ def _build(dag: CircuitDag, n_phys: int, initial_layout: Layout,
     l2p = layout._l2p
     items: list[Instruction] = []
     emit = items.append
-    raw = Instruction._raw
+    new = tuple.__new__
     swap = GateKind.SWAP
     routed: dict[int, Instruction] = {}
+    # every output instruction on a qubit, or an ordered pair, shares one
+    # operand tuple
+    ones = _physical_singles(n_phys)
+    pair = {}.setdefault
     for x in order:
         if x >= 0:
             ins = body[x]
             out = routed.get(id(ins))
             if out is None:
-                out = routed[id(ins)] = raw(
-                    ins.kind, tuple([l2p[q] for q in ins.qubits]), ins.params,
-                    ins.cbit, ins.dagger)
+                qs = ins.qubits
+                if len(qs) == 1:
+                    qs = ones[l2p[qs[0]]]
+                elif len(qs) == 2:
+                    qs = (l2p[qs[0]], l2p[qs[1]])
+                    qs = pair(qs, qs)
+                else:
+                    qs = tuple([l2p[q] for q in qs])
+                out = routed[id(ins)] = new(Instruction, (
+                    ins.kind, qs, ins.params, ins.cbit, ins.dagger))
             emit(out)
         else:
             a, b = divmod(-1 - x, n_phys)
-            emit(raw(swap, (a, b), (), None, False))
+            qs = (a, b)
+            emit(new(Instruction, (swap, pair(qs, qs), (), None, False)))
             layout.swap_physical(a, b)
             routed.clear()
     return Circuit._from_items(n_phys, dag.circuit.num_cbits, items)
+
+
+@lru_cache(maxsize=8)
+def _physical_singles(n_phys: int) -> tuple:
+    """``(p,)`` for each physical qubit ``p``, one object per width.
+
+    The operand tuple of every routed one-qubit instruction and of every
+    measurement ``transpile`` re-targets, so compiles on one device share
+    them.
+    """
+    return tuple([(p,) for p in range(n_phys)])
 
 
 def _depth(dag: CircuitDag, initial_layout: Layout, order: list[int]) -> int:

@@ -23,7 +23,7 @@ from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 from .passes import (BASES, cancel_adjacent_inverses, decompose_to_basis,
                      expand_swaps, merge_adjacent_rotations)
-from .sabre import Layout, SabreConfig, _best_trial
+from .sabre import Layout, SabreConfig, _best_trial, _physical_singles
 from .topology import CouplingGraph
 
 __all__ = ["TranspileConfig", "TranspileStats", "TranspileResult",
@@ -119,8 +119,9 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         out = expand_swaps(out, config.basis)
 
     raw, measure = Instruction._raw, GateKind.MEASURE
+    ones = _physical_singles(out.num_qubits)
     out = Circuit._from_items(out.num_qubits, out.num_cbits, out.body + [
-        raw(measure, (final.phys(m.qubits[0]),), (), m.cbit, False)
+        raw(measure, ones[final.phys(m.qubits[0])], (), m.cbit, False)
         for m in measures], out.name)
 
     two_q = [ins for ins in out.body if ins.kind.opclass == CLS_2Q]

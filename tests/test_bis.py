@@ -12,7 +12,7 @@ from quantir.bis import (
     UnsupportedVersion, VarintTooLong, decode, encode,
 )
 from quantir.circuit import Circuit, Instruction, flatten
-from quantir.gates import GateKind
+from quantir.gates import GateKind, KIND_BY_OPCODE
 
 from conftest import circuits, ghz
 
@@ -677,6 +677,36 @@ class TestStaleOffsets:
         arr = np.frombuffer(data, dtype=np.uint8)
         assert len(data) == 17
         assert bis._gather(arr, [-5], [(1, 2, 0)], bis._LAYOUTS[0], {}) is None
+
+    def test_offsets_inside_the_buffer_whose_records_run_past_it(self):
+        c = Circuit(2).h(0).x(1).h(1)
+        data = _payload(c, True)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        layout = bis._LAYOUTS[True]
+        offs = []
+        assert bis._walk_offsets(data, 3, len(data), len(c), layout.step,
+                                 offs) == len(data)
+        assert bis._gather(arr, offs, [(3, 2, 2)], layout, {}) is not None
+        # every stale offset lies inside the buffer, and the last record
+        # they name would end one byte past it
+        stale = [o + 1 for o in offs]
+        assert stale[-1] < len(data)
+        assert bis._gather(arr, stale, [(3, 2, 2)], layout, {}) is None
+
+    def test_offset_on_a_byte_that_is_no_opcode(self):
+        c = Circuit(12).h(11).h(0)
+        data = _payload(c, True)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        layout = bis._LAYOUTS[True]
+        offs = []
+        assert bis._walk_offsets(data, 3, len(data), len(c), layout.step,
+                                 offs) == len(data)
+        # one past the first opcode is qubit 11, 0x0B, which names no gate;
+        # the byte after it, read as its qubit, is a valid index
+        stale = [offs[0] + 1, offs[1]]
+        assert data[stale[0]] == 0x0B and 0x0B not in KIND_BY_OPCODE
+        assert data[stale[0] + 1] < c.num_qubits
+        assert bis._gather(arr, stale, [(2, 12, 12)], layout, {}) is None
 
     @pytest.mark.parametrize("shift", ["first_negative", "all_negative",
                                        "last_past_end", "all_past_end"])

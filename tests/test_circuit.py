@@ -149,6 +149,20 @@ class TestInstructionSemantics:
                     setattr(ins, name, 1)
             assert [getattr(ins, name) for name in _FIELDS] == before
 
+    def test_fields_refuse_deletion(self):
+        for ins in _samples():
+            for name in _FIELDS:
+                with pytest.raises(AttributeError):
+                    delattr(ins, name)
+
+    def test_no_unvalidated_builder(self):
+        # only the constructor, which validates, makes an instruction from
+        # outside the package: no namedtuple-style _make or _replace
+        for name in ("_make", "_replace"):
+            assert not hasattr(Instruction, name)
+        with pytest.raises(CircuitError):
+            Instruction(GateKind.CNOT, (1, 1))
+
 
 class TestDagger:
     def test_self_inverse(self):
@@ -498,6 +512,21 @@ class TestFastPaths:
         for i in (10, 12, 14):  # rotations, U3 and barriers are built per row
             assert body[i] == body[i + 1] and body[i] is not body[i + 1]
         assert body[16] is not body[0] and body[17] is not body[2]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_decoded_body_shares_one_qubit_operands(self, compress):
+        c = Circuit(3, 3)
+        for q in (0, 1, 2, 0, 1):
+            (c.h(q).rz(q, 0.25 * q).u3(q, 0.1, 0.2, q).x1(q, dagger=True)
+             .rz(q, -0.5).measure(q, q))
+        c.cnot(0, 1).barrier(1, 0)
+        (out,) = bis.decode(bis.encode(c, compress=compress))
+        assert out == c
+        by_qubit = {}
+        for ins in out.body:
+            if len(ins.qubits) == 1:
+                assert by_qubit.setdefault(ins.qubits[0], ins.qubits) is ins.qubits
+        assert sorted(by_qubit) == [0, 1, 2]
 
     @staticmethod
     def _two_circuits():

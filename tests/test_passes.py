@@ -283,6 +283,21 @@ def test_exact_cnot_sequence_in_x1_basis():
         == {(1,)}
 
 
+@pytest.mark.parametrize("basis", ["rz-x1-cz", "rz-rx-cnot"])
+def test_lowered_sequences_share_their_operand_tuples(basis):
+    # a one-qubit rule builds its whole sequence on its input's tuple
+    for ins in (Circuit(2).h(0).x(1).y(0).rx(1, 0.5).ry(0, 0.25)
+                .u3(1, 0.1, 0.2, 0.3).s(0).t(1).x1(0, dagger=True).body):
+        seq = decompose_to_basis(Circuit._from_items(2, 0, [ins]), basis).body
+        assert seq and all(out.qubits is ins.qubits for out in seq)
+    # a two-qubit rule makes one tuple for the one-qubit rows of its target
+    for build in (lambda c: c.cnot(0, 1), lambda c: c.cz(0, 1)):
+        c = build(Circuit(2))
+        seq = decompose_to_basis(c, basis).body
+        ones = {id(out.qubits) for out in seq if len(out.qubits) == 1}
+        assert len(ones) <= 1
+
+
 def test_identity_gate_dropped():
     for basis in ("rz-x1-cz", "rz-rx-cnot"):
         assert decompose_to_basis(Circuit(1).i(0), basis).body == []

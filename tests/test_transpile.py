@@ -504,3 +504,23 @@ def test_shared_instructions_compile_like_fresh_ones(c):
             for basis in BASES:
                 assert (_compiled(shared, graph, level, basis)
                         == _compiled(fresh, graph, level, basis))
+
+
+# -- shared operand tuples ----------------------------------------------------
+# The route builder gives every instruction on one physical qubit, or one
+# ordered pair, the same ``qubits`` tuple, and the re-targeted measurements
+# take the builder's; the tuples are most of a compiled body's memory.
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_compiled_body_shares_its_operand_tuples(seed):
+    from quantir import qasm2
+    n = 10
+    c = bench_circuit(n, 60, seed)
+    for q in range(n):
+        c.measure(q, q)
+    c = qasm2.import_qasm2(qasm2.emit_qasm2(c))
+    res = transpile(c, topology.build("full", n),
+                    TranspileConfig(level=2, basis="rz-x1-cz"))
+    body = res.circuit.body
+    assert len(body) > 1000 and any(i.kind is GateKind.MEASURE for i in body)
+    assert len({id(ins.qubits) for ins in body}) <= n + n * (n - 1)
