@@ -16,19 +16,19 @@ params, cbit, dagger)``.  ``Instruction(...)`` validates its arguments;
 from data already checked with a single ``tuple.__new__`` call.  Being
 immutable, instructions and their operand tuples can be shared.  A body
 built from columns holds one instance per distinct parameter-free row (1Q,
-2Q, MEASURE) and one ``(q,)`` per qubit among its one-qubit rows.  Columns a
-reader decoded share one row table per read: equal such rows in any
-circuits of one ``bis.decode`` call, or of one ``bis.StreamDecoder``, are
-the same object.  A body lets go of the table once built, so the table
-lives only as long as its reader or a circuit of it whose body is not yet
-built.  Other columns, packed from a caller's own instructions or written
-by the generator, get a table per body.  Rotation, U3 and BARRIER rows are
-built per row.  Bodies from the QASM reader (one object per repeated
-statement text), from basis lowering and from the route builder (one object
-per repeated input object) may also hold one instruction at many positions.
-Lowering builds each sequence on its input's operand tuple; the route
-builder gives every instruction on one physical qubit, or one ordered pair,
-the same tuple.
+2Q, MEASURE), and the one-qubit rows it builds share one ``(q,)`` per
+qubit.  Columns a reader decoded share one row table per read: equal such
+rows in any circuits of one ``bis.decode`` call, or of one
+``bis.StreamDecoder``, are the same object.  A body lets go of the table
+once built, so the table lives only as long as its reader or a circuit of
+it whose body is not yet built.  Other columns, packed from a caller's own
+instructions or written by the generator, get a table per body.
+Rotation, U3 and BARRIER rows are built per row.  Bodies from the QASM
+reader (one object per repeated statement text), from basis lowering and
+from the route builder (one object per repeated input object) may also
+hold one instruction at many positions.  Lowering builds each sequence on
+its input's operand tuple; the route builder gives every instruction on
+one physical qubit, or one ordered pair, the same tuple.
 """
 from __future__ import annotations
 
@@ -329,7 +329,8 @@ def _unpack_body(cols: _Columns) -> list[Instruction]:
                     ins = new(ins_type, (kind, qs, (params[pi],), None, False))
                     pi += 1
                 elif cls == CLS_U3:
-                    ins = new(ins_type, (kind, qs, tuple(params[pi:pi + 3]), None, False))
+                    ins = new(ins_type,
+                              (kind, qs, tuple(params[pi:pi + 3]), None, False))
                     pi += 3
                 else:
                     ins = shared[row] = new(ins_type, (kind, qs, (), bv, False))

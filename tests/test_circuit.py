@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -123,10 +124,9 @@ class TestInstructionSemantics:
             assert ins not in [fields]
             assert [ins] != [fields] and [fields] != [ins]
 
-    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
-    def test_unordered(self, op):
-        cmp = {"<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
-               ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}[op]
+    @pytest.mark.parametrize("cmp", [operator.lt, operator.le, operator.gt,
+                                     operator.ge])
+    def test_unordered(self, cmp):
         ins = _samples()
         for x in ins:
             fields = tuple(getattr(x, name) for name in _FIELDS)
