@@ -94,8 +94,6 @@ class TestInstructionSemantics:
                 same = [math.copysign(1, p) for p in params] == \
                     [math.copysign(1, p) for p in other]
                 assert (a == b) is same and (a != b) is (not same)
-        assert Instruction(GateKind.RZ, (0,), (-0.0,)) != \
-            Instruction(GateKind.RZ, (0,), (0.0,))
 
     def test_ne_follows_eq(self):
         ins = _samples()
