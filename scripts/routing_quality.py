@@ -8,17 +8,38 @@ shortest path from the identity placement.
 
     python3 scripts/routing_quality.py
     python3 scripts/routing_quality.py --topology square:9 --depth 60 --per-seed
+
+With ``--time N`` it instead times ``transpile`` of seed 0's circuit N times
+and prints the median in reference seconds (``perfbench.measure.Pace``),
+with the output's swaps and depth.  The ROADMAP's router case is
+
+    python3 scripts/routing_quality.py --time 10 --topology heavy_hex:5 \
+        --depth 60 --level 2
 """
 from __future__ import annotations
 
 import argparse
 import statistics
 import sys
+from pathlib import Path
 
-from quantir import TranspileConfig, transpile
-from quantir.bench import random_circuit
-from quantir.sabre import naive_swap_count
-from quantir.topology import build
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.measure import Pace  # noqa: E402
+from quantir import TranspileConfig, transpile  # noqa: E402
+from quantir.bench import random_circuit  # noqa: E402
+from quantir.sabre import naive_swap_count  # noqa: E402
+from quantir.topology import build  # noqa: E402
+
+
+def time_transpile(circuit, graph, config, runs: int) -> tuple[float, object]:
+    """Median reference seconds of ``runs`` calls, and the last call's result."""
+    pace = Pace()
+    times = []
+    for _ in range(runs):
+        t, result = pace.timed(transpile, circuit, graph, config)
+        times.append(t)
+    return statistics.median(times), result
 
 
 def main(argv=None) -> int:
@@ -32,11 +53,23 @@ def main(argv=None) -> int:
     parser.add_argument("--level", type=int, default=0, choices=(0, 1, 2))
     parser.add_argument("--per-seed", action="store_true",
                         help="print one line per seed")
+    parser.add_argument("--time", type=int, default=0, metavar="N",
+                        help="time N transpile calls of seed 0's circuit instead")
     args = parser.parse_args(argv)
 
     kind, _, param = args.topology.partition(":")
     graph = build(kind, int(param))
     width = args.qubits if args.qubits is not None else graph.num_qubits
+
+    if args.time > 0:
+        median, result = time_transpile(random_circuit(width, args.depth, seed=0),
+                                        graph, TranspileConfig(level=args.level),
+                                        args.time)
+        print(f"{args.topology}, {width} qubits, depth {args.depth}, seed 0, "
+              f"level {args.level}: transpile median {median:.3f} reference s "
+              f"over {args.time} runs; {result.stats.swaps_inserted} swaps, "
+              f"depth {result.stats.depth_after}")
+        return 0
 
     routed, walked, wins = [], [], 0
     for seed in range(args.seeds):

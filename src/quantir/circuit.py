@@ -121,6 +121,10 @@ class Instruction(tuple):
         # trusted constructor for pre-validated data
         return _new(cls, (kind, qubits, params, cbit, dagger))
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, so through validation
+        return tuple(self)
+
     @property
     def opcode(self) -> int:
         if self.dagger and self.kind is _X1:

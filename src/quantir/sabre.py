@@ -44,6 +44,16 @@ candidates its last swap or front change touched:
 
 * the extended set depends on the front alone, so it is rebuilt only when a
   gate executes; a swap that executes nothing keeps it;
+* a new front is taken by its difference from the last: the gates that left
+  or joined the front or the extended set (set differences against the live
+  front) adjust the integer distance sums and the per-wire tables, and the
+  front is sorted only for the extended-set search;
+* that search is skipped once it would take every gate left.  A search that
+  stops short of ``extended_set_size`` has found every unexecuted two-qubit
+  gate outside the front, since each descends from a front gate, and later
+  fronts can only have fewer; from then on the set is those gates still
+  outside the front, with no search.  Only membership is used, so the order
+  the search would give does not matter;
 * a swap on (a, b) moves only the gates with an operand on a or b, so each
   candidate scores as the integer front and extended-set distance sums plus
   those gates' integer distance deltas;
@@ -51,20 +61,24 @@ candidates its last swap or front change touched:
   on (a, b) changes the deltas only of the candidates at a and b and at the
   positions of the other operands of the swapped wires' gates; a new front
   changes only those on the wires of the gates that joined or left the front
-  or the extended set.  Only those are recomputed; the two sums advance by
-  the chosen swap's deltas and are re-taken for a new front;
+  or the extended set.  Only those are recomputed, and the two sums advance
+  by the chosen swap's deltas;
 * after a swap only the front gates on the two swapped wires are re-checked
   for execution; every other front gate is still blocked.
 
-Distances are integers, so these sums equal a float re-sum over every gate
-exactly: scores, tie-breaks and the routed output are the same, byte for
-byte, as routing that applies each candidate swap and re-sums the front and
-extended set.  ``transpile`` of a 57-qubit depth-60 circuit on ``heavy_hex:5``
-at level 2 takes 0.66 reference s (``perfbench.measure.Pace``), against 0.85
-when every layout trial pass built its routed body (median of 10 runs each,
-from two alternating processes per side; README, Transpiler, has the
-command).  An earlier timing put the latter at 0.83, and at 1.35 when every
-decision also rebuilt, sorted and rescored all its candidates.
+A graph's distance rows and each qubit's sorted incident edges are built
+once per ``CouplingGraph`` and kept on it.  Distances are integers, so these
+sums equal a float re-sum over every gate exactly: scores, tie-breaks and the
+routed output are the same, byte for byte, as routing that applies each
+candidate swap and re-sums the front and extended set.  Taking new fronts by
+difference, with the skipped search, took the ``compile_route`` benchmark's
+read-to-write time per circuit from PARENT_ROUTE to NEW_ROUTE reference s
+(BENCH_18.json).  ``transpile`` of a 57-qubit depth-60 circuit on
+``heavy_hex:5`` at level 2 takes NEW_HH reference s
+(``scripts/routing_quality.py --time``; README, Transpiler, has the command),
+against PARENT_HH before that change, 0.85 when every layout trial pass built
+its routed body, and 1.35 when every decision also rebuilt, sorted and
+rescored all its candidates.
 """
 from __future__ import annotations
 
@@ -221,23 +235,22 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
     pairs = dag.pairs
     indeg = dag.pred_counts()
     front = set(dag.front_layer())
-    dist = graph.distance_matrix().tolist()
-    edges = [[(p, nb) if p < nb else (nb, p) for nb in graph.neighbors(p)]
-             for p in range(n_phys)]
+    dist, edges = graph._routing_tables()
     l2p, p2l = layout._l2p, layout._p2l
     order: list[int] = []
     emit = order.append
 
     stall_limit = max(50, 10 * n_phys)
+    size = config.extended_set_size
     w = config.extended_weight
     delta = config.decay_delta
-    front_list = None
     ready = sorted(front)  # front nodes whose executability may have changed
     # Candidate swaps and their integer (front, extended-set) distance
     # deltas, kept across swaps and fronts; ``dirty`` holds the edges whose
     # membership or deltas may have changed since they were last scored.
     deltas = None
     dirty = set()
+    front_set = None  # the front the kept state describes
 
     while front:
         # execute everything executable, in node order
@@ -258,7 +271,7 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
                     queue.append(s)
         if not front:
             break
-        if executed or front_list is None:
+        if executed or front_set is None:
             # A new front: reset decay and update what depends on the front
             # alone.  Per logical wire, its front node, the other operand of
             # that gate, and the other operands of its extended-set gates.
@@ -267,53 +280,76 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
             swaps_since_progress = 0
             if deltas is None:  # the first front, or the stall fallback ran
                 deltas = {}
-                front_set = ext_set = set()
+                front_set, ext_set, ext_list = set(), set(), []
+                ext_is_rest = False
+                base_f = base_e = 0
                 front_node = [-1] * n_phys
                 front_mate = [-1] * n_phys
                 ext_mates = [[] for _ in range(n_phys)]
-            front_list = sorted(front)
-            ext_list = _extended_set(dag, front_list, config.extended_set_size)
             # Only the gates that left or joined the front or the extended
-            # set change those lists, and the candidates on their wires are
-            # the only ones whose deltas change.
-            new_f, new_e = set(front_list), set(ext_list)
-            for node in front_set - new_f:
+            # set change the state, and the candidates on their wires are the
+            # only ones whose deltas change.
+            f_left = front_set - front
+            f_joined = front - front_set
+            front_set = set(front)
+            if ext_is_rest:
+                # the extended set is every unexecuted two-qubit gate outside
+                # the front, so it only loses the gates that reached the front
+                e_left = [v for v in ext_list if not indeg[v]]
+                e_joined = ()
+                if e_left:
+                    ext_list = [v for v in ext_list if indeg[v]]
+            else:
+                ext_list = _extended_set(dag, sorted(front), size)
+                new_e = set(ext_list)
+                e_left = ext_set - new_e
+                e_joined = new_e - ext_set
+                ext_set = new_e
+                # A search that stops short of ``size`` found every
+                # unexecuted two-qubit gate outside the front (each descends
+                # from a front gate), and later fronts can only have fewer:
+                # from here on it would return those still outside.
+                ext_is_rest = len(ext_list) < size
+            for node in f_left:
                 q0, q1 = pairs[node]
+                p0, p1 = l2p[q0], l2p[q1]
+                base_f -= dist[p0][p1]
                 front_node[q0] = front_node[q1] = -1
                 front_mate[q0] = front_mate[q1] = -1
-            for node in ext_set - new_e:
+                dirty.update(edges[p0])
+                dirty.update(edges[p1])
+            for node in e_left:
                 q0, q1 = pairs[node]
+                p0, p1 = l2p[q0], l2p[q1]
+                base_e -= dist[p0][p1]
                 ext_mates[q0].remove(q1)
                 ext_mates[q1].remove(q0)
-            for node in new_f - front_set:
+                dirty.update(edges[p0])
+                dirty.update(edges[p1])
+            for node in f_joined:
                 q0, q1 = pairs[node]
+                p0, p1 = l2p[q0], l2p[q1]
+                base_f += dist[p0][p1]
                 front_node[q0] = front_node[q1] = node
                 front_mate[q0], front_mate[q1] = q1, q0
-            for node in new_e - ext_set:
+                dirty.update(edges[p0])
+                dirty.update(edges[p1])
+            for node in e_joined:
                 q0, q1 = pairs[node]
+                p0, p1 = l2p[q0], l2p[q1]
+                base_e += dist[p0][p1]
                 ext_mates[q0].append(q1)
                 ext_mates[q1].append(q0)
-            for node in (front_set ^ new_f) | (ext_set ^ new_e):
-                q0, q1 = pairs[node]
-                dirty.update(edges[l2p[q0]])
-                dirty.update(edges[l2p[q1]])
-            front_set, ext_set = new_f, new_e
-            base_f = 0
-            for node in front_list:
-                q0, q1 = pairs[node]
-                base_f += dist[l2p[q0]][l2p[q1]]
-            base_e = 0
-            for node in ext_list:
-                q0, q1 = pairs[node]
-                base_e += dist[l2p[q0]][l2p[q1]]
-            inv_f = 1.0 / len(front_list)
+                dirty.update(edges[p0])
+                dirty.update(edges[p1])
+            inv_f = 1.0 / len(front)
             inv_e = 1.0 / len(ext_list) if ext_list else 0.0
 
         # every front gate is a blocked two-qubit gate: insert one SWAP
         if swaps_since_progress >= stall_limit:
             # safeguard: march the oldest blocked gate together greedily; it
             # runs until the front changes, and the cache starts afresh then
-            q0, q1 = pairs[front_list[0]]
+            q0, q1 = pairs[min(front)]
             p0, p1 = l2p[q0], l2p[q1]
             step = min(graph.neighbors(p0), key=lambda nb: (dist[nb][p1], nb))
             best_edge = (p0, step) if p0 < step else (step, p0)
@@ -353,18 +389,29 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
             # are 0 and the term adds 0.0); ties go to the smallest edge, as
             # in a scan of the sorted candidates.
             best_edge = None
-            best_score = None
-            for e, (s, t) in deltas.items():
-                a, b = e
-                score = ((base_f + s) * inv_f + w * (base_e + t) * inv_e) \
-                    * (decay[a] if decay[a] >= decay[b] else decay[b])
-                if best_score is None or score < best_score or \
-                        (score == best_score and e < best_edge):
-                    best_score = score
-                    best_edge = e
+            best_score = math.inf
+            if swaps_since_reset:
+                for e, (s, t) in deltas.items():
+                    a, b = e
+                    score = ((base_f + s) * inv_f + w * (base_e + t) * inv_e) \
+                        * (decay[a] if decay[a] >= decay[b] else decay[b])
+                    if score < best_score or \
+                            (score == best_score and e < best_edge):
+                        best_score = score
+                        best_edge = e
+            else:
+                # every decay is 1.0 here, and x * 1.0 is x
+                for e, (s, t) in deltas.items():
+                    score = (base_f + s) * inv_f + w * (base_e + t) * inv_e
+                    if score < best_score or \
+                            (score == best_score and e < best_edge):
+                        best_score = score
+                        best_edge = e
         a, b = best_edge
         emit(-1 - (a * n_phys + b))
-        layout.swap_physical(a, b)
+        la, lb = p2l[a], p2l[b]
+        p2l[a], p2l[b] = lb, la
+        l2p[la], l2p[lb] = b, a
         decay[a] += delta
         decay[b] += delta
         swaps_since_reset += 1
@@ -372,7 +419,6 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
         if swaps_since_reset >= config.decay_reset_interval:
             decay = [1.0] * n_phys
             swaps_since_reset = 0
-        la, lb = p2l[a], p2l[b]
         if deltas is not None:
             s, t = deltas[best_edge]
             base_f += s
@@ -388,7 +434,10 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
                 for m in ext_mates[l]:
                     dirty.update(edges[l2p[m]])
         # only front gates on the two swapped wires can have become executable
-        ready = sorted({front_node[la], front_node[lb]} - {-1})
+        fa, fb = front_node[la], front_node[lb]
+        if fa > fb:
+            fa, fb = fb, fa
+        ready = (fa, fb) if 0 <= fa != fb else (fb,) if fb >= 0 else ()
 
     return order, len(order) - len(dag), layout
 

@@ -28,7 +28,7 @@ class TopologyError(ValueError):
 class CouplingGraph:
     """Undirected connected graph over qubits ``0..num_qubits-1``."""
 
-    __slots__ = ("num_qubits", "edges", "_adj", "_dist")
+    __slots__ = ("num_qubits", "edges", "_adj", "_dist", "_routing")
 
     def __init__(self, num_qubits: int, edges):
         num_qubits = int(num_qubits)
@@ -51,6 +51,7 @@ class CouplingGraph:
             adj[b].append(a)
         self._adj = tuple(tuple(sorted(ns)) for ns in adj)
         self._dist: np.ndarray | None = None
+        self._routing: tuple | None = None
         # connectivity
         seen = [False] * num_qubits
         seen[0] = True
@@ -95,6 +96,20 @@ class CouplingGraph:
                             queue.append((v, du + 1))
             self._dist = dist
         return self._dist
+
+    def _routing_tables(self) -> tuple[tuple, tuple]:
+        """``(rows, incident)`` as the router reads them, built once per graph.
+
+        ``rows[a][b]`` is the hop count from ``a`` to ``b``, as Python ints;
+        ``incident[p]`` holds the edges at ``p`` as ``(low, high)`` pairs,
+        sorted.
+        """
+        if self._routing is None:
+            rows = tuple(map(tuple, self.distance_matrix().tolist()))
+            incident = tuple(tuple((p, nb) if p < nb else (nb, p) for nb in adj)
+                             for p, adj in enumerate(self._adj))
+            self._routing = (rows, incident)
+        return self._routing
 
     def distance(self, a: int, b: int) -> int:
         return int(self.distance_matrix()[a, b])

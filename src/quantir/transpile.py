@@ -115,7 +115,9 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         out = merge_adjacent_rotations(out)
     if config.level >= 2:
         out = cancel_adjacent_inverses(out)
-    if config.basis != "none":
+    if config.basis != "none" and swaps_inserted:
+        # lowering before routing took out every input SWAP, so with no
+        # routing SWAP there is nothing to expand
         out = expand_swaps(out, config.basis)
 
     raw, measure = Instruction._raw, GateKind.MEASURE

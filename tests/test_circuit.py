@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -160,6 +162,28 @@ class TestInstructionSemantics:
             assert not hasattr(Instruction, name)
         with pytest.raises(CircuitError):
             Instruction(GateKind.CNOT, (1, 1))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles_equal_their_source(self, clone):
+        for ins in _samples():
+            out = clone(ins)
+            assert type(out) is Instruction and out == ins
+        built = Circuit(2, 1).h(0).cnot(0, 1).rz(1, -0.0).measure(1, 0)
+        decoded = bis.decode(bis.encode([built]))[0]
+        assert decoded._items is None  # packed columns only
+        for c in (built, decoded):
+            out = clone(c)
+            assert out == c and out.body == built.body
+
+    def test_unpickling_validates(self):
+        # a copy or an unpickle calls the class with the five fields, so a
+        # stream holding bad fields fails as the constructor does
+        build, args = Instruction(GateKind.CNOT, (1, 0)).__reduce_ex__(2)[:2]
+        assert args == (Instruction, GateKind.CNOT, (1, 0), (), None, False)
+        with pytest.raises(CircuitError, match="distinct"):
+            build(Instruction, GateKind.CNOT, (1, 1), (), None, False)
 
 
 class TestDagger:

@@ -2,10 +2,12 @@
 import hashlib
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantir.bench import random_circuit
 from quantir.circuit import Circuit, Instruction, depth, flatten, gate_counts
 from quantir.dag import CircuitDag
 from quantir.gates import CLS_2Q, GateKind
@@ -816,3 +818,95 @@ def test_swap_free_routes_all_have_the_input_depth(c, spare, seed):
     assert len(routed) == len(flatten(c))
     assert final == lay
     assert depth(routed) == depth(c)
+
+
+# -- new fronts by difference, and the extended set without a search -------------
+# A new front updates the kept state from the gates that left or joined the
+# front and the extended set.  Once an extended-set search stops short of its
+# size it has found every unexecuted two-qubit gate outside the front, and
+# later fronts take those still outside with no search.  These cases route
+# heavy-hex devices, which the differential above does not draw, with more
+# two-qubit gates than the extended set holds.
+
+HEAVY_HEX = {3: topology.heavy_hex(3), 5: topology.heavy_hex(5)}  # 19, 57 wires
+
+SEARCH_CONFIGS = {
+    "default": SabreConfig(),
+    "small": SabreConfig(extended_set_size=5),
+    "decay": SabreConfig(extended_set_size=12, decay_delta=0.1,
+                         decay_reset_interval=3),
+}
+
+
+def _route_counting_searches(dag, graph, lay, cfg):
+    """``sabre_route``'s result and the size of each extended set it searched."""
+    sizes = []
+    search = sabre._extended_set
+
+    def counting(*args):
+        ext = search(*args)
+        sizes.append(len(ext))
+        return ext
+
+    with mock.patch.object(sabre, "_extended_set", counting):
+        routed, final = sabre_route(dag, graph, lay, cfg)
+    return routed, final, sizes
+
+
+@pytest.mark.parametrize("d, seed", [(3, 0), (3, 1), (3, 2), (5, 0)])
+@pytest.mark.parametrize("cname", sorted(SEARCH_CONFIGS))
+def test_heavy_hex_routes_match_the_reference(d, seed, cname):
+    graph, cfg = HEAVY_HEX[d], SEARCH_CONFIGS[cname]
+    c = random_circuit(graph.num_qubits, 10 if d == 3 else 6, seed)
+    for q in range(0, graph.num_qubits, 3):
+        c.measure(q, q)
+    dag = CircuitDag(c)
+    lay = Layout.shuffled(graph.num_qubits, random.Random(seed))
+    routed, final, sizes = _route_counting_searches(dag, graph, lay, cfg)
+    assert (routed, final) == _reference_route(dag, graph, lay, cfg)
+    # the route starts with full searches and ends without any: the first
+    # one that stops short is the last
+    assert sizes[0] == cfg.extended_set_size
+    assert sizes[-1] < cfg.extended_set_size
+    assert all(n == cfg.extended_set_size for n in sizes[:-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 16), routing_configs, st.data())
+def test_heavy_hex_cached_scoring_matches_the_reference(seed, cfg, data):
+    graph = HEAVY_HEX[3]
+    c = data.draw(dense_circuits(graph.num_qubits))
+    lay = Layout.shuffled(graph.num_qubits, random.Random(seed))
+    dag = CircuitDag(c)
+    assert sabre_route(dag, graph, lay, cfg) == _reference_route(dag, graph, lay, cfg)
+
+
+def test_routing_tables_are_built_once_per_graph():
+    graph = topology.heavy_hex(3)
+    dag = CircuitDag(random_circuit(graph.num_qubits, 8, 3))
+    lay = Layout.shuffled(graph.num_qubits, random.Random(3))
+    first = sabre_route(dag, graph, lay)
+    tables = graph._routing
+    assert tables is not None
+    with mock.patch.object(topology.CouplingGraph, "distance_matrix",
+                           side_effect=AssertionError("tables rebuilt")):
+        assert sabre_route(dag, graph, lay) == first
+    assert graph._routing is tables
+
+
+def test_graphs_of_one_width_keep_their_own_tables():
+    # a line and a ring of six wires, routed in turn: a table kept per width
+    # instead of per graph would route one of them on the other's edges
+    line = topology.linear(6)
+    ring = topology.CouplingGraph(6, [(i, (i + 1) % 6) for i in range(6)])
+    c = Circuit(6)
+    for a, b in [(0, 5), (1, 4), (2, 5), (0, 3), (4, 1), (5, 0), (3, 1)]:
+        c.cnot(a, b)
+    dag, lay = CircuitDag(c), Layout.identity(6)
+    routes = {}
+    for name, graph in [("line", line), ("ring", ring), ("line", line),
+                        ("ring", ring)]:
+        routed = sabre_route(dag, graph, lay)
+        assert routed == _reference_route(dag, graph, lay, SabreConfig())
+        assert routes.setdefault(name, routed) == routed
+    assert routes["line"] != routes["ring"]

@@ -459,6 +459,23 @@ def test_golden_lowering(case):
     assert _lowering_run(case) == GOLDEN_LOWERING[case]
 
 
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("basis", ["rz-x1-cz", "rz-rx-cnot"])
+def test_swap_free_route_expands_no_swaps(monkeypatch, level, basis):
+    # lowering before routing takes out the input's SWAPs, so a route that
+    # inserts none leaves nothing for the post-route expansion
+    c = _lowering_circuit(10, 80, seed=1)
+    assert gate_counts(c)[GateKind.SWAP]
+
+    def expand(*args):
+        raise AssertionError("expand_swaps ran on a swap-free route")
+
+    monkeypatch.setattr(transpile_mod, "expand_swaps", expand)
+    res = transpile(c, topology.full(10), TranspileConfig(level=level, basis=basis))
+    assert res.stats.swaps_inserted == 0
+    assert gate_counts(res.circuit)[GateKind.SWAP] == 0
+
+
 # -- one instruction object at many positions -----------------------------------
 # The QASM reader, lowering and the route builder may put one instruction
 # object at many positions of a body, and lowering and the builder key
