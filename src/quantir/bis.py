@@ -583,7 +583,9 @@ def decode(data) -> list[Circuit]:
         c, o = _decode_circuit(data, arr, o, end, compress, shared)
         out.append(c)
     if o != end:
-        raise TrailingBytes(f"{end - o} trailing bytes after last circuit", o)
+        # no byte count: StreamDecoder raises on the first trailing byte it
+        # sees, before the rest has arrived, and must say the same
+        raise TrailingBytes("trailing bytes after last circuit", o)
     return out
 
 
@@ -674,8 +676,8 @@ class StreamDecoder:
 
     ``feed`` buffers input and returns every circuit completed so far;
     ``finish`` raises if the stream stopped mid-way (:class:`Truncated`, or
-    an earlier fault in the unfinished circuit).  Bytes after the declared
-    circuit count raise :class:`TrailingBytes`.
+    an earlier fault in the unfinished circuit).  The first byte after the
+    declared circuit count raises :class:`TrailingBytes` from ``feed``.
 
     A length-only scan finds where each pending circuit ends, and records
     where each of its records starts as it goes.  All circuits a feed
@@ -842,17 +844,15 @@ class StreamDecoder:
             del self._offs[:sum(m for m, _, _ in blocks)]
             self._drop(o)
         if not self._remaining and self._buf:
-            raise TrailingBytes(
-                f"{len(self._buf)} trailing bytes after last circuit",
-                self._consumed)
+            raise TrailingBytes("trailing bytes after last circuit",
+                                self._consumed)
         return out
 
     def finish(self) -> None:
         if self._compress is not None and not self._remaining:
             if self._buf:
-                raise TrailingBytes(
-                    f"{len(self._buf)} trailing bytes after last circuit",
-                    self._consumed)
+                raise TrailingBytes("trailing bytes after last circuit",
+                                    self._consumed)
             return
         # the stream stopped mid-way: read the tail as decode would
         tail = bytes(self._buf)

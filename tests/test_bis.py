@@ -504,6 +504,14 @@ class TestStreamMatchesDecode:
         assert _outcome_text(lambda: _stream_read(blob, cuts)) == \
             _outcome_text(lambda: decode(blob))
 
+    def test_trailing_bytes_split_from_the_circuit(self):
+        # a feed that ends one byte past the last circuit must not report
+        # a byte count that differs from decode's, which sees them all
+        data = GOLDEN_H + b"junk"
+        cut = len(GOLDEN_H) + 1
+        assert _outcome_text(lambda: _stream_read(data, [cut])) == \
+            _outcome_text(lambda: decode(data))
+
     @pytest.mark.parametrize("fault", ["qubit", "cbit"])
     @pytest.mark.parametrize("compress", [False, True])
     def test_bad_operand_mid_batch(self, compress, fault):
