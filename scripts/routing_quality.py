@@ -10,8 +10,9 @@ shortest path from the identity placement.
     python3 scripts/routing_quality.py --topology square:9 --depth 60 --per-seed
 
 With ``--time N`` it instead times ``transpile`` of seed 0's circuit N times
-and prints the median in reference seconds (``perfbench.measure.Pace``),
-with the output's swaps and depth.  The ROADMAP's router case is
+and prints the median in reference seconds (``perfbench.measure.Pace``)
+beside the minimum, quartiles (``statistics.quantiles(times, n=4)``) and
+maximum, with the output's swaps and depth.  The ROADMAP's router case is
 
     python3 scripts/routing_quality.py --time 10 --topology heavy_hex:5 \
         --depth 60 --level 2
@@ -32,14 +33,22 @@ from quantir.sabre import naive_swap_count  # noqa: E402
 from quantir.topology import build  # noqa: E402
 
 
-def time_transpile(circuit, graph, config, runs: int) -> tuple[float, object]:
-    """Median reference seconds of ``runs`` calls, and the last call's result."""
+def time_transpile(circuit, graph, config, runs: int) -> tuple[list, object]:
+    """Reference seconds of ``runs`` calls, sorted, and the last call's result."""
     pace = Pace()
     times = []
     for _ in range(runs):
         t, result = pace.timed(transpile, circuit, graph, config)
         times.append(t)
-    return statistics.median(times), result
+    return sorted(times), result
+
+
+def spread(times: list) -> str:
+    """Median, then minimum, quartiles and maximum of sorted ``times``."""
+    q1, median, q3 = (statistics.quantiles(times, n=4) if len(times) > 1
+                      else times * 3)
+    return (f"median {median:.3f} (min {times[0]:.3f}, quartiles {q1:.3f}-"
+            f"{q3:.3f}, max {times[-1]:.3f})")
 
 
 def main(argv=None) -> int:
@@ -62,11 +71,11 @@ def main(argv=None) -> int:
     width = args.qubits if args.qubits is not None else graph.num_qubits
 
     if args.time > 0:
-        median, result = time_transpile(random_circuit(width, args.depth, seed=0),
-                                        graph, TranspileConfig(level=args.level),
-                                        args.time)
+        times, result = time_transpile(random_circuit(width, args.depth, seed=0),
+                                       graph, TranspileConfig(level=args.level),
+                                       args.time)
         print(f"{args.topology}, {width} qubits, depth {args.depth}, seed 0, "
-              f"level {args.level}: transpile median {median:.3f} reference s "
+              f"level {args.level}: transpile {spread(times)} reference s "
               f"over {args.time} runs; {result.stats.swaps_inserted} swaps, "
               f"depth {result.stats.depth_after}")
         return 0

@@ -191,6 +191,16 @@ def dagger_instruction(ins: Instruction) -> Instruction:
     raise CircuitError(f"no dagger rule for {k.name}")  # pragma: no cover
 
 
+def check_operands(ins: Instruction, num_qubits: int, num_cbits: int) -> None:
+    """Raise ``CircuitError`` unless ``ins``'s qubits and bit fit the widths."""
+    for q in ins.qubits:
+        if not 0 <= q < num_qubits:
+            raise CircuitError(
+                f"qubit {q} out of range for {num_qubits}-qubit circuit")
+    if ins.kind is _MEASURE and not 0 <= ins.cbit < num_cbits:
+        raise CircuitError(f"cbit {ins.cbit} out of range for {num_cbits} cbits")
+
+
 def _resolve(ins: Instruction, block_dagger: bool) -> Instruction:
     """Fold an instruction's own dagger flag with an enclosing block's."""
     eff = ins.dagger ^ block_dagger
@@ -412,17 +422,9 @@ class Circuit:
 
     def append(self, item) -> None:
         if isinstance(item, Instruction):
-            n = self.num_qubits
-            for q in item.qubits:
-                if not 0 <= q < n:
-                    raise CircuitError(
-                        f"qubit {q} out of range for {n}-qubit circuit")
-            kind = item.kind
-            if kind is _MEASURE and not 0 <= item.cbit < self.num_cbits:
-                raise CircuitError(
-                    f"cbit {item.cbit} out of range for {self.num_cbits} cbits")
+            check_operands(item, self.num_qubits, self.num_cbits)
             self.body.append(item)
-            if item.dagger and kind is not _X1:
+            if item.dagger and item.kind is not _X1:
                 self._dagger_fixups += 1
         elif isinstance(item, SubcircuitInstance):
             sub = item.circuit

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, CircuitError, Instruction, dagger_instruction, flatten
+from .circuit import (Circuit, CircuitError, Instruction, check_operands,
+                      dagger_instruction, flatten)
 from .gates import CLS_1Q, CLS_2Q, CLS_MEASURE, CLS_ROT, CLS_U3, GateKind, KIND_BY_NAME
 
 __all__ = ["OriginIRError", "emit", "parse"]
@@ -151,8 +152,9 @@ def parse(text: str) -> Circuit:
     num_cbits = 0
     seen_creg = False
     in_body = False
-    # each stack frame is a list of (line, Instruction); frame 0 is the body
-    stack: list[list[tuple[int, Instruction]]] = [[]]
+    # each stack frame is a list of instructions, each checked at its own
+    # line; frame 0 is the body
+    stack: list[list[Instruction]] = [[]]
     dagger_lines: list[int] = []
 
     for lineno, rawline in enumerate(text.split("\n"), start=1):
@@ -191,12 +193,7 @@ def parse(text: str) -> Circuit:
                 raise OriginIRError("ENDDAGGER without DAGGER", lineno)
             block = stack.pop()
             dagger_lines.pop()
-            dest = stack[-1]
-            for ln, ins in reversed(block):
-                try:
-                    dest.append((ln, dagger_instruction(ins)))
-                except CircuitError as e:
-                    raise OriginIRError(str(e), ln) from None
+            stack[-1].extend([dagger_instruction(ins) for ins in reversed(block)])
             continue
         m = _STMT_RE.match(stmt)
         if not m:
@@ -235,9 +232,12 @@ def parse(text: str) -> Circuit:
             raise OriginIRError("MEASURE needs a c[...] operand", lineno)
         try:
             ins = Instruction(kind, qubits, params, cbit)
+            if kind is GateKind.MEASURE and len(stack) > 1:
+                raise OriginIRError("MEASURE cannot be daggered", lineno)
+            check_operands(ins, num_qubits, num_cbits)
         except CircuitError as e:
             raise OriginIRError(str(e), lineno) from None
-        stack[-1].append((lineno, ins))
+        stack[-1].append(ins)
 
     if num_qubits is None:
         raise OriginIRError("empty document: expected QINIT header",
@@ -245,10 +245,4 @@ def parse(text: str) -> Circuit:
     if len(stack) > 1:
         raise OriginIRError("DAGGER without ENDDAGGER", dagger_lines[-1])
 
-    c = Circuit(num_qubits, num_cbits)
-    for ln, ins in stack[0]:
-        try:
-            c.append(ins)
-        except CircuitError as e:
-            raise OriginIRError(str(e), ln) from None
-    return c
+    return Circuit._from_items(num_qubits, num_cbits, stack[0])

@@ -40,29 +40,34 @@ instead of three per trial.
 Scoring a candidate swap costs work in proportion to the gates on its two
 wires, not to the size of the front and extended set (after LightSABRE, Zou
 et al., arXiv:2409.08368), and a decision recomputes the deltas only of the
-candidates its last swap or front change touched:
+candidates its last swap or front change touched.
 
-* the extended set depends on the front alone, so it is rebuilt only when a
-  gate executes; a swap that executes nothing keeps it;
-* a new front is taken by its difference from the last: the gates that left
-  or joined the front or the extended set (set differences against the live
-  front) adjust the integer distance sums and the per-wire tables, and the
-  front is sorted only for the extended-set search;
-* that search is skipped once it would take every gate left.  A search that
-  stops short of ``extended_set_size`` has found every unexecuted two-qubit
-  gate outside the front, since each descends from a front gate, and later
-  fronts can only have fewer; from then on the set is those gates still
-  outside the front, with no search.  Only membership is used, so the order
-  the search would give does not matter;
+A route keeps one state: the front and extended set it describes, their
+integer distance sums, per logical wire its front gate and that gate's other
+operand and the other operands of its extended-set gates, and each
+candidate swap's integer deltas.  It is built once, empty, before the first
+decision, and from then on only updated by difference; nothing rebuilds it:
+
+* a new front, the first included, is taken by its difference from the
+  last: the gates that left or joined the front or the extended set adjust
+  the distance sums and the per-wire tables;
+* the extended set depends on the front alone, so it changes only when a
+  gate executes.  It comes from a search of the sorted front until a search
+  stops short of ``extended_set_size``.  That search has found every
+  unexecuted two-qubit gate outside the front, since each descends from a
+  front gate, and later fronts can only have fewer, so from then on the set
+  is those gates still outside the front, with no search.  Either way the
+  new set is taken by its set difference from the last; only membership is
+  used, so the order a search would give does not matter;
 * a swap on (a, b) moves only the gates with an operand on a or b, so each
   candidate scores as the integer front and extended-set distance sums plus
-  those gates' integer distance deltas;
-* the candidates and their deltas persist across swaps and fronts.  A swap
-  on (a, b) changes the deltas only of the candidates at a and b and at the
-  positions of the other operands of the swapped wires' gates; a new front
-  changes only those on the wires of the gates that joined or left the front
-  or the extended set.  Only those are recomputed, and the two sums advance
-  by the chosen swap's deltas;
+  those gates' integer distance deltas.  It changes the deltas only of the
+  candidates at a and b and at the positions of the other operands of the
+  swapped wires' gates, and a new front only those on the wires of the gates
+  that joined or left the front or the extended set.  Only those are
+  recomputed, before each swap is chosen, and the two sums advance by the
+  chosen swap's deltas.  A stall-fallback swap is applied the same way: it
+  touches a front gate's operand, so it is a candidate;
 * after a swap only the front gates on the two swapped wires are re-checked
   for execution; every other front gate is still blocked.
 
@@ -70,16 +75,9 @@ A graph's distance rows and each qubit's sorted incident edges are built
 once per ``CouplingGraph`` and kept on it.  Distances are integers, so these
 sums equal a float re-sum over every gate exactly: scores, tie-breaks and the
 routed output are the same, byte for byte, as routing that applies each
-candidate swap and re-sums the front and extended set.  Taking new fronts by
-difference, with the skipped search, took the ``compile_route`` benchmark's
-read-to-write time per circuit from 0.0405 to 0.0345 reference s
-(BENCH_18.json).  ``transpile`` of a 57-qubit depth-60 circuit on
-``heavy_hex:5`` at level 2 takes 0.66 reference s
-(``scripts/routing_quality.py --time``; README, Transpiler, has the command),
-against 0.69 before that change (six process medians per side, which
-spread wider than that gap: this deep circuit skips only 270 of its 8,313
-searches), 0.85 when every layout trial pass built its routed body, and 1.35
-when every decision also rebuilt, sorted and rescored all its candidates.
+candidate swap and re-sums the front and extended set.  README (Transpiler)
+gives the current timings and the ``scripts/routing_quality.py --time``
+command that takes them.
 """
 from __future__ import annotations
 
@@ -245,17 +243,26 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
     size = config.extended_set_size
     w = config.extended_weight
     delta = config.decay_delta
-    ready = sorted(front)  # front nodes whose executability may have changed
-    # Candidate swaps and their integer (front, extended-set) distance
-    # deltas, kept across swaps and fronts; ``dirty`` holds the edges whose
-    # membership or deltas may have changed since they were last scored.
-    deltas = None
+    # The kept state, built once here and from then on updated only by
+    # difference: the front and extended set it describes, their integer
+    # distance sums, per logical wire its front node, the other operand of
+    # that gate and the other operands of its extended-set gates, and each
+    # candidate swap's integer (front, extended-set) distance deltas.
+    # ``dirty`` holds the edges whose membership or deltas may have changed
+    # since they were last scored.
+    front_set, ext_set = set(), set()
+    ext_is_rest = False
+    base_f = base_e = 0
+    front_node = [-1] * n_phys
+    front_mate = [-1] * n_phys
+    ext_mates = [[] for _ in range(n_phys)]
+    deltas = {}
     dirty = set()
-    front_set = None  # the front the kept state describes
+    ready = sorted(front)  # front nodes whose executability may have changed
+    new_front = True  # the first front is a difference from the empty state
 
     while front:
         # execute everything executable, in node order
-        executed = False
         queue = deque(ready)
         while queue:
             node = queue.popleft()
@@ -264,7 +271,7 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
                 continue  # blocked two-qubit gate
             front.discard(node)
             emit(node)
-            executed = True
+            new_front = True
             for s in succs[node]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
@@ -272,45 +279,32 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
                     queue.append(s)
         if not front:
             break
-        if executed or front_set is None:
-            # A new front: reset decay and update what depends on the front
-            # alone.  Per logical wire, its front node, the other operand of
-            # that gate, and the other operands of its extended-set gates.
+        if new_front:
+            # Reset decay and take the front and the extended set by their
+            # difference from the last: only the gates that left or joined
+            # them change the state, and the candidates on their wires are
+            # the only ones whose deltas change.
+            new_front = False
             decay = [1.0] * n_phys
             swaps_since_reset = 0
             swaps_since_progress = 0
-            if deltas is None:  # the first front, or the stall fallback ran
-                deltas = {}
-                front_set, ext_set, ext_list = set(), set(), []
-                ext_is_rest = False
-                base_f = base_e = 0
-                front_node = [-1] * n_phys
-                front_mate = [-1] * n_phys
-                ext_mates = [[] for _ in range(n_phys)]
-            # Only the gates that left or joined the front or the extended
-            # set change the state, and the candidates on their wires are the
-            # only ones whose deltas change.
-            f_left = front_set - front
-            f_joined = front - front_set
-            front_set = set(front)
             if ext_is_rest:
                 # the extended set is every unexecuted two-qubit gate outside
                 # the front, so it only loses the gates that reached the front
-                e_left = [v for v in ext_list if not indeg[v]]
-                e_joined = ()
-                if e_left:
-                    ext_list = [v for v in ext_list if indeg[v]]
+                new_e = {v for v in ext_set if indeg[v]}
             else:
-                ext_list = _extended_set(dag, sorted(front), size)
-                new_e = set(ext_list)
-                e_left = ext_set - new_e
-                e_joined = new_e - ext_set
-                ext_set = new_e
+                new_e = set(_extended_set(dag, sorted(front), size))
                 # A search that stops short of ``size`` found every
                 # unexecuted two-qubit gate outside the front (each descends
                 # from a front gate), and later fronts can only have fewer:
                 # from here on it would return those still outside.
-                ext_is_rest = len(ext_list) < size
+                ext_is_rest = len(new_e) < size
+            f_left = front_set - front
+            f_joined = front - front_set
+            e_left = ext_set - new_e
+            e_joined = new_e - ext_set
+            front_set = set(front)
+            ext_set = new_e
             for node in f_left:
                 q0, q1 = pairs[node]
                 p0, p1 = l2p[q0], l2p[q1]
@@ -344,70 +338,69 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
                 dirty.update(edges[p0])
                 dirty.update(edges[p1])
             inv_f = 1.0 / len(front)
-            inv_e = 1.0 / len(ext_list) if ext_list else 0.0
+            inv_e = 1.0 / len(ext_set) if ext_set else 0.0
 
-        # every front gate is a blocked two-qubit gate: insert one SWAP
+        # Every front gate is a blocked two-qubit gate: insert one SWAP.  A
+        # swap on (a, b) moves only the gates with an operand on a or b, so
+        # each candidate scores as the integer base sums plus those gates'
+        # distance deltas; only the dirty ones are recomputed.
+        for e in dirty:
+            a, b = e
+            la, lb = p2l[a], p2l[b]
+            ma, mb = front_mate[la], front_mate[lb]
+            if ma < 0 and mb < 0:
+                deltas.pop(e, None)  # no front gate on it: no candidate
+                continue
+            da, db = dist[a], dist[b]
+            s = 0
+            if ma >= 0 and ma != lb:
+                o = l2p[ma]
+                s += db[o] - da[o]
+            if mb >= 0 and mb != la:
+                o = l2p[mb]
+                s += da[o] - db[o]
+            t = 0
+            for m in ext_mates[la]:
+                if m != lb:
+                    o = l2p[m]
+                    t += db[o] - da[o]
+            for m in ext_mates[lb]:
+                if m != la:
+                    o = l2p[m]
+                    t += da[o] - db[o]
+            deltas[e] = (s, t)
+        dirty.clear()
+        # Distances are integers, so the float scores equal a full re-sum's
+        # bit for bit (with no extended set, base_e, t and inv_e are 0 and
+        # the term adds 0.0); ties go to the smallest edge, as in a scan of
+        # the sorted candidates.
+        best_edge = None
+        best_score = math.inf
         if swaps_since_progress >= stall_limit:
-            # safeguard: march the oldest blocked gate together greedily; it
-            # runs until the front changes, and the cache starts afresh then
+            # safeguard: march the oldest blocked gate together greedily,
+            # until the front changes; its swap touches a front operand, so
+            # it is a candidate and the state advances as for a scored one
             q0, q1 = pairs[min(front)]
             p0, p1 = l2p[q0], l2p[q1]
             step = min(graph.neighbors(p0), key=lambda nb: (dist[nb][p1], nb))
             best_edge = (p0, step) if p0 < step else (step, p0)
-            deltas = None
-        else:
-            # A swap on (a, b) moves only the gates with an operand on a or b,
-            # so each candidate scores as the integer base sums plus those
-            # gates' distance deltas; only the dirty ones are recomputed.
-            for e in dirty:
+        elif swaps_since_reset:
+            for e, (s, t) in deltas.items():
                 a, b = e
-                la, lb = p2l[a], p2l[b]
-                ma, mb = front_mate[la], front_mate[lb]
-                if ma < 0 and mb < 0:
-                    deltas.pop(e, None)  # no front gate on it: no candidate
-                    continue
-                da, db = dist[a], dist[b]
-                s = 0
-                if ma >= 0 and ma != lb:
-                    o = l2p[ma]
-                    s += db[o] - da[o]
-                if mb >= 0 and mb != la:
-                    o = l2p[mb]
-                    s += da[o] - db[o]
-                t = 0
-                for m in ext_mates[la]:
-                    if m != lb:
-                        o = l2p[m]
-                        t += db[o] - da[o]
-                for m in ext_mates[lb]:
-                    if m != la:
-                        o = l2p[m]
-                        t += da[o] - db[o]
-                deltas[e] = (s, t)
-            dirty.clear()
-            # Distances are integers, so the float scores equal a full
-            # re-sum's bit for bit (with no extended set, base_e, t and inv_e
-            # are 0 and the term adds 0.0); ties go to the smallest edge, as
-            # in a scan of the sorted candidates.
-            best_edge = None
-            best_score = math.inf
-            if swaps_since_reset:
-                for e, (s, t) in deltas.items():
-                    a, b = e
-                    score = ((base_f + s) * inv_f + w * (base_e + t) * inv_e) \
-                        * (decay[a] if decay[a] >= decay[b] else decay[b])
-                    if score < best_score or \
-                            (score == best_score and e < best_edge):
-                        best_score = score
-                        best_edge = e
-            else:
-                # every decay is 1.0 here, and x * 1.0 is x
-                for e, (s, t) in deltas.items():
-                    score = (base_f + s) * inv_f + w * (base_e + t) * inv_e
-                    if score < best_score or \
-                            (score == best_score and e < best_edge):
-                        best_score = score
-                        best_edge = e
+                score = ((base_f + s) * inv_f + w * (base_e + t) * inv_e) \
+                    * (decay[a] if decay[a] >= decay[b] else decay[b])
+                if score < best_score or \
+                        (score == best_score and e < best_edge):
+                    best_score = score
+                    best_edge = e
+        else:
+            # every decay is 1.0 here, and x * 1.0 is x
+            for e, (s, t) in deltas.items():
+                score = (base_f + s) * inv_f + w * (base_e + t) * inv_e
+                if score < best_score or \
+                        (score == best_score and e < best_edge):
+                    best_score = score
+                    best_edge = e
         a, b = best_edge
         emit(-1 - (a * n_phys + b))
         la, lb = p2l[a], p2l[b]
@@ -420,20 +413,19 @@ def _route_core(dag: CircuitDag, graph: CouplingGraph, initial_layout: Layout,
         if swaps_since_reset >= config.decay_reset_interval:
             decay = [1.0] * n_phys
             swaps_since_reset = 0
-        if deltas is not None:
-            s, t = deltas[best_edge]
-            base_f += s
-            base_e += t
-            # the swap moves the gates on la and lb: the candidates at a and
-            # b and at the positions of those gates' other operands
-            dirty.update(edges[a])
-            dirty.update(edges[b])
-            for l in (la, lb):
-                m = front_mate[l]
-                if m >= 0:
-                    dirty.update(edges[l2p[m]])
-                for m in ext_mates[l]:
-                    dirty.update(edges[l2p[m]])
+        s, t = deltas[best_edge]
+        base_f += s
+        base_e += t
+        # the swap moves the gates on la and lb: the candidates at a and b
+        # and at the positions of those gates' other operands
+        dirty.update(edges[a])
+        dirty.update(edges[b])
+        for l in (la, lb):
+            m = front_mate[l]
+            if m >= 0:
+                dirty.update(edges[l2p[m]])
+            for m in ext_mates[l]:
+                dirty.update(edges[l2p[m]])
         # only front gates on the two swapped wires can have become executable
         fa, fb = front_node[la], front_node[lb]
         if fa > fb:

@@ -140,11 +140,12 @@ class CouplingGraph:
             raise TopologyError('topology JSON needs "n" and "edges" keys')
         n = obj["n"]
         edges = obj["edges"]
-        if not isinstance(n, int) or not isinstance(edges, list):
+        # JSON true and false load as bools, which isinstance takes for ints
+        if type(n) is not int or not isinstance(edges, list):
             raise TopologyError('"n" must be an int and "edges" a list')
         for e in edges:
             if (not isinstance(e, list) or len(e) != 2
-                    or not all(isinstance(x, int) for x in e)):
+                    or not all(type(x) is int for x in e)):
                 raise TopologyError(f"edge entries must be [int, int], got {e!r}")
         return cls(n, edges)
 

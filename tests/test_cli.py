@@ -204,6 +204,14 @@ def test_transpile_topology_json_file(tmp_path, ghz_oir):
                 "--out", str(tmp_path / "o.oir")]) == 0
 
 
+def test_transpile_topology_json_with_a_boolean_index(tmp_path, ghz_oir, capsys):
+    topo = tmp_path / "line.json"
+    topo.write_text('{"n": 3, "edges": [[0, 1], [true, 2]]}', encoding="utf-8")
+    assert app(["transpile", "--in", str(ghz_oir), "--topology", str(topo),
+                "--out", str(tmp_path / "o.oir")]) == 2
+    assert "edge entries must be [int, int]" in capsys.readouterr().err
+
+
 def test_transpile_bad_topology_spec(tmp_path, ghz_oir, capsys):
     assert app(["transpile", "--in", str(ghz_oir), "--topology", "ring:x",
                 "--out", str(tmp_path / "o.oir")]) == 1

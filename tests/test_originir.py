@@ -128,6 +128,20 @@ class TestParseErrors:
         assert exc.value.line == line
         assert frag.lower() in str(exc.value).lower()
 
+    @pytest.mark.parametrize("text,line,message", [
+        # an out-of-range qubit before an unknown gate
+        ("QINIT 2\nH q[5]\nFOO q[0]\n", 2,
+         "line 2: qubit 5 out of range for 2-qubit circuit"),
+        # a daggered MEASURE before an unknown gate in the same block
+        ("QINIT 1\nCREG 1\nDAGGER\nMEASURE q[0],c[0]\nFOO\nENDDAGGER\n", 4,
+         "line 4: MEASURE cannot be daggered"),
+    ])
+    def test_first_fault_in_document_order(self, text, line, message):
+        with pytest.raises(OriginIRError) as exc:
+            parse(text)
+        assert exc.value.line == line
+        assert str(exc.value) == message
+
     def test_angle_rejects_exponent_only(self):
         with pytest.raises(OriginIRError):
             parse("QINIT 1\nCREG 1\nRZ q[0],(e5)\n")

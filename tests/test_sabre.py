@@ -1,4 +1,5 @@
 """Routing and placement: layouts, swap insertion, oracle equivalence."""
+import dataclasses
 import hashlib
 import random
 from collections import deque
@@ -910,3 +911,60 @@ def test_graphs_of_one_width_keep_their_own_tables():
         assert routed == _reference_route(dag, graph, lay, SabreConfig())
         assert routes.setdefault(name, routed) == routed
     assert routes["line"] != routes["ring"]
+
+
+# -- one kept state through the stall fallback -------------------------------------
+# The router builds its kept state once and updates it only by difference; a
+# stall-fallback swap advances it like a scored swap.  These draw circuits on
+# small rings under the heavily weighted, never reset config of
+# ``test_stall_safeguard_config_reachable``, where routes often oscillate until
+# the fallback walks the oldest blocked gate together.  With no decay every
+# candidate's score moves with the kept sums alike, so a wrong sum shows only
+# under decay; the differential draws both.
+
+RING_STALL_CONFIG = SabreConfig(extended_weight=50.0, decay_delta=0.0,
+                                decay_reset_interval=10 ** 9)
+
+
+def _ring(n: int):
+    return topology.CouplingGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=4, max_value=6), st.sampled_from([0.0, 0.1]),
+       st.data())
+def test_ring_stall_routes_match_the_reference(n, decay_delta, data):
+    pairs = data.draw(st.lists(st.permutations(range(n)).map(lambda p: p[:2]),
+                               min_size=1, max_size=8))
+    c = Circuit(n)
+    for a, b in pairs:
+        c.cnot(a, b)
+    lay = Layout(data.draw(st.permutations(range(n))))
+    dag, graph = CircuitDag(c), _ring(n)
+    cfg = dataclasses.replace(RING_STALL_CONFIG, decay_delta=decay_delta)
+    assert sabre_route(dag, graph, lay, cfg) == _reference_route(dag, graph, lay, cfg)
+
+
+def test_stall_fallback_keeps_the_extended_set():
+    # the first search stops short of its size, so it holds every two-qubit
+    # gate outside the front; the fallback then runs (50 swaps without
+    # progress on five wires) and later fronts still need no search
+    c = Circuit(5).cnot(0, 3).cnot(0, 1).cnot(2, 0)
+    dag, graph, lay = CircuitDag(c), _ring(5), Layout.identity(5)
+    routed, final, sizes = _route_counting_searches(dag, graph, lay,
+                                                    RING_STALL_CONFIG)
+    assert gate_counts(routed)[GateKind.SWAP] >= 50
+    assert (routed, final) == _reference_route(dag, graph, lay, RING_STALL_CONFIG)
+    assert sizes == [2]
+
+
+def test_stall_fallback_advances_the_kept_sums():
+    # found by a random search: the route runs through the fallback, and
+    # later decays order the candidates by the kept sums, so a fallback swap
+    # that left them stale would route differently from the reference
+    c = Circuit(6).cnot(1, 4).cnot(5, 1).cnot(1, 2).cnot(1, 0)
+    dag, graph, lay = CircuitDag(c), _ring(6), Layout([3, 5, 2, 0, 1, 4])
+    cfg = dataclasses.replace(RING_STALL_CONFIG, decay_delta=0.1)
+    routed, final = sabre_route(dag, graph, lay, cfg)
+    assert gate_counts(routed)[GateKind.SWAP] >= 60
+    assert (routed, final) == _reference_route(dag, graph, lay, cfg)

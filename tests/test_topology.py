@@ -75,6 +75,15 @@ class TestJson:
         with pytest.raises(TopologyError):
             CouplingGraph.from_json(text)
 
+    @pytest.mark.parametrize("text", [
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[true, false]]}',
+    ])
+    def test_rejects_booleans(self, text):
+        # JSON true and false are not qubit counts or indices
+        with pytest.raises(TopologyError):
+            CouplingGraph.from_json(text)
+
 
 class TestBuilders:
     def test_linear(self):
