@@ -25,15 +25,15 @@ columns are concatenated, checked and laid out in one pass, and each
 circuit's header and slice of the records are appended in turn.
 :func:`encode` and :class:`StreamEncoder` close a group once its
 circuits hold 4,096 rows, so a circuit that long closes the group it
-joins.  A group holding a barrier or a compressed index >= 128 is encoded
-again one circuit at a time, and only such a circuit takes a per-record
-loop.  The gather takes where each record starts and checks the fixed
-shape (any multi-byte varint exposes a continuation bit at a checked
-position) and every operand, each row against its own circuit's register
-widths.  :func:`decode` finds those offsets by walking one circuit
-at a time, assuming the fixed shape; :class:`StreamDecoder`'s scan records
-them as it sizes each circuit, so one gather serves every circuit a feed
-completes without a second walk.  If a batch fails, its circuits are
+joins.  Barriers and compressed indices >= 128 are laid out in the same
+pass, each such field sized by its varint's octets.  The gather takes
+where each record starts and checks the fixed shape (any multi-byte
+varint exposes a continuation bit at a checked position) and every
+operand, each row against its own circuit's register widths.
+:func:`decode` finds those offsets by walking one circuit at a time,
+assuming the fixed shape; :class:`StreamDecoder`'s scan records them as it
+sizes each circuit, so one gather serves every circuit a feed completes
+without a second walk.  If a batch fails, its circuits are
 decoded one by one as :func:`decode` would; circuits that don't fit --
 barriers, compressed indices >= 128, padded varints -- or that hold any bad
 operand take a careful per-record path.  Every malformed input raises a
@@ -206,8 +206,6 @@ def _layout(itype: str, limit: int, compress: bool) -> _Layout:
 # indexed by the compressed flag; a compressed index below 128 is one octet
 _LAYOUTS = (_layout("<u4", 1 << 32, False), _layout("u1", 128, True))
 
-_PACK_U32 = struct.Struct("<I").pack
-_PACK_D = struct.Struct("<d").pack
 _UNPACK_U32 = struct.Struct("<I").unpack_from
 _UNPACK_D = struct.Struct("<d").unpack_from
 _UNPACK_3D = struct.Struct("<ddd").unpack_from
@@ -248,9 +246,10 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
     """Append each snapshot's circuit header and records to ``out``.
 
     The records of the whole group are checked and laid out in one
-    vectorized pass.  If any record does not fit the fixed shape (a
-    barrier, a compressed index >= 128), the circuits are encoded again as
-    groups of one, so only the offending circuit takes the per-record loop.
+    vectorized pass.  Each record takes its mode's fixed shape, unless the
+    group holds a barrier or a compressed index >= 128: then each field
+    (index or barrier count) takes the layout's width or its varint's
+    octets, and one scatter writes every field's octets.
     """
     if len(group) == 1:
         cols = group[0][2]
@@ -260,83 +259,77 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
             *((c.code, c.a, c.b, c.params) for _, _, c in group)))
     n = len(code)
     layout = _LAYOUTS[compress]
+    w = layout.width
     cls = code >> 5
-    if not n:
-        bodies = [b""] * len(group)
+    two = cls >= 3
+    bar = cls == 5
+    la = w  # bytes of each record's first field
     # b is -1 where a record has no second index
-    elif (cls == 5).any() or max(a.max(), b.max()) >= layout.limit:
-        if len(group) > 1:
-            for snap in group:
-                _encode_group(out, [snap], compress)
-            return
-        body = bytearray()
-        _encode_records_loop(body, group[0][2], compress)
-        bodies = [body]
+    sized = n and (bar.any() or max(a.max(), b.max()) >= layout.limit)
+    if sized:
+        # every field: the first index or a barrier's count (a varint in
+        # both modes), the second indices, then the barriers' indices
+        two[bar] = False  # a barrier (class 5) has no second index
+        extra = np.concatenate([c.extra for _, _, c in group])
+        vals = np.concatenate((a, b[two], extra))
+        nb = len(vals) - len(extra)
+        var = np.zeros(len(vals), dtype=bool)
+        var[:n] = bar
+        var |= compress
+        vint = vals[var]
+        size = np.full(len(vals), w)
+        # a varint's octets: one, and one more for each of 2**7, 2**14,
+        # 2**21 and 2**28 that its value reaches
+        size[var] = 1 + sum(vint >= 1 << s for s in (7, 14, 21, 28))
+        la = size[:n]
+        # the bytes of the barriers' indices before each one, and each
+        # barrier's first index
+        cnt = a[bar]
+        pool = np.zeros(len(extra) + 1, dtype=np.int64)
+        np.cumsum(size[nb:], out=pool[1:])
+        first = np.cumsum(cnt) - cnt
+        lens = 1 + la + _ANGLE_BYTES_BY_CLASS[cls]
+        lens[two] += size[n:nb]
+        lens[bar] += pool[first + cnt] - pool[first]
+    # where each record starts, then where the last one ends.  A fixed
+    # shape's lengths stay a temporary: held, they cost the scatters below
+    # a few percent in fresh memory
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens if sized else layout.lens[cls], out=starts[1:])
+    offs = starts[:-1]
+    buf = np.zeros(int(starts[-1]), dtype=np.uint8)
+    buf[offs] = code
+    if sized:
+        # each field's start (a barrier's indices follow its count), then
+        # its k-th octet: a varint's k-th 7-bit group with a continuation
+        # bit if more follow, or a u32's k-th byte
+        at = np.concatenate((offs + 1, offs[two] + 1 + la[two], np.repeat(
+            offs[bar] + 1 + la[bar] - pool[first], cnt) + pool[:-1]))
+        row = np.repeat(np.arange(len(vals)), size)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
+        u32 = ~var[row]
+        g = vals[row] >> (7 + u32) * k
+        buf[at[row] + k] = np.where(u32, g & 0xFF, g & 0x7F | (g > 0x7F) << 7)
     else:
-        two = cls >= 3
-        w = layout.width
         field = 1 + np.arange(w)
-        # where each record starts, then where the last one ends
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(layout.lens[cls], out=starts[1:])
-        offs = starts[:-1]
-        buf = np.zeros(int(starts[-1]), dtype=np.uint8)
-        buf[offs] = code
         buf[offs[:, None] + field] = a.astype(layout.itype).view(np.uint8).reshape(n, w)
         buf[offs[two][:, None] + w + field] = (
             b[two].astype(layout.itype).view(np.uint8).reshape(-1, w))
-        buf[_angle_bytes(offs + 1 + w, cls)] = (
-            params.astype("<f8", copy=False).view(np.uint8))
-        view = buf.data
-        if len(group) == 1:
-            bodies = [view]
-        else:
-            # where each circuit's records start, then where the last one ends
-            cut = starts[list(accumulate((len(c) for _, _, c in group),
-                                         initial=0))].tolist()
-            bodies = [view[cut[k]:cut[k + 1]] for k in range(len(group))]
+    buf[_angle_bytes(offs + 1 + la, cls)] = (
+        params.astype("<f8", copy=False).view(np.uint8))
+    view = buf.data
+    if len(group) == 1:
+        bodies = [view]
+    else:
+        # where each circuit's records start, then where the last one ends
+        cut = starts[list(accumulate((len(c) for _, _, c in group),
+                                     initial=0))].tolist()
+        bodies = [view[cut[k]:cut[k + 1]] for k in range(len(group))]
     for (nq, nc, cols), body in zip(group, bodies):
         _write_varint(out, nq)
         _write_varint(out, nc)
         _write_varint(out, len(cols))
         out += body
-
-
-def _encode_records_loop(out: bytearray, cols: _Columns, compress: bool) -> None:
-    code = cols.code.tolist()
-    a = cols.a.tolist()
-    b = cols.b.tolist()
-    params = cols.params.tolist()
-    extra = cols.extra.tolist()
-    pi = xi = 0
-    for i, op in enumerate(code):
-        out.append(op)
-        cls = op >> 5
-        if cls == 5:
-            cnt = a[i]
-            _write_varint(out, cnt)
-            for q in extra[xi:xi + cnt]:
-                if compress:
-                    _write_varint(out, q)
-                else:
-                    out += _PACK_U32(q)
-            xi += cnt
-            continue
-        if compress:
-            _write_varint(out, a[i])
-        else:
-            out += _PACK_U32(a[i])
-        if cls == 1:
-            out += _PACK_D(params[pi])
-            pi += 1
-        elif cls == 2:
-            out += _PACK_D(params[pi]) + _PACK_D(params[pi + 1]) + _PACK_D(params[pi + 2])
-            pi += 3
-        elif cls >= 3:
-            if compress:
-                _write_varint(out, b[i])
-            else:
-                out += _PACK_U32(b[i])
 
 
 def _stream_header(compress: bool) -> bytearray:

@@ -1,5 +1,7 @@
 import io
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,13 @@ from quantir.gates import GateKind, KIND_BY_OPCODE
 from conftest import circuits, ghz
 
 GOLDEN_H = bytes.fromhex("4f42495301000000" "01" "010001" "0100000000")
+
+GOLDEN_WIDE = bytes.fromhex(
+    "4F42495301010000" "01" "FFFFFFFF0F" "01" "04"
+    "01" "808001"
+    "60" "7F" "8001"
+    "A0" "04" "7F" "8001" "80808001" "FEFFFFFF0F"
+    "80" "8080808001" "00")
 
 
 def rt(cs, compress=False):
@@ -39,6 +48,16 @@ class TestGolden:
         data = encode([c], compress=True)
         assert data == bytes.fromhex("4f42495301010000" "01" "010001" "0100")
         assert decode(data)[0] == c
+
+    def test_multi_octet_varints(self):
+        c = (Circuit((1 << 32) - 1, 1).h(1 << 14).cnot(127, 128)
+             .barrier(127, 128, 1 << 21, (1 << 32) - 2).measure(1 << 28, 0))
+        data = encode([c], compress=True)
+        assert data == GOLDEN_WIDE
+        assert decode(data) == [c]
+        # the fixture as docs/bis-format.md prints it
+        doc = (Path(__file__).parents[1] / "docs" / "bis-format.md").read_text()
+        assert data.hex().upper() in "".join(doc.split())
 
     def test_empty_stream(self):
         data = encode([])
@@ -745,13 +764,29 @@ class TestStaleOffsets:
 
 
 def _reference(c: Circuit, compress: bool) -> bytes:
-    """One circuit's bytes as a stream holds them, its records written by
-    the per-record loop."""
-    nq, nc, cols = bis._snapshot(c)
-    out = bytearray()
-    for v in (nq, nc, len(cols)):
-        bis._write_varint(out, v)
-    bis._encode_records_loop(out, cols, compress)
+    """One circuit's bytes as a stream holds them, written record by record
+    from its flat body as docs/bis-format.md lays them out."""
+    def varint(v: int) -> bytes:
+        out = bytearray()
+        while v >> 7:
+            out.append(v & 0x7F | 0x80)
+            v >>= 7
+        return bytes(out + bytes([v]))
+
+    def index(v: int) -> bytes:
+        return varint(v) if compress else struct.pack("<I", v)
+
+    flat = flatten(c)
+    out = bytearray(varint(flat.num_qubits) + varint(flat.num_cbits)
+                    + varint(len(flat.body)))
+    for ins in flat.body:
+        out.append(ins.opcode)
+        if ins.kind is GateKind.BARRIER:
+            out += varint(len(ins.qubits))
+        out += b"".join(map(index, ins.qubits))
+        if ins.cbit is not None:
+            out += index(ins.cbit)
+        out += struct.pack(f"<{len(ins.params)}d", *ins.params)
     return bytes(out)
 
 
@@ -843,6 +878,34 @@ class TestGroupEncoder:
             assert sum(rows[done.index(written):i + 1]) < cap
         enc.finish()
         assert _unpadded(sink.getvalue()) == want
+
+
+# the largest index of each varint length and the smallest of the next,
+# then the largest index a register of 32-bit width holds
+_VARINT_EDGES = [127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21,
+                 (1 << 28) - 1, 1 << 28, (1 << 32) - 2]
+
+
+def _edge_circuit(q: int) -> Circuit:
+    """Index ``q`` in a 1Q, a rotation, a U3, a 2Q (as either qubit), a
+    measure (as qubit and as cbit) and a barrier record, and a barrier of
+    at least 128 qubits."""
+    n = max(q + 1, 129)
+    return (Circuit(n, n).h(q).rz(q, 0.25).u3(q, 1.0, -2.0, 3.0)
+            .cnot(q, 0).cz(1, q).measure(q, 0).measure(0, q).barrier(0, q)
+            .barrier(*sorted({*range(129), q})).x(q))
+
+
+class TestVarintBoundaries:
+    """Indices at each varint length's edges, in groups with narrow
+    circuits: the bytes match the record-by-record writer and decode back."""
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("q", _VARINT_EDGES)
+    def test_edge_index_in_every_record(self, q, compress):
+        cs = [ghz(3), _edge_circuit(q), Circuit(2).h(1), _rows(2, 5)]
+        TestGroupEncoder._check(cs, compress, bis._GROUP_ROWS)
+        assert decode(encode(cs, compress=compress)) == [flatten(c) for c in cs]
 
 
 class TestEncodeErrors:

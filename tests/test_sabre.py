@@ -157,14 +157,20 @@ def test_all_pairs_on_t_shaped_graph_needs_swap():
 
 def test_stall_safeguard_config_reachable():
     # tiny decay and huge extended weight on a ring can oscillate; the
-    # safeguard must still terminate routing with a correct circuit
-    g = topology.CouplingGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    c = Circuit(4).cnot(0, 2).cnot(1, 3)
+    # safeguard must still terminate routing with a correct circuit.  The
+    # fallback runs only after 50 swaps without progress, so the swap count
+    # shows whether it ran: the 4-ring needs one swap, the 5-ring stalls
+    # for 50 before the fallback brings a front gate together
     cfg = SabreConfig(extended_weight=50.0, decay_delta=0.0,
                       decay_reset_interval=10 ** 9)
-    routed, final = sabre_route(CircuitDag(c), g, Layout.identity(4), cfg)
-    assert _coupled(routed, g)
-    assert routed_fidelity(c, routed, [0, 1, 2, 3], list(final)) > 1 - 1e-9
+    for c, swaps in [(Circuit(4).cnot(0, 2).cnot(1, 3), 1),
+                     (Circuit(5).cnot(0, 3).cnot(0, 1).cnot(2, 0), 52)]:
+        n = c.num_qubits
+        g = topology.CouplingGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        routed, final = sabre_route(CircuitDag(c), g, Layout.identity(n), cfg)
+        assert gate_counts(routed)[GateKind.SWAP] == swaps
+        assert _coupled(routed, g)
+        assert routed_fidelity(c, routed, list(range(n)), list(final)) > 1 - 1e-9
 
 
 
