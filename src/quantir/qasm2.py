@@ -18,9 +18,14 @@ full, down to distinct operands and finite angles, before the next one is
 read, so a document reports its first fault in document order.
 
 A gate, ``measure`` or ``barrier`` statement whose stripped text repeats an
-earlier one of the same document is not parsed again: it reuses the
-``Instruction`` that statement built, so the returned body may hold one
-(immutable) instruction at many positions.  The table lives for one call.
+earlier one of the same document reuses the ``Instruction`` that statement
+built, so the returned body may hold one (immutable) instruction at many
+positions.  A new text next tries one compiled pattern (a gate on indexed
+operands, or ``measure q[i] -> c[j]``), checked inline and built directly;
+angle texts go through a table keyed by text, never value (0.0 == -0.0).
+Headers, declarations, barriers and whatever the pattern or a check refuses
+take the careful per-statement code, the only code that raises.  Both tables
+live for one call.
 
 The renderer emits the same subset back, writing every one-qubit gate in
 u1/u2/u3 form (so a fixed three-gate vocabulary covers the whole gate set)
@@ -66,6 +71,9 @@ _GATES = {
     "cx": (GateKind.CNOT, 0, 2), "cz": (GateKind.CZ, 0, 2),
     "swap": (GateKind.SWAP, 0, 2),
 }
+# name -> (kind, parameter count, separator before a second operand)
+_FAST_FORMS = {n: (k, p, "," if q == 2 else None) for n, (k, p, q) in _GATES.items()}
+_FAST_FORMS["measure"] = (GateKind.MEASURE, 0, "->")
 _PARAMETERS = ("no parameters", "1 parameter", "2 parameters", "3 parameters")
 
 # digits are written [0-9]: \d matches any Unicode decimal digit, and int()
@@ -77,8 +85,13 @@ _REG_DECL = re.compile(r"(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*"
                        r"\[\s*([0-9]+)\s*\]\Z")
 _REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*([0-9]+)\s*\])?\Z")
 _HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)")
-_MEASURE_ARGS = re.compile(r"(.+?)->(.+)\Z")
+_MEASURE_ARGS = re.compile(r"(.+?)->(.+)\Z", re.DOTALL)
 _COMMENT = re.compile(r"//[^\n]*")
+# name(angles) reg[i] (',' or '->') reg[j]; an index of 9 digits always fits int()
+_FAST = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\s*\(([^()]*)\)\s*|\s+)"
+                   r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]{1,9})\s*\]"
+                   r"(?:\s*(,|->)\s*([A-Za-z_][A-Za-z0-9_]*)"
+                   r"\s*\[\s*([0-9]{1,9})\s*\])?\Z")
 
 
 def _first_line(line: int, part: str) -> int:
@@ -144,8 +157,8 @@ class _Registers:
         self.offsets: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.total = 0
 
-    def declare(self, name: str, size: int, line: int):
-        if name in self.offsets:
+    def declare(self, name: str, size: int, line: int, other: _Registers):
+        if name in self.offsets or name in other.offsets:
             raise QasmError(f"register {name!r} already declared", line)
         self.offsets[name] = (self.total, size)
         self.total += size
@@ -166,6 +179,123 @@ class _Registers:
         return offset + i
 
 
+def _careful(stmt: str, line: int, qregs: _Registers, cregs: _Registers,
+             saw_header: bool) -> Instruction | None:
+    """Check one statement in full and return its instruction, if any."""
+    head_m = _HEAD.match(stmt)
+    if not head_m:
+        raise QasmError(f"bad statement {stmt!r}", line)
+    head = head_m.group(1)
+    rest = stmt[head_m.end():].strip()
+
+    if not saw_header:
+        if head != "OPENQASM":
+            raise QasmError("first statement must be 'OPENQASM 2.0'", line)
+        if rest != "2.0":
+            raise UnsupportedFeature(f"version {rest!r}", line)
+        return None
+
+    if head == "OPENQASM":
+        raise QasmError("duplicate OPENQASM header", line)
+    if head == "include":
+        if rest != '"qelib1.inc"':
+            raise UnsupportedFeature(f"include {rest}", line)
+        return None
+    if head in ("qreg", "creg"):
+        m = _REG_DECL.match(stmt)
+        if not m:
+            raise QasmError(f"bad register declaration {stmt!r}", line)
+        _, name, size = m.groups()
+        size = _int(size, "register size", line)
+        if size < 1:
+            raise QasmError("register size must be >= 1", line)
+        regs, other = (qregs, cregs) if head == "qreg" else (cregs, qregs)
+        regs.declare(name, size, line, other)
+        return None
+    if head in ("gate", "if", "opaque"):
+        raise UnsupportedFeature(head, line)
+
+    params: tuple[float, ...] = ()
+    cbit = None
+    if head == "measure":
+        m = _MEASURE_ARGS.match(rest)
+        if not m:
+            raise QasmError("measure needs 'q[i] -> c[j]'", line)
+        kind = GateKind.MEASURE
+        qs = (qregs.resolve(m.group(1), line),)
+        cbit = cregs.resolve(m.group(2), line)
+    elif head == "barrier":
+        kind = GateKind.BARRIER
+        qs = tuple(qregs.resolve(a, line) for a in _split_args(rest))
+        if not qs:
+            raise QasmError("barrier needs at least one qubit", line)
+    else:
+        if rest.startswith("("):
+            # the matching ')' is the first whose prefix holds one more '(' than ')'
+            close = rest.find(")")
+            while (close >= 0 and rest.count("(", 0, close)
+                   != rest.count(")", 0, close) + 1):
+                close = rest.find(")", close + 1)
+            if close < 0:
+                raise QasmError("unbalanced parentheses", line)
+            params = tuple(_parse_angle(p, line) for p in _split_args(rest[1:close]))
+            rest = rest[close + 1:].strip()
+        if head not in _GATES:
+            raise UnsupportedFeature(head, line)
+        kind, n_params, n_qubits = _GATES[head]
+        if len(params) != n_params:
+            raise QasmError(f"{head} takes {_PARAMETERS[n_params]}", line)
+        if head == "u2":
+            params = (math.pi / 2, *params)
+        qs = tuple(qregs.resolve(a, line) for a in _split_args(rest))
+        if len(qs) != n_qubits:
+            raise QasmError(f"{head} takes {n_qubits} qubit operand(s)", line)
+    try:
+        return Instruction(kind, qs, params, cbit)
+    except CircuitError as exc:
+        raise QasmError(str(exc), line) from exc
+
+
+def _fast(stmt: str, qregs: _Registers, cregs: _Registers,
+          angles: dict[str, float]) -> Instruction | None:
+    """``stmt``'s instruction if ``_FAST`` takes it and every check holds."""
+    m = _FAST.match(stmt)
+    if m is None:
+        return None
+    name, args, reg, i, sep, reg2, j = m.groups()
+    form = _FAST_FORMS.get(name)
+    at = qregs.offsets.get(reg)
+    if form is None or at is None or sep != form[2] or int(i) >= at[1]:
+        return None
+    kind, n_params, _ = form
+    qs = (at[0] + int(i),)
+    cbit = None
+    if sep:
+        at = (cregs if sep == "->" else qregs).offsets.get(reg2)
+        if at is None or int(j) >= at[1] or (sep == "," and at[0] + int(j) == qs[0]):
+            return None
+        if sep == "->":
+            cbit = at[0] + int(j)
+        else:
+            qs = (qs[0], at[0] + int(j))
+    parts = args.split(",") if args is not None else []
+    if len(parts) != n_params:
+        return None
+    params = [math.pi / 2] if name == "u2" else []
+    for a in parts:
+        value = angles.get(a)
+        if value is None:
+            try:
+                value = _parse_angle(a, None)
+            except QasmError:
+                return None
+            if not math.isfinite(value):
+                return None
+            angles[a] = value
+        params.append(value)
+    return Instruction._raw(kind, qs, tuple(params), cbit, False)
+
+
 def import_qasm2(text: str) -> Circuit:
     """Parse the OpenQASM 2 subset into a flat circuit."""
     qregs = _Registers()
@@ -177,94 +307,24 @@ def import_qasm2(text: str) -> Circuit:
     # and the two hash alike.  Declarations and headers are never stored,
     # so they are checked at every line.
     built: dict[str, Instruction] = {}
+    angles: dict[str, float] = {}  # angle text -> its finite value, likewise
     saw_header = False
 
     for start, part, stmt in _statements(text):
         ins = built.get(stmt)
-        if ins is not None:
-            items.append(ins)
-            continue
-        line = _first_line(start, part)
-        head_m = _HEAD.match(stmt)
-        if not head_m:
-            raise QasmError(f"bad statement {stmt!r}", line)
-        head = head_m.group(1)
-        rest = stmt[head_m.end():].strip()
-
-        if not saw_header:
-            if head != "OPENQASM":
-                raise QasmError("first statement must be 'OPENQASM 2.0'", line)
-            if rest != "2.0":
-                raise UnsupportedFeature(f"version {rest!r}", line)
-            saw_header = True
-            continue
-
-        if head == "OPENQASM":
-            raise QasmError("duplicate OPENQASM header", line)
-        if head == "include":
-            if rest != '"qelib1.inc"':
-                raise UnsupportedFeature(f"include {rest}", line)
-            continue
-        if head in ("qreg", "creg"):
-            m = _REG_DECL.match(stmt)
-            if not m:
-                raise QasmError(f"bad register declaration {stmt!r}", line)
-            _, name, size = m.groups()
-            size = _int(size, "register size", line)
-            if size < 1:
-                raise QasmError("register size must be >= 1", line)
-            (qregs if head == "qreg" else cregs).declare(name, size, line)
-            continue
-        if head in ("gate", "if", "opaque"):
-            raise UnsupportedFeature(head, line)
-
-        params: tuple[float, ...] = ()
-        cbit = None
-        if head == "measure":
-            m = _MEASURE_ARGS.match(rest)
-            if not m:
-                raise QasmError("measure needs 'q[i] -> c[j]'", line)
-            kind = GateKind.MEASURE
-            qs = (qregs.resolve(m.group(1), line),)
-            cbit = cregs.resolve(m.group(2), line)
-        elif head == "barrier":
-            kind = GateKind.BARRIER
-            qs = tuple(qregs.resolve(a, line) for a in _split_args(rest))
-            if not qs:
-                raise QasmError("barrier needs at least one qubit", line)
-        else:
-            if rest.startswith("("):
-                # the matching ')' is the first whose prefix holds one more
-                # '(' than ')'
-                close = rest.find(")")
-                while (close >= 0 and rest.count("(", 0, close)
-                       != rest.count(")", 0, close) + 1):
-                    close = rest.find(")", close + 1)
-                if close < 0:
-                    raise QasmError("unbalanced parentheses", line)
-                params = tuple(_parse_angle(p, line)
-                               for p in _split_args(rest[1:close]))
-                rest = rest[close + 1:].strip()
-            if head not in _GATES:
-                raise UnsupportedFeature(head, line)
-            kind, n_params, n_qubits = _GATES[head]
-            if len(params) != n_params:
-                raise QasmError(f"{head} takes {_PARAMETERS[n_params]}", line)
-            if head == "u2":
-                params = (math.pi / 2, *params)
-            qs = tuple(qregs.resolve(a, line) for a in _split_args(rest))
-            if len(qs) != n_qubits:
-                raise QasmError(f"{head} takes {n_qubits} qubit operand(s)", line)
-        try:
-            ins = Instruction(kind, qs, params, cbit)
-        except CircuitError as exc:
-            raise QasmError(str(exc), line) from exc
-        built[stmt] = ins
+        if ins is None:
+            ins = _fast(stmt, qregs, cregs, angles)
+            if ins is None:
+                ins = _careful(stmt, _first_line(start, part), qregs, cregs, saw_header)
+                saw_header = True  # _careful raises on any other first statement
+                if ins is None:
+                    continue
+            built[stmt] = ins
         items.append(ins)
 
     if not saw_header:
         raise QasmError("missing OPENQASM header", None)
-    # resolve() has bounded every operand by the register totals
+    # every operand was checked against the register totals
     return Circuit._from_items(qregs.total, cregs.total, items)
 
 

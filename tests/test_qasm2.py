@@ -5,8 +5,9 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quantir import bis
+from quantir import bis, qasm2
 from quantir.bench import random_circuit
 from quantir.circuit import Circuit, flatten
 from quantir.gates import GateKind
@@ -382,6 +383,22 @@ def test_import_register_declared_twice_raises_at_its_line():
     assert str(err.value) == "line 7: register 'q' already declared"
 
 
+@pytest.mark.parametrize("decls", ["qreg q[2];\ncreg q[2];\n",
+                                   "creg q[2];\nqreg q[2];\n"],
+                         ids=["qreg-then-creg", "creg-then-qreg"])
+def test_import_register_name_is_shared_by_qreg_and_creg(decls):
+    with pytest.raises(QasmError) as err:
+        import_qasm2(HEADER + decls)
+    assert type(err.value) is QasmError
+    assert str(err.value) == "line 4: register 'q' already declared"
+
+
+def test_import_measure_may_span_lines():
+    c = import_qasm2(_REG2 + "measure q[1]\n  ->\n  c[0];\nmeasure\nq[0] -> c\n[1];\n")
+    assert [(i.kind, i.qubits, i.cbit) for i in c.body] == [
+        (GateKind.MEASURE, (1,), 0), (GateKind.MEASURE, (0,), 1)]
+
+
 def test_import_fault_after_repeated_statements_reports_its_line():
     with pytest.raises(QasmError) as err:
         import_qasm2(_REG2 + "cx q[0],q[1];\n" * 3 + "cx q[1],q[1];\n")
@@ -406,6 +423,150 @@ def test_import_with_repeats_matches_import_of_unique_texts(c):
     got = import_qasm2(text)
     assert got == ref
     assert bis.encode([got]) == bis.encode([ref])
+
+
+# -- importer: compiled fast path against the careful path ------------------------
+# The oracle is the same reader with the compiled pattern matching nothing, so
+# every statement goes through qasm2._careful.
+
+_NEVER = re.compile(r"(?!)")
+
+
+def _outcome(text):
+    """The .bis bytes of what the reader builds, or its fault's class, text
+    and line."""
+    try:
+        return bis.encode(import_qasm2(text))
+    except QasmError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _careful_outcome(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qasm2, "_FAST", _NEVER)
+        return _outcome(text)
+
+
+_ANGLE_TEXTS = st.one_of(
+    st.sampled_from(["0", "0.0", "-0.0", "pi", "-pi", "pi/2", "-pi/4",
+                     "3*pi/4", "-7*pi/8", " pi / 3 ", "2 * pi / 5", "1e-3",
+                     ".5", "2."]),
+    st.integers(min_value=1, max_value=64).map(lambda d: f"pi/{d}"),
+    st.tuples(st.integers(min_value=0, max_value=99),
+              st.integers(min_value=1, max_value=99)).map(
+                  lambda t: f"{t[0]}*pi/{t[1]}"),
+    turn_angles.map(repr))
+
+_QREGS = [("q", 3), ("r", 2)]
+_CREGS = [("c", 2), ("d", 3)]
+_FAULTS = [
+    "h r[2]", "cx q[0],r[2]", "measure r[1] -> d[3]",  # index out of range
+    "cz q[1],q[1]",  # equal operands
+    "x s[0]", "swap q[0],s[0]", "measure q[0] -> e[0]",  # unknown register
+    "u1(1e999) r[0]", "u3(0.1,-1e999,0) q[2]",  # angle not finite
+    "u3(0.1,0.2) q[0]", "rx q[1]", "u2(0,0,0) r[0]",  # parameter count
+    "h q[0],q[1]", "cx q[2]", "measure q[0], c[0]",  # operand count or form
+    "xr[1]",  # name and register run together: no gate 'xr'
+    "cx late[0],q[0]",  # register used before its declaration
+]
+
+
+@st.composite
+def _gate_statement(draw):
+    refs = [f"{n}[{i}]" for n, size in _QREGS for i in range(size)]
+    a, b = draw(st.permutations(refs))[:2]
+    form = draw(st.sampled_from(["1q", "rot", "u2", "u3", "2q", "measure",
+                                 "barrier", "zeros"]))
+    if form == "1q":
+        return f"{draw(st.sampled_from(['h', 'x', 'y', 'z', 's', 'sdg', 't', 'tdg', 'sx']))} {a}"
+    if form == "rot":
+        name = draw(st.sampled_from(["rx", "ry", "rz", "u1"]))
+        return f"{name}({draw(_ANGLE_TEXTS)}) {a}"
+    if form in ("u2", "u3"):
+        angles = [draw(_ANGLE_TEXTS) for _ in range(int(form[1]))]
+        return f"{form}({','.join(angles)}) {a}"
+    if form == "2q":
+        return f"{draw(st.sampled_from(['cx', 'cz', 'swap']))} {a},{b}"
+    if form == "measure":
+        name, size = draw(st.sampled_from(_CREGS))
+        return f"measure {a} -> {name}[{draw(st.integers(0, size - 1))}]"
+    if form == "barrier":
+        return f"barrier {a},{b}"
+    # u3(0.0,...) beside u3(-0.0,...), which the angle table must tell apart
+    return f"u3(0.0,-0.0,{draw(_ANGLE_TEXTS)}) {a};\nu3(-0.0,0.0,0.0) {a}"
+
+
+def _layout(draw, stmt):
+    """``stmt;`` as written: plain, spread over lines, or commented."""
+    style = draw(st.sampled_from(["plain", "lines", "comment", "comment_line"]))
+    if style == "lines":
+        stmt = stmt.replace(",", ",\n  ").replace(" ", "\n   ", 1)
+    elif style == "comment":
+        return stmt + "; // trailing; comment"
+    elif style == "comment_line":
+        return "// " + stmt + ";\n" + stmt + ";"
+    return stmt + ";"
+
+
+@st.composite
+def _fault_documents(draw):
+    """(text, fault-free text): emitted and written statements over two
+    registers of each kind, one of them faulty."""
+    c = draw(circuits(max_qubits=3, max_len=12, measures=True,
+                      angle_values=turn_angles))
+    emitted = emit_qasm2(c).splitlines()[3:]
+    if c.num_cbits:
+        emitted = emitted[1:]
+    emitted = [line.rstrip(";") for line in emitted]
+    written = draw(st.lists(_gate_statement(), max_size=12))
+    stmts = draw(st.permutations(emitted + written))
+    stmts += draw(st.lists(st.sampled_from(stmts), max_size=4)) if stmts else []
+    body = [_layout(draw, stmt) for stmt in stmts]
+    fault = draw(st.sampled_from(_FAULTS))
+    at = draw(st.integers(min_value=0, max_value=len(body)))
+    decls = [f"qreg q[{max(c.num_qubits, 3)}];", "qreg r[2];",
+             f"creg c[{max(c.num_cbits, 2)}];", "creg d[3];"]
+    head = [HEADER.rstrip("\n"), *draw(st.permutations(decls))]
+    late = ["qreg late[1];"]
+
+    def document(lines):
+        text = "\n".join(head + lines + late) + "\n"
+        return _spaced(text) if spaced else text
+
+    spaced = draw(st.booleans())
+    return (document(body[:at] + [_layout(draw, fault)] + body[at:]),
+            document(body))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fault_documents())
+def test_fast_path_matches_careful_path(docs):
+    text, clean = docs
+    got = _outcome(text)
+    assert isinstance(got, tuple)
+    assert got == _careful_outcome(text)
+    got = _outcome(clean)
+    assert isinstance(got, bytes)
+    assert got == _careful_outcome(clean)
+
+
+def test_fast_path_takes_every_emitted_gate_statement(monkeypatch):
+    careful = []
+
+    def counted(stmt, *args):
+        careful.append(stmt)
+        return qasm2_careful(stmt, *args)
+
+    qasm2_careful = qasm2._careful
+    monkeypatch.setattr(qasm2, "_careful", counted)
+    c = random_circuit(5, 30, 7)
+    for q in range(5):
+        c.measure(q, q)
+    text = emit_qasm2(c)
+    assert import_qasm2(text) == import_qasm2(_spaced(text))
+    # the header, include and declarations only, in both documents
+    assert [s.split()[0] for s in careful] == ["OPENQASM", "include", "qreg",
+                                               "creg"] * 2
 
 
 # -- importer: golden bodies ------------------------------------------------------
