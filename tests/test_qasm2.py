@@ -500,7 +500,7 @@ def _layout(draw, stmt):
     """``stmt;`` as written: plain, spread over lines, or commented."""
     style = draw(st.sampled_from(["plain", "lines", "comment", "comment_line"]))
     if style == "lines":
-        stmt = stmt.replace(",", ",\n  ").replace(" ", "\n   ", 1)
+        stmt = stmt.replace(",", ",\n  ").replace(" ", "\n   ")
     elif style == "comment":
         return stmt + "; // trailing; comment"
     elif style == "comment_line":
@@ -528,12 +528,12 @@ def _fault_documents(draw):
              f"creg c[{max(c.num_cbits, 2)}];", "creg d[3];"]
     head = [HEADER.rstrip("\n"), *draw(st.permutations(decls))]
     late = ["qreg late[1];"]
+    spaced = draw(st.booleans())
 
     def document(lines):
         text = "\n".join(head + lines + late) + "\n"
         return _spaced(text) if spaced else text
 
-    spaced = draw(st.booleans())
     return (document(body[:at] + [_layout(draw, fault)] + body[at:]),
             document(body))
 
@@ -552,12 +552,12 @@ def test_fast_path_matches_careful_path(docs):
 
 def test_fast_path_takes_every_emitted_gate_statement(monkeypatch):
     careful = []
+    qasm2_careful = qasm2._careful
 
     def counted(stmt, *args):
         careful.append(stmt)
         return qasm2_careful(stmt, *args)
 
-    qasm2_careful = qasm2._careful
     monkeypatch.setattr(qasm2, "_careful", counted)
     c = random_circuit(5, 30, 7)
     for q in range(5):
