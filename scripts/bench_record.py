@@ -19,13 +19,19 @@ gives, per workload and metric, the relative change of this checkout's
 median against the parent's and whether it lies within the metric's
 ``bound``: a change for the better always does, a change for the worse
 when it is at most ``bound``.  Failed operations are summed per side and
-workload.  After each run it prints that run's end-to-end metrics, so the
-signal of any of them shows while the record runs.
+workload.  Where a run's report prints a ``compiled batch sha256`` (the
+compile workloads do), each side records that digest per seed, and
+``digests_match`` says per workload whether every seed's digest is the same
+on both sides (None when the workload prints none): a change that claims to
+keep the compiled bytes shows here that it did.  After each run it prints
+that run's end-to-end metrics, so the signal of any of them shows while the
+record runs.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -44,13 +50,34 @@ def commit_of(checkout: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
+_DIGEST = re.compile(r"^\s*compiled batch sha256 ([0-9a-f]+)\s*$", re.MULTILINE)
+
+
+def parse_run(stdout: str) -> dict:
+    """A run's last-line JSON, plus ``digest``: the compiled batch sha256
+    its report prints, or None when it prints none."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    found = _DIGEST.search(stdout)
+    result["digest"] = found.group(1) if found else None
+    return result
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
         timeout=600 + 10 * seconds)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run(proc.stdout)
+
+
+def digests_match(pr: list[dict], parent: list[dict]) -> bool | None:
+    """Whether every seed's digest is the same on both sides; None when
+    no run of either side printed one."""
+    pairs = [(a["digest"], b["digest"]) for a, b in zip(pr, parent)]
+    if all(a is None and b is None for a, b in pairs):
+        return None
+    return all(a is not None and a == b for a, b in pairs)
 
 
 def summarize(values: list[float]) -> dict:
@@ -96,6 +123,8 @@ def main() -> int:
                 values = " ".join(
                     f"{m['name']} {result['metrics'][m['name']]['value']:.6g}"
                     for m in metrics)
+                if result["digest"]:
+                    values += f" digest {result['digest']}"
                 print(f"{workload} seed {seed} {name}: {values}"
                       f"{'' if result['correct'] else '  FAILED CHECKS'}", flush=True)
 
@@ -114,6 +143,7 @@ def main() -> int:
                 "metrics": {m["name"]: {"unit": m["unit"], **summarize(
                     [r["metrics"][m["name"]]["value"] for r in results])}
                     for m in metrics},
+                "digests": [r["digest"] for r in results],
             }
         record["sides"][name] = {"commit": commits[name], "workloads": per_workload}
     wins = {}
@@ -132,6 +162,10 @@ def main() -> int:
             medians["pr"][workload]["metrics"][m["name"]]["median"],
             medians["parent"][workload]["metrics"][m["name"]]["median"], m)
             for m in metrics}
+        for workload in args.workloads}
+
+    record["digests_match"] = {
+        workload: digests_match(runs["pr"][workload], runs["parent"][workload])
         for workload in args.workloads}
 
     out = ROOT / f"BENCH_{args.pr}.json"

@@ -9,8 +9,11 @@ the rule's kinds together with the one before it, when a single instruction
 is the last on all of its wires.  The rule keeps both, replaces the pair
 with one instruction of the same kind, or drops both.  Pairs are thus
 adjacent on every wire they share, so barriers and measurements fence them.
-Only a drop makes two instructions newly adjacent, so the walk repeats until
-it drops nothing.
+Only a drop makes two instructions newly adjacent, so a further walk can
+change something only where a drop's wire resumes.  After each walk with a
+drop, a bounded check at each drop site decides whether the rule would take
+the pair that meets there; the walk repeats only if it would, so the last
+walk is never one that only confirms a fixpoint.
 
 ``_lower`` runs basis lowering.  Each of the two native sets has one rule
 table, keyed by gate kind; a rule maps one instruction to its sequence in
@@ -62,7 +65,7 @@ def _opcodes(kinds) -> frozenset:
 
 
 def _peephole(c: Circuit, kinds, combine) -> Circuit:
-    """Apply ``combine`` to adjacent pairs until a walk drops nothing.
+    """Apply ``combine`` to adjacent pairs until a walk would change nothing.
 
     An instruction whose kind is in ``kinds`` (one- and two-qubit gates)
     meets ``prev``, the last instruction on its wires, when that is the same
@@ -70,38 +73,111 @@ def _peephole(c: Circuit, kinds, combine) -> Circuit:
     both, an instruction of the same kind on the same wires to replace the
     pair, or None to drop both; it drops only pairs on the same wires.  A
     replacement meets later instructions in the same walk and exposes no new
-    pair, so it needs no further walk.
+    pair, so it needs no further walk.  A drop leaves its wires with no last
+    instruction for the rest of the walk, so a further walk differs from
+    this one only where a drop's wire resumes; ``_exposed`` checks those
+    sites, and the walk repeats only when one of them would change.
     """
     codes = _opcodes(kinds)
     flat = flatten(c)
     body: list = flat.body
-    changed = True
-    while changed:
-        changed = False
-        out: list = []
-        keep = out.append
-        # wire -> index in out of its last instruction, or -1; one slot per
-        # wire, as depth and CircuitDag keep
-        last = [-1] * flat.num_qubits
-        for ins in body:
-            qs = ins.qubits
-            if ins.kind._value_ in codes:
-                li = last[qs[0]]
-                if li >= 0 and (len(qs) == 1 or last[qs[1]] == li):
-                    new = combine(out[li], ins)
-                    if new is not ins:
-                        out[li] = new
-                        if new is None:
-                            for q in qs:
-                                last[q] = -1
-                            changed = True
-                        continue
-            idx = len(out)
-            keep(ins)
-            for q in qs:
-                last[q] = idx
+    while True:
+        out, drops = _walk(body, flat.num_qubits, codes, combine)
+        if not drops:
+            body = out
+            break
         body = [ins for ins in out if ins is not None]
+        if not _exposed(out, drops, codes, combine):
+            break
     return Circuit._from_items(flat.num_qubits, flat.num_cbits, body, flat.name)
+
+
+def _walk(body: list, num_qubits: int, codes, combine) -> tuple[list, list]:
+    """One ``_peephole`` walk: its output, with None where a drop's
+    ``prev`` stood, and each drop as ``(prev index, ins index, wires)``."""
+    out: list = []
+    keep = out.append
+    drops: list = []
+    # wire -> index in out of its last instruction, or -1; one slot per
+    # wire, as depth and CircuitDag keep
+    last = [-1] * num_qubits
+    for ins in body:
+        qs = ins.qubits
+        if ins.kind._value_ in codes:
+            li = last[qs[0]]
+            if li >= 0 and (len(qs) == 1 or last[qs[1]] == li):
+                new = combine(out[li], ins)
+                if new is not ins:
+                    out[li] = new
+                    if new is None:
+                        for q in qs:
+                            last[q] = -1
+                        drops.append((li, len(out), qs))
+                    continue
+        idx = len(out)
+        keep(ins)
+        for q in qs:
+            last[q] = idx
+    return out, drops
+
+
+# rows a drop-site check scans, each way, before it counts the site exposed
+_REACH = 128
+
+
+def _scan(out: list, w: int, i: int, stop: int, step: int) -> int:
+    """The first index from ``i`` toward ``stop`` whose instruction is left
+    in ``out`` and on wire ``w``; ``stop`` when there is none."""
+    while i != stop and (out[i] is None or w not in out[i].qubits):
+        i += step
+    return i
+
+
+def _exposed(out: list, drops: list, codes, combine) -> bool:
+    """Whether a further walk over ``out`` could change it.
+
+    On each wire ``w`` of a drop, the next walk offers ``N``, the first
+    instruction left on ``w`` after the dropped pair, to ``P``, the last one
+    left before it, when ``N`` is of the rule's kinds and ``P`` is last on
+    all of ``N``'s wires.  Everywhere else it meets the pairs this walk met
+    and keeps them.  So the next walk changes something only if some drop
+    site has ``combine(P, N) is not N``.  Each scan stops after ``_REACH``
+    rows, and a site it cannot settle counts as exposed: the caller then
+    walks again, which is never wrong.
+    """
+    end = len(out)
+    for li, d, qs in drops:
+        for w in qs:
+            stop = min(end, d + _REACH)
+            j = _scan(out, w, d, stop, 1)
+            if j == stop:
+                if stop < end:
+                    return True
+                continue  # nothing follows on w
+            nxt = out[j]
+            if nxt.kind._value_ not in codes:
+                continue
+            stop = max(-1, li - 1 - _REACH)
+            i = _scan(out, w, li - 1, stop, -1)
+            if i == stop:
+                if stop >= 0:
+                    return True
+                continue  # nothing precedes on w
+            prv = out[i]
+            if len(nxt.qubits) == 2:
+                v = nxt.qubits[1] if nxt.qubits[0] == w else nxt.qubits[0]
+                if v not in prv.qubits:
+                    continue  # P is not last on v
+                # P is last on v if the next instruction on v is N
+                stop = min(j, i + 1 + _REACH)
+                k = _scan(out, v, i + 1, stop, 1)
+                if k < j:
+                    if k == stop:
+                        return True
+                    continue  # something on v comes between
+            if combine(prv, nxt) is not nxt:
+                return True
+    return False
 
 
 # -- rotation merging ----------------------------------------------------------

@@ -10,6 +10,12 @@
   post-routing cancellation runs before SWAP expansion so adjacent routing
   SWAPs can annihilate.
 
+After routing, levels 1 and 2 run their passes again unless the route
+inserted no SWAP and the pre-route body is already a fixpoint of them: at
+level 1 always, at level 2 when the pre-route cancellation dropped nothing.
+A swap-free route only relabels the wires of a topological order of the
+DAG, so every wire keeps its sequence and the passes would change nothing.
+
 Everything is deterministic per (circuit, graph, config).
 """
 from __future__ import annotations
@@ -103,18 +109,25 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
 
     if config.level >= 1:
         pre = merge_adjacent_rotations(pre)
+    settled = True  # pre is a fixpoint of every pass the level runs
     if config.level >= 2:
+        merged = len(pre)
         pre = cancel_adjacent_inverses(pre)
+        # cancellation only drops, so a kept length means it changed nothing
+        settled = len(pre) == merged
 
     dag = CircuitDag(pre)
     initial, routed, final = _best_trial(dag, graph, config.sabre(), config.seed)
     swaps_inserted = len(routed) - len(pre)  # every node plus its SWAPs
 
     out = routed
-    if config.level >= 1:
-        out = merge_adjacent_rotations(out)
-    if config.level >= 2:
-        out = cancel_adjacent_inverses(out)
+    # a swap-free route relabels a topological order of the DAG, which keeps
+    # every wire's sequence, so the passes would leave a settled body as it is
+    if swaps_inserted or not settled:
+        if config.level >= 1:
+            out = merge_adjacent_rotations(out)
+        if config.level >= 2:
+            out = cancel_adjacent_inverses(out)
     if config.basis != "none" and swaps_inserted:
         # lowering before routing took out every input SWAP, so with no
         # routing SWAP there is nothing to expand

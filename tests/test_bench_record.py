@@ -1,4 +1,4 @@
-"""scripts/bench_record.py: the median change it records per metric."""
+"""scripts/bench_record.py: the median change per metric and the digests."""
 import importlib.util
 from pathlib import Path
 
@@ -33,3 +33,34 @@ def test_median_change_from_a_zero_parent():
         {"relative": None, "bound": 0.15, "within_bound": True}
     assert bench_record.median_change(0.1, 0.0, LOWER)["within_bound"] is False
     assert bench_record.median_change(0.1, 0.0, HIGHER)["within_bound"] is True
+
+
+def _fake_run(digest):
+    """What perfbench/run.py prints: a report, then one JSON line."""
+    report = ["perfbench compile_lower seed=1 seconds=20 trace=0",
+              "  path_s                                 0.0081 s       compile_s"]
+    if digest:
+        report.append(f"  compiled batch sha256 {digest}")
+    report.append('{"correct": true, "attempted": 75, "failed": 0, '
+                  '"metrics": {"path_s": {"value": 0.0081, "unit": "s"}}}')
+    return "\n".join(report) + "\n"
+
+
+def test_parse_run_reads_the_compiled_batch_digest():
+    got = bench_record.parse_run(_fake_run("dedd0783b1509284"))
+    assert got["digest"] == "dedd0783b1509284"
+    assert got["metrics"]["path_s"]["value"] == 0.0081
+    assert got["attempted"] == 75
+    assert bench_record.parse_run(_fake_run(None))["digest"] is None
+
+
+@pytest.mark.parametrize("pr,parent,match", [
+    (["aa", "bb"], ["aa", "bb"], True),
+    (["aa", "bb"], ["aa", "bc"], False),  # one seed differs
+    (["aa", None], ["aa", None], False),  # a seed without a digest proves nothing
+    ([None, None], [None, None], None),   # a workload that prints none
+])
+def test_digests_match(pr, parent, match):
+    runs = {side: [bench_record.parse_run(_fake_run(d)) for d in digests]
+            for side, digests in (("pr", pr), ("parent", parent))}
+    assert bench_record.digests_match(runs["pr"], runs["parent"]) is match

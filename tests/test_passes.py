@@ -1,5 +1,6 @@
 """Rewrite passes: rotation merging, inverse cancellation, basis lowering."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -558,3 +559,172 @@ def test_passes_on_shared_instructions_match_reference_loops(c, basis):
     lowered = shared_copy(decompose_to_basis(s, basis))
     _same_output(cancel_adjacent_inverses(merge_adjacent_rotations(lowered)),
                  _ref_cancel(_ref_merge(_ref_decompose(c, basis))))
+
+
+# -- fixed points and the drop-site check ---------------------------------------
+# ``_peephole`` walks again only when a drop site would change in the next
+# walk.  Its outputs must still be fixed points of their pass, and equal the
+# reference loops, which always walk once more to confirm.  Wide bodies with
+# long idle stretches put a drop's neighbours on its wire far apart, which
+# is where the check's bounded scans give up.
+
+from unittest import mock  # noqa: E402
+
+from quantir import passes  # noqa: E402
+
+_WIDE_1Q = [GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
+            GateKind.T, GateKind.TDG, GateKind.X1]
+_WIDE_INVERSE = {GateKind.S: GateKind.SDG, GateKind.SDG: GateKind.S,
+                 GateKind.T: GateKind.TDG, GateKind.TDG: GateKind.T}
+
+
+def _wide_gate(rng, wires):
+    """One gate on ``wires`` as ``(kind, qubits, params, dagger)``."""
+    roll = rng.random()
+    if roll < 0.3 and len(wires) >= 2:
+        kind = rng.choice([GateKind.CNOT, GateKind.CZ, GateKind.SWAP])
+        return kind, tuple(rng.sample(wires, 2)), (), False
+    q = rng.choice(wires)
+    if roll < 0.6:
+        return rng.choice(_REF_ROTS), (q,), (rng.choice(_NEAR_TURNS),), False
+    return rng.choice(_WIDE_1Q), (q,), (), rng.random() < 0.3
+
+
+def _wide_inverse(gate):
+    kind, qs, params, dagger = gate
+    if kind in _REF_ROTS:
+        return kind, qs, (-params[0],), dagger
+    if kind is GateKind.CZ or kind is GateKind.SWAP:
+        return kind, qs[::-1], params, dagger  # symmetric
+    if kind is GateKind.X1:
+        return kind, qs, params, not dagger
+    return _WIDE_INVERSE.get(kind, kind), qs, params, dagger
+
+
+@st.composite
+def wide_bodies(draw):
+    """Up to 12 wires and about 200 gates, in stretches on few wires.
+
+    Each stretch plays a few gates on one to three wires, then often their
+    inverses in reverse order, so drops nest and each exposes the next pair.
+    Between them, gates land on wires outside the stretch, which are idle
+    otherwise, so a drop's neighbours on its wire lie far apart.
+    """
+    # one seed, not a draw per gate: per-gate draws make the smallest
+    # example too large for Hypothesis
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = rng.randint(2, 12)
+    c = Circuit(n)
+    while len(c) < 200:
+        wires = rng.sample(range(n), rng.randint(1, min(3, n)))
+        run = [_wide_gate(rng, wires) for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.6:
+            # now and then one gate is no inverse, and the nest stops there
+            run += [_wide_gate(rng, wires) if rng.random() < 0.1
+                    else _wide_inverse(g) for g in reversed(run)]
+        for kind, qs, params, dagger in run:
+            c.append_gate(kind, qs, params, dagger=dagger)
+            for _ in range(rng.choice([0, 0, 1, 3, 8])):
+                kind, qs, params, dagger = _wide_gate(rng, range(n))
+                c.append_gate(kind, qs, params, dagger=dagger)
+        if rng.random() < 0.1:
+            c.barrier(*wires)
+    return c
+
+
+_BODIES = st.one_of(rewritable(), wide_bodies())
+# the scan length of the drop-site check: the library's, and ones so short
+# that most checks give up and walk again
+_REACHES = (passes._REACH, 1, 4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(c=_BODIES)
+def test_peephole_outputs_are_fixed_points(c):
+    for reach in _REACHES:
+        with mock.patch.object(passes, "_REACH", reach):
+            for run in (merge_adjacent_rotations, cancel_adjacent_inverses):
+                once = run(c)
+                _same_output(run(once), once)
+            merged = merge_adjacent_rotations(c)
+            both = cancel_adjacent_inverses(merged)
+            if len(both) == len(merged):
+                # the case in which transpile skips its post-route passes
+                _same_output(merge_adjacent_rotations(both), both)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=wide_bodies())
+def test_peephole_on_wide_bodies_matches_reference_loops(c):
+    want_merge, want_cancel = _ref_merge(c), _ref_cancel(c)
+    for reach in _REACHES:
+        with mock.patch.object(passes, "_REACH", reach):
+            _same_output(merge_adjacent_rotations(c), want_merge)
+            _same_output(cancel_adjacent_inverses(c), want_cancel)
+            _same_output(cancel_adjacent_inverses(merge_adjacent_rotations(c)),
+                         _ref_cancel(want_merge))
+
+
+def _walks(monkeypatch) -> list:
+    """The drop count of each ``_peephole`` walk made while the test runs."""
+    drops = []
+    walk = passes._walk
+
+    def counted(*args):
+        out, dropped = walk(*args)
+        drops.append(len(dropped))
+        return out, dropped
+
+    monkeypatch.setattr(passes, "_walk", counted)
+    return drops
+
+
+@pytest.mark.parametrize("build,walks", [
+    # the X pair's drop leaves H next to S: nothing to cancel, one walk
+    (lambda: Circuit(1).h(0).x(0).x(0).s(0), [1]),
+    # ... and H next to H: a second walk drops them, and nothing is left
+    (lambda: Circuit(1).h(0).x(0).x(0).h(0), [1, 1]),
+    # the CNOT pair meets again only if nothing on wire 1 comes between
+    (lambda: Circuit(2).cnot(0, 1).h(0).h(0).x(1).cnot(0, 1), [1]),
+    (lambda: Circuit(2).cnot(0, 1).h(0).h(0).cnot(0, 1), [1, 1]),
+    # a CNOT the other way round is no inverse
+    (lambda: Circuit(2).cnot(0, 1).h(1).h(1).cnot(1, 0), [1]),
+    # the CZ before the drop is not on wire 1, so the next walk never offers
+    # it the CZ after, though the two would cancel as a pair
+    (lambda: Circuit(3).cz(0, 2).h(0).h(0).cz(0, 1), [1]),
+])
+def test_cancel_walks_again_only_at_an_exposed_drop(monkeypatch, build, walks):
+    drops = _walks(monkeypatch)
+    cancel_adjacent_inverses(build())
+    assert drops == walks
+
+
+@pytest.mark.parametrize("build", [
+    # the first instruction after the drop lies past the scan
+    lambda: Circuit(2).h(0).x(0).x(0).y(1).h(0),
+    # the last one before it does
+    lambda: Circuit(2).h(0).y(1).x(0).x(0).h(0),
+    # the scan for a gate on the CNOT's other wire ends before the CNOT
+    lambda: Circuit(3).cnot(0, 1).h(0).t(2).t(2).t(2).h(0).cnot(0, 1),
+])
+def test_a_drop_site_check_that_gives_up_walks_again(monkeypatch, build):
+    monkeypatch.setattr(passes, "_REACH", 1)
+    drops = _walks(monkeypatch)
+    c = build()
+    _same_output(cancel_adjacent_inverses(c), _ref_cancel(c))
+    assert drops == [1, 1]
+
+
+def test_merge_walks_again_only_at_an_exposed_drop(monkeypatch):
+    drops = _walks(monkeypatch)
+    m = merge_adjacent_rotations(Circuit(1).rz(0, 0.5).rx(0, PI).rx(0, PI)
+                                 .ry(0, 0.25))
+    assert kinds_of(m) == [GateKind.RZ, GateKind.RY]
+    assert drops == [1]
+    drops.clear()
+    m = merge_adjacent_rotations(Circuit(1).rz(0, 0.5).rx(0, PI).rx(0, PI)
+                                 .rz(0, 0.25).ry(0, 0.5).ry(0, -0.5).rz(0, 1.0))
+    assert kinds_of(m) == [GateKind.RZ] and m.body[0].params == (0.5 + 0.25 + 1.0,)
+    # walk 1 drops the RX and RY pairs; walk 2 meets RZ(0.5) and RZ(0.25),
+    # then RZ(1.0), and drops nothing, so it is the last
+    assert drops == [2, 0]

@@ -17,7 +17,11 @@ from quantir.circuit import (Circuit, Instruction, depth, flatten, gate_counts,
 from quantir.gates import CLS_2Q, GateKind
 from quantir.sabre import Layout, SabreConfig
 from quantir.sim import routed_fidelity
-from quantir.passes import BASES
+from quantir import passes
+from quantir.dag import CircuitDag
+from quantir.passes import (BASES, cancel_adjacent_inverses, decompose_to_basis,
+                            expand_swaps, merge_adjacent_rotations)
+from quantir.sabre import _best_trial
 from quantir.transpile import (LEVELS, TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
                                transpile)
@@ -476,6 +480,106 @@ def test_swap_free_route_expands_no_swaps(monkeypatch, level, basis):
     assert gate_counts(res.circuit)[GateKind.SWAP] == 0
 
 
+# -- post-route passes skipped on a settled, swap-free route ---------------------
+# transpile skips the post-route merge and cancel when the route inserted no
+# SWAP and the pre-route passes left a fixpoint.  The reference below runs
+# the same stages with the post-route passes always on.
+
+def _always_post(c, graph, cfg):
+    """transpile's stages, the post-route passes run every time; its bytes
+    and layouts, and whether transpile may skip those passes."""
+    gates, measures = split_trailing_measures(flatten(c))
+    pre = decompose_to_basis(gates, cfg.basis)
+    if cfg.level >= 1:
+        pre = merge_adjacent_rotations(pre)
+    settled = True
+    if cfg.level >= 2:
+        settled = len(cancel_adjacent_inverses(pre)) == len(pre)
+        pre = cancel_adjacent_inverses(pre)
+    initial, out, final = _best_trial(CircuitDag(pre), graph, cfg.sabre(),
+                                      cfg.seed)
+    swaps = len(out) - len(pre)
+    if cfg.level >= 1:
+        out = merge_adjacent_rotations(out)
+    if cfg.level >= 2:
+        out = cancel_adjacent_inverses(out)
+    if swaps:
+        out = expand_swaps(out, cfg.basis)
+    out.extend(Instruction(GateKind.MEASURE, (final.phys(m.qubits[0]),),
+                           cbit=m.cbit) for m in measures)
+    return ((encode([out]), list(initial), list(final)),
+            cfg.level >= 1 and settled and not swaps)
+
+
+_SKIP_DEVICES = {"full:6": topology.full(6), "linear:6": topology.linear(6),
+                 "heavy_hex:3": topology.heavy_hex(3)}
+
+
+def _skip_cases(n):
+    for seed in range(4):
+        yield _lowering_circuit(n, 60, seed)
+        for layers in (4, 8):
+            c = bench_circuit(n, layers, seed)
+            for q in range(n):
+                c.measure(q, q)
+            yield c
+
+
+@pytest.mark.parametrize("device", _SKIP_DEVICES)
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("basis", BASES)
+def test_skipped_post_route_passes_change_no_byte(device, level, basis):
+    graph = _SKIP_DEVICES[device]
+    cfg = TranspileConfig(level=level, basis=basis, seed=2)
+    skipped = []
+    for c in _skip_cases(6):
+        want, skip = _always_post(c, graph, cfg)
+        assert _compiled(c, graph, level, basis, seed=2) == want
+        skipped.append(skip)
+    if device == "full:6" and level >= 1:
+        # swap-free: level 1 always skips, level 2 when cancel dropped nothing
+        assert any(skipped) and (level == 1 or not all(skipped))
+    elif device != "full:6":
+        assert not all(skipped)  # routes with SWAPs run the passes
+
+
+def _pass_calls(monkeypatch) -> list:
+    """The name of each merge or cancel call transpile makes."""
+    calls = []
+    for name in ("merge_adjacent_rotations", "cancel_adjacent_inverses"):
+        def counted(c, _name=name, _run=getattr(transpile_mod, name)):
+            calls.append(_name)
+            return _run(c)
+        monkeypatch.setattr(transpile_mod, name, counted)
+    return calls
+
+
+def test_compile_lower_shaped_circuit_skips_confirming_walks(monkeypatch):
+    # full:10, level 2, rz-x1-cz, read from QASM: merging drops dozens of
+    # full turns in one walk, and nothing it leaves next to each other
+    # merges or cancels, so neither a confirming walk nor a post-route pass
+    # runs
+    from quantir import qasm2
+    c = bench_circuit(10, 60, 1)
+    for q in range(10):
+        c.measure(q, q)
+    c = qasm2.import_qasm2(qasm2.emit_qasm2(c))
+    calls, walks = _pass_calls(monkeypatch), []
+    walk = passes._walk
+
+    def counted(*args):
+        out, drops = walk(*args)
+        walks.append(len(drops))
+        return out, drops
+
+    monkeypatch.setattr(passes, "_walk", counted)
+    res = transpile(c, topology.build("full", 10),
+                    TranspileConfig(level=2, basis="rz-x1-cz"))
+    assert res.stats.swaps_inserted == 0
+    assert calls == ["merge_adjacent_rotations", "cancel_adjacent_inverses"]
+    assert len(walks) == 2 and walks[0] > 0 and walks[1] == 0
+
+
 # -- one instruction object at many positions -----------------------------------
 # The QASM reader, lowering and the route builder may put one instruction
 # object at many positions of a body, and lowering and the builder key
@@ -505,8 +609,8 @@ def repeating_circuits(draw):
     return Circuit._from_items(n, c.num_cbits, body + measures)
 
 
-def _compiled(c, graph, level, basis):
-    res = transpile(c, graph, TranspileConfig(level=level, basis=basis, seed=1))
+def _compiled(c, graph, level, basis, seed=1):
+    res = transpile(c, graph, TranspileConfig(level=level, basis=basis, seed=seed))
     return (encode([res.circuit]), list(res.initial_layout),
             list(res.final_layout))
 
