@@ -12,8 +12,8 @@ adjacent on every wire they share, so barriers and measurements fence them.
 Only a drop makes two instructions newly adjacent, so a further walk can
 change something only where a drop's wire resumes.  After each walk with a
 drop, a bounded check at each drop site decides whether the rule would take
-the pair that meets there; the walk repeats only if it would, so the last
-walk is never one that only confirms a fixpoint.
+the pair that meets there; the walk repeats only if it would, or if the
+check cannot settle a site within its scan.
 
 ``_lower`` runs basis lowering.  Each of the two native sets has one rule
 table, keyed by gate kind; a rule maps one instruction to its sequence in

@@ -6,7 +6,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from quantir import sabre
+from quantir import passes, sabre
 from quantir.circuit import Circuit, Instruction, flatten
 from quantir.gates import GateKind
 
@@ -120,6 +120,21 @@ def count_routes(monkeypatch, *importers) -> list:
     for module in importers:
         monkeypatch.setattr(module, "_route_core", counting, raising=False)
     return calls
+
+
+def count_walks(monkeypatch) -> list:
+    """The drop count of each ``passes._peephole`` walk made while the test
+    runs: wraps ``passes._walk``, which runs one walk per call."""
+    drops = []
+    real = passes._walk
+
+    def counting(*args):
+        out, dropped = real(*args)
+        drops.append(len(dropped))
+        return out, dropped
+
+    monkeypatch.setattr(passes, "_walk", counting)
+    return drops
 
 
 def check_routing(circuit: Circuit, graph, routed: Circuit, initial, final) -> None:

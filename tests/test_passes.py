@@ -1,11 +1,13 @@
 """Rewrite passes: rotation merging, inverse cancellation, basis lowering."""
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantir import passes
 from quantir.circuit import Circuit, Instruction, flatten, gate_counts
 from quantir.gates import CLS_2Q, GateKind
 from quantir.passes import (BASES, PassError, cancel_adjacent_inverses,
@@ -13,7 +15,7 @@ from quantir.passes import (BASES, PassError, cancel_adjacent_inverses,
                             merge_adjacent_rotations)
 from quantir.sim import circuit_unitary, equivalent
 
-from conftest import circuits, shared_copy
+from conftest import circuits, count_walks, shared_copy
 
 PI = math.pi
 
@@ -568,10 +570,6 @@ def test_passes_on_shared_instructions_match_reference_loops(c, basis):
 # long idle stretches put a drop's neighbours on its wire far apart, which
 # is where the check's bounded scans give up.
 
-from unittest import mock  # noqa: E402
-
-from quantir import passes  # noqa: E402
-
 _WIDE_1Q = [GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
             GateKind.T, GateKind.TDG, GateKind.X1]
 _WIDE_INVERSE = {GateKind.S: GateKind.SDG, GateKind.SDG: GateKind.S,
@@ -665,20 +663,6 @@ def test_peephole_on_wide_bodies_matches_reference_loops(c):
                          _ref_cancel(want_merge))
 
 
-def _walks(monkeypatch) -> list:
-    """The drop count of each ``_peephole`` walk made while the test runs."""
-    drops = []
-    walk = passes._walk
-
-    def counted(*args):
-        out, dropped = walk(*args)
-        drops.append(len(dropped))
-        return out, dropped
-
-    monkeypatch.setattr(passes, "_walk", counted)
-    return drops
-
-
 @pytest.mark.parametrize("build,walks", [
     # the X pair's drop leaves H next to S: nothing to cancel, one walk
     (lambda: Circuit(1).h(0).x(0).x(0).s(0), [1]),
@@ -694,7 +678,7 @@ def _walks(monkeypatch) -> list:
     (lambda: Circuit(3).cz(0, 2).h(0).h(0).cz(0, 1), [1]),
 ])
 def test_cancel_walks_again_only_at_an_exposed_drop(monkeypatch, build, walks):
-    drops = _walks(monkeypatch)
+    drops = count_walks(monkeypatch)
     cancel_adjacent_inverses(build())
     assert drops == walks
 
@@ -709,14 +693,14 @@ def test_cancel_walks_again_only_at_an_exposed_drop(monkeypatch, build, walks):
 ])
 def test_a_drop_site_check_that_gives_up_walks_again(monkeypatch, build):
     monkeypatch.setattr(passes, "_REACH", 1)
-    drops = _walks(monkeypatch)
+    drops = count_walks(monkeypatch)
     c = build()
     _same_output(cancel_adjacent_inverses(c), _ref_cancel(c))
     assert drops == [1, 1]
 
 
 def test_merge_walks_again_only_at_an_exposed_drop(monkeypatch):
-    drops = _walks(monkeypatch)
+    drops = count_walks(monkeypatch)
     m = merge_adjacent_rotations(Circuit(1).rz(0, 0.5).rx(0, PI).rx(0, PI)
                                  .ry(0, 0.25))
     assert kinds_of(m) == [GateKind.RZ, GateKind.RY]

@@ -17,7 +17,6 @@ from quantir.circuit import (Circuit, Instruction, depth, flatten, gate_counts,
 from quantir.gates import CLS_2Q, GateKind
 from quantir.sabre import Layout, SabreConfig
 from quantir.sim import routed_fidelity
-from quantir import passes
 from quantir.dag import CircuitDag
 from quantir.passes import (BASES, cancel_adjacent_inverses, decompose_to_basis,
                             expand_swaps, merge_adjacent_rotations)
@@ -26,8 +25,8 @@ from quantir.transpile import (LEVELS, TranspileConfig, TranspileError,
                                TranspileResult, TranspileStats, preprocess,
                                transpile)
 
-from conftest import (check_routing, circuits, count_routes, fresh_copy,
-                      shared_copy, turn_angles)
+from conftest import (check_routing, circuits, count_routes, count_walks,
+                      fresh_copy, shared_copy, turn_angles)
 
 # the package re-exports the function ``transpile`` under the module's name
 transpile_mod = importlib.import_module("quantir.transpile")
@@ -564,15 +563,7 @@ def test_compile_lower_shaped_circuit_skips_confirming_walks(monkeypatch):
     for q in range(10):
         c.measure(q, q)
     c = qasm2.import_qasm2(qasm2.emit_qasm2(c))
-    calls, walks = _pass_calls(monkeypatch), []
-    walk = passes._walk
-
-    def counted(*args):
-        out, drops = walk(*args)
-        walks.append(len(drops))
-        return out, drops
-
-    monkeypatch.setattr(passes, "_walk", counted)
+    calls, walks = _pass_calls(monkeypatch), count_walks(monkeypatch)
     res = transpile(c, topology.build("full", 10),
                     TranspileConfig(level=2, basis="rz-x1-cz"))
     assert res.stats.swaps_inserted == 0
