@@ -26,25 +26,24 @@ circuit's header and slice of the records are appended in turn.
 :func:`encode` and :class:`StreamEncoder` close a group once its
 circuits hold 4,096 rows, so a circuit that long closes the group it
 joins.  Barriers and compressed indices >= 128 are laid out in the same
-pass, each such field sized by its varint's octets.  The gather takes
-where each record starts and checks the fixed shape (any multi-byte
-varint exposes a continuation bit at a checked position) and every
-operand, each row against its own circuit's register widths.
-:func:`decode` finds those offsets by walking one circuit at a time,
-assuming the fixed shape; :class:`StreamDecoder`'s scan records them as it
-sizes each circuit, so one gather serves every circuit a feed completes
-without a second walk.  If a batch fails, its circuits are
-decoded one by one as :func:`decode` would; circuits that don't fit --
-barriers, compressed indices >= 128, padded varints -- or that hold any bad
-operand take a careful per-record path.  Every malformed input raises a
-:class:`BisDecodeError` subclass carrying the byte ``offset`` of the first
-fault in byte order.
+pass, each such field sized by its varint's octets.
 
-:func:`decode` and :class:`StreamDecoder` share this gatherer and this
-fallback, so both readers raise the same error at the same offset.  The
-stream decoder itself only sizes circuits as bytes arrive; it reports a
-circuit's operand errors once that circuit is complete, or at
-:meth:`StreamDecoder.finish`, rather than when the bad record arrives.
+The gather takes where each record starts and reads the fixed shape at
+fixed places.  Barriers, compressed indices >= 128 and padded varints
+take its sized branch, which reads each field where the one before ends:
+barrier counts and index pools by cumulative sums, varints by vectorized
+masks.  Every operand is checked, each row against its own circuit's
+register widths, and the masks and field offsets of these checks locate
+the first fault in byte order: every malformed input raises a
+:class:`BisDecodeError` subclass carrying that fault's byte ``offset``.
+:func:`decode` walks one circuit at a time by the fixed shape; from the
+first record the walk may have sized wrong, it takes the offsets exactly,
+as :class:`StreamDecoder`'s scan does while it sizes each circuit, so one
+gather serves every circuit a feed completes.  Both readers take this one
+path for every input, valid or not, and raise the same error at the same
+offset.  The stream decoder reports a circuit's operand errors once that
+circuit is complete, or at :meth:`StreamDecoder.finish`, rather than when
+the bad record arrives.
 
 Each reader owns one table of parameter-free instructions (1Q, 2Q,
 MEASURE): one per :func:`decode` call, one per :class:`StreamDecoder` for
@@ -54,8 +53,7 @@ materialized; separate reads share none.
 """
 from __future__ import annotations
 
-import math
-import struct
+from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -179,6 +177,7 @@ class _Layout(NamedTuple):
     at ``1 + width``.  The shape holds only indices below ``limit``.
     """
 
+    compressed: bool    # index fields are varints
     itype: str          # index field dtype
     width: int          # bytes per index field
     limit: int
@@ -199,16 +198,12 @@ def _layout(itype: str, limit: int, compress: bool) -> _Layout:
         step[op] = int(lens[op >> 5])
         varints[op] = int(_NIDX_BY_CLASS[op >> 5]) if compress else 0
     span = [n or 1 << 62 for n in step]
-    return _Layout(itype, width, limit, lens, step, np.array(step), span,
-                   varints)
+    return _Layout(compress, itype, width, limit, lens, step, np.array(step),
+                   span, varints)
 
 
 # indexed by the compressed flag; a compressed index below 128 is one octet
 _LAYOUTS = (_layout("<u4", 1 << 32, False), _layout("u1", 128, True))
-
-_UNPACK_U32 = struct.Struct("<I").unpack_from
-_UNPACK_D = struct.Struct("<d").unpack_from
-_UNPACK_3D = struct.Struct("<ddd").unpack_from
 
 
 def _angle_bytes(starts, cls):
@@ -347,148 +342,278 @@ def encode(circuits, *, compress: bool = False) -> bytes:
     return enc.finish()
 
 
-# -- decoding: careful per-record path ----------------------------------------
+# -- decoding -----------------------------------------------------------------
 
-def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
-                     compress: bool, shared: dict) -> tuple[_Columns, int]:
-    """Parse ``m`` records one by one; raises at the first fault in byte order."""
-    step = _LAYOUTS[0].step
-    code: list = []
-    a: list = []
-    b: list = []
-    params: list = []
-    extra: list = []
+def _walk_offsets(data, o: int, end: int, m: int, step_lut, offs: list) -> int:
+    """Append the offsets of up to ``m`` records from ``o``, each sized by
+    its fixed shape, and return where the last one appended ends.
 
-    def read_index(limit: int, what: str) -> int:
-        nonlocal o
-        field = o
-        if compress:
-            v, o = _read_varint(data, o, end)
-        else:
-            if o + 4 > end:
-                raise Truncated(f"{what} runs past end of data", field)
-            v = _UNPACK_U32(data, field)[0]
-            o += 4
-        if v >= limit:
-            raise BadOperand(f"{what} {v} out of range for {limit}", field)
-        return v
-
-    for _ in range(m):
-        if o >= end:
-            raise Truncated("record runs past end of data", o)
-        op = data[o]
-        if step[op] == 0 and op != _BARRIER:
-            raise UnknownOpcode(f"unknown opcode 0x{op:02X}", o)
-        o += 1
-        cls = op >> 5
-        if cls == 5:
-            cnt_off = o
-            cnt, o = _read_varint(data, o, end)
-            if cnt < 1:
-                raise BadOperand("barrier needs at least one qubit", cnt_off)
-            qs = [read_index(nq, "qubit index") for _ in range(cnt)]
-            if len(set(qs)) != cnt:
-                raise BadOperand("barrier qubits must be distinct", cnt_off)
-            q0, q1 = cnt, -1
-            extra += qs
-        else:
-            q0 = read_index(nq, "qubit index")
-            q1 = -1
-        if cls == 1 or cls == 2:
-            width = 8 if cls == 1 else 24
-            if o + width > end:
-                raise Truncated("angle runs past end of data", o)
-            vals = _UNPACK_D(data, o) if cls == 1 else _UNPACK_3D(data, o)
-            for k, v in enumerate(vals):
-                if not math.isfinite(v):
-                    raise BadOperand("angle is not finite", o + 8 * k)
-            params += vals
-            o += width
-        elif cls == 3:
-            field = o
-            q1 = read_index(nq, "qubit index")
-            if q1 == q0:
-                raise BadOperand("two-qubit gate operands must be distinct", field)
-        elif cls == 4:
-            q1 = read_index(nc, "cbit index")
-        code.append(op)
-        a.append(q0)
-        b.append(q1)
-    return _Columns.from_lists(code, a, b, params, extra, shared), o
-
-
-# -- decoding: fast columnar path ---------------------------------------------
-
-def _walk_offsets(data, o: int, end: int, m: int, step_lut, offs: list) -> int | None:
-    """Append ``m`` record offsets to ``offs`` assuming fixed-size records and
-    return where the records end; None means fall back."""
+    Stops before a barrier or an unknown opcode, and before a record that
+    would reach past ``end``.  Compressed, the shape takes each index as one
+    octet, so the offsets after a multi-octet index are wrong.
+    """
     ap = offs.append
+    first = len(offs)
     try:
         for _ in range(m):
             step = step_lut[data[o]]
             if step == 0:
-                return None
+                break
             ap(o)
             o += step
-    except IndexError:
-        return None
-    if o > end:
-        return None
+    except IndexError:  # o reached the end of data
+        pass
+    if o > end:  # the first record that reaches past end starts by end
+        k = bisect_right(offs, end, first) - 1
+        o = offs[k]
+        del offs[k:]
     return o
 
 
-def _gather(arr, offs_list, blocks, layout: _Layout,
-            shared: dict) -> list[_Columns] | None:
-    """Columns of each circuit's fixed-shape records, gathered in one pass.
+def _size_records(buf, o: int, end: int, left: int, varints: int, skip: int,
+                  layout: _Layout, offs: list) -> tuple[int, int, int, int]:
+    """Size up to ``left`` records of ``buf`` from ``o``, append where each
+    starts to ``offs``, and return ``(o, left, varints, skip)`` where sizing
+    stopped: after the last whole field before ``end``, or with all three
+    counts 0.  ``varints`` and ``skip`` are what is left of the record being
+    sized: its index varints, then its raw bytes.  Reads only opcodes,
+    barrier counts and continuation bits; raises :class:`UnknownOpcode`
+    and :class:`VarintTooLong`.
+    """
+    step, span, varint_lut = layout.step, layout.span, layout.varints
+    ap = offs.append
+    try:
+        while True:
+            while varints:
+                _, o = _read_varint(buf, o, end)
+                varints -= 1
+            if skip:
+                if o + skip > end:
+                    return end, left, varints, skip - (end - o)
+                o += skip
+                skip = 0
+            # the tight loop: fixed-size records that lie wholly before end
+            # (a barrier's or unknown opcode's span never does) and,
+            # compressed, have one-byte indices: no continuation bit at
+            # o+1 .. o+k.  Such a record's size is its step
+            sized = len(offs)
+            try:
+                if layout.compressed:
+                    for _ in range(left):
+                        op = buf[o]
+                        n = span[op]
+                        if (o + n > end
+                                or (buf[o + 1] | buf[o + varint_lut[op]]) & 0x80):
+                            break
+                        ap(o)
+                        o += n
+                else:
+                    for _ in range(left):
+                        n = span[buf[o]]
+                        if o + n > end:
+                            break
+                        ap(o)
+                        o += n
+            except IndexError:  # o reached the end of the buffer
+                pass
+            left -= len(offs) - sized
+            if not left or o >= end:
+                return o, left, varints, skip
+            # any other record, field by field.  Its start is appended once
+            # its opcode (and a barrier's count) is read, never before:
+            # sizing that stops inside the count reads the record again
+            op = buf[o]
+            n = step[op]
+            if n:
+                ap(o)
+                varints = varint_lut[op]
+                skip = n - 1 - varints
+                o += 1
+            elif op == _BARRIER:
+                cnt, after = _read_varint(buf, o + 1, end)
+                ap(o)
+                o = after
+                if layout.compressed:
+                    varints = cnt
+                else:
+                    skip = 4 * cnt
+            else:
+                raise UnknownOpcode(f"unknown opcode 0x{op:02X}", o)
+            left -= 1
+    except Truncated:  # the bytes end inside a varint
+        return o, left, varints, skip
+
+
+_K5 = np.arange(5)
+
+
+def _read_fields(arr, at, var):
+    """Value, octets and fault of the field at each of ``at``: a varint
+    where ``var``, else a u32.  A field is at fault if it runs past the end
+    of ``arr``, or is a varint too long or too large; a varint with no last
+    octet in reach is taken as 6 octets, longer than any."""
+    pos = at[:, None] + _K5
+    octet = arr[np.minimum(pos, len(arr) - 1)].astype(np.int64)
+    octet[pos >= len(arr)] = 0x80
+    more = octet > 0x7F
+    last = more.argmin(axis=1)  # where a varint ends: its first octet below 0x80
+    varint = np.where(_K5 <= last[:, None], (octet & 0x7F) << 7 * _K5, 0).sum(axis=1)
+    ended = ~more.all(axis=1)
+    return (np.where(var, varint, (octet[:, :4] << 8 * _K5[:4]).sum(axis=1)),
+            np.where(var, np.where(ended, last + 1, 6), 4),
+            np.where(var, ~ended | (varint > _U32_MAX), pos[:, 3] >= len(arr)))
+
+
+def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
+            stop: BisDecodeError | None = None) -> list[_Columns] | None:
+    """Columns of each circuit's records, gathered in one pass; raises the
+    first fault in byte order.
 
     ``offs_list`` starts with where every record of the batch starts,
     circuit after circuit; entries past the batch's records are not read.
     ``blocks`` holds one ``(records, nq, nc)`` per circuit, against whose
-    register widths each of its rows is checked.  Each circuit's columns are
-    slices of the batch arrays.  None if a record would reach outside
-    ``arr``, the shape does not hold (a barrier, an unknown opcode, a
-    multi-byte varint) or any operand is bad anywhere in the batch; the
-    caller then decodes the circuits one by one.
+    register widths its rows are checked; its columns are slices of the
+    batch's.  ``stop`` is the fault at which sizing stopped short of the
+    batch's records, if it did: the last row may then be cut short by the
+    end of ``arr``.  None for offsets that cannot be trusted: one lies
+    outside ``arr`` or names no opcode, the last record runs past ``arr``,
+    or a walk by the fixed shape took them and a multi-octet index made
+    them wrong.
     """
     counts = [n for n, _, _ in blocks]
     m = sum(counts)
+    end = len(arr)
     offs = np.fromiter(offs_list, dtype=np.int64, count=m)
     # offsets ascend, so the first and last bound them all; a stale
     # negative offset would read from the end of the buffer
-    if m and (offs[0] < 0 or offs[-1] >= len(arr)):
+    if m and (offs[0] < 0 or offs[-1] >= end):
         return None
     code = arr[offs]
-    # every record must be of a fixed shape (the gather has no barrier
-    # shape, and a barrier row whose count fits nq would pass every check
-    # below) and end inside the buffer: a stale offset inside it may land
-    # on any byte
-    step = layout.steps[code]
-    if (step == 0).any() or (offs + step > len(arr)).any():
-        return None
     cls = code >> 5
-    w = layout.width
-    field = 1 + np.arange(w)
-    a = arr[offs[:, None] + field].view(layout.itype).ravel().astype(np.int64)
-    two = cls >= 3
-    b = np.full(m, -1, dtype=np.int64)
-    b[two] = arr[offs[two][:, None] + w + field].view(layout.itype).ravel()
-    params = arr[_angle_bytes(offs + 1 + w, cls)].view("<f8")
-    qlim = np.repeat([min(nq, layout.limit) for _, nq, _ in blocks], counts)
-    clim = np.repeat([min(nc, layout.limit) for _, _, nc in blocks], counts)
-    q2 = cls == 3
-    # b is -1 below class 3, so every row passes its b check there.  The
-    # index limit (128 when compressed) is what rejects a multi-byte or
-    # padded varint: its first byte carries the continuation bit
-    if ((a >= qlim).any() or (b >= np.where(cls == 4, clim, qlim)).any()
-            or (b[q2] == a[q2]).any() or not np.isfinite(params).all()):
-        return None
-    extra = np.empty(0, dtype=np.int64)
     rows = np.cumsum([0] + counts)
-    angles = np.concatenate(([0], np.cumsum(_ANGLE_BYTES_BY_CLASS[cls] >> 3)))
-    r, p = rows.tolist(), angles[rows].tolist()
+    step = layout.steps[code]
+    w = layout.width
+    # the fixed-shape branch: every record of a fixed shape, inside arr
+    fixed = not ((step == 0).any() or (offs + step > end).any())
+    if fixed:
+        field = 1 + np.arange(w)
+        a = arr[offs[:, None] + field].view(layout.itype).ravel().astype(np.int64)
+        two = cls >= 3
+        b = np.full(m, -1, dtype=np.int64)
+        b[two] = arr[offs[two][:, None] + w + field].view(layout.itype).ravel()
+        params = arr[_angle_bytes(offs + 1 + w, cls)].view("<f8")
+        qlim = np.repeat([min(nq, layout.limit) for _, nq, _ in blocks], counts)
+        clim = np.repeat([min(nc, layout.limit) for _, _, nc in blocks], counts)
+        q2 = cls == 3
+        # b is -1 below class 3, so every row passes its b check there.  The
+        # index limit (128 when compressed) catches a multi-octet or padded
+        # varint: its first octet carries the continuation bit
+        if not ((a >= qlim).any() or (b >= np.where(cls == 4, clim, qlim)).any()
+                or (b[q2] == a[q2]).any() or not np.isfinite(params).all()):
+            if stop is not None:
+                raise stop
+            return _split(rows, code, a, b, params, a[:0], [0] * len(rows), shared)
+        if layout.compressed and max(a.max(), b.max()) > 0x7F:
+            # a multi-octet index: if its record ends where the fixed shape
+            # does, a walk by that shape took these offsets, and got the
+            # ones after it wrong
+            k = ((a > 0x7F) | (b > 0x7F)).argmax()
+            if stop is None and offs[k] + step[k] == (offs[k + 1] if k + 1 < m
+                                                      else end):
+                return None
+            fixed = False
+    # every record's fields, each where the one before ends: an index or a
+    # barrier's count (a varint in both modes), then a second index, or as
+    # many of a barrier's indices as could start before end, and one more.
+    # Read where the fixed shape puts them, if it holds
+    bar = code == _BARRIER
+    if ((step == 0) & ~bar).any():
+        return None
+    head = offs + 1
+    size = np.full(m, w)
+    two = (cls == 3) | (cls == 4)
+    n = 1 + two
+    if bar.any():
+        cnt, size[bar], bad = _read_fields(arr, head[bar], True)
+        n[bar] += np.where(bad, 0, np.minimum(
+            cnt, np.maximum(end - head[bar] - size[bar] + 1, 0)))
+    first = n.cumsum() - n
+    row = np.arange(m).repeat(n)
+    k = np.arange(len(row)) - first[row]
+    at = head[row] + np.where(k > 0, size[row] + 4 * (k - 1), 0)
+    count = (k == 0) & bar[row]
+    var = layout.compressed | count
+    ang = _ANGLE_BYTES_BY_CLASS[cls]
+    if fixed:
+        v, bad = np.where(k > 0, b[row], a[row]), k < 0
+        stops = offs + step
+    else:
+        if layout.compressed:  # each starts past the octet that ends the one before
+            term = np.concatenate(((arr < 0x80).nonzero()[0], [end - 1]))
+            j = np.minimum(term.searchsorted(head)[row] + k - 1, len(term) - 1)
+            at = np.where(k > 0, term[j] + 1, at)
+        v, size, bad = _read_fields(arr, at, var)
+        stops = (at + size)[first + n - 1] + ang
+        if stop is None and stops[-1] > end:
+            return None
+    cbit = (k == 1) & (cls[row] == 4)
+    lim = np.repeat([[q, c] for _, q, c in blocks], counts, axis=0)[row, cbit * 1]
+    apos = _angle_bytes(stops - ang, cls)
+    params = arr[np.minimum(apos, end - 1)].view("<f8")
+    apos = apos[::8]
+    pool = (k > 0) & bar[row]
+    dup = np.zeros(m, dtype=bool)
+    if pool.any():  # a barrier's indices side by side in (record, value) order
+        order = np.lexsort((v[pool], row[pool]))
+        pr, pv = row[pool][order], v[pool][order]
+        dup[pr[1:][(pr[1:] == pr[:-1]) & (pv[1:] == pv[:-1])]] = True
+    # the first fault in byte order: keys order faults by offset, then by
+    # what a record checks first there.  A field's own octets come first,
+    # then its value; a barrier's indices are checked to be distinct after
+    # the last is read, and that fault is reported at its count
+    out = np.where(count, v == 0, v >= lim)
+    twin = (k == 1) & (cls[row] == 3) & (v == v[first[row]])
+    cut = (ang > 0) & (stops > end)
+    never = 1 << 62
+    key = np.concatenate((
+        4 * at + np.where(bad, 0, np.where(out, 1, np.where(twin, 2, never))),
+        np.where(cut, 4 * (stops - ang), np.where(dup, 4 * stops - 1, never)),
+        np.where(np.isfinite(params), never, 4 * apos + 1), [never]))
+    i = int(key.argmin())
+    if key[i] < never:
+        r, f = i - len(v), min(i, len(v) - 1)
+        o, what = int(at[f]), "cbit index" if cbit[f] else "qubit index"
+        if r >= m:
+            raise BadOperand("angle is not finite", int(apos[r - m]))
+        if r >= 0:
+            if cut[r]:
+                raise Truncated("angle runs past end of data", int(stops[r] - ang[r]))
+            raise BadOperand("barrier qubits must be distinct", int(head[r]))
+        if bad[f] and var[f]:
+            _read_varint(memoryview(arr), o, end)  # raises its fault
+        if bad[f]:
+            raise Truncated(f"{what} runs past end of data", o)
+        if count[f]:
+            raise BadOperand("barrier needs at least one qubit", o)
+        if out[f]:
+            raise BadOperand(f"{what} {v[f]} out of range for {lim[f]}", o)
+        raise BadOperand("two-qubit gate operands must be distinct", o)
+    if stop is not None:
+        raise stop
+    b = np.full(m, -1, dtype=np.int64)
+    b[two] = v[first[two] + 1]
+    pools = np.concatenate(([0], np.where(bar, n - 1, 0).cumsum()))[rows].tolist()
+    return _split(rows, code, v[first], b, params, v[pool], pools, shared)
+
+
+def _split(rows, code, a, b, params, extra, pools, shared) -> list[_Columns]:
+    """Each circuit's columns, as slices of the batch's: ``rows`` and
+    ``pools`` hold where each circuit's rows and barrier indices start."""
+    p = np.concatenate(([0], np.cumsum(_ANGLE_BYTES_BY_CLASS[code >> 5] >> 3)))
+    p, r = p[rows].tolist(), rows.tolist()
     return [_Columns(code[r[k]:r[k + 1]], a[r[k]:r[k + 1]], b[r[k]:r[k + 1]],
-                     params[p[k]:p[k + 1]], extra, shared)
-            for k in range(len(blocks))]
+                     params[p[k]:p[k + 1]], extra[pools[k]:pools[k + 1]], shared)
+            for k in range(len(r) - 1)]
 
 
 def _decode_circuit(data, arr, o: int, end: int, compress: bool,
@@ -496,24 +621,43 @@ def _decode_circuit(data, arr, o: int, end: int, compress: bool,
     """Decode the circuit at ``o``, whose bytes end by ``end``; returns it
     and where it ends.
 
-    The walk: record offsets are found assuming the fixed shape, then
-    gathered, which checks the assumption.  If that fails, the careful path
-    reports the first fault in byte order.  ``shared`` is the reader's table
-    of parameter-free instructions, which every circuit it decodes fills
-    and reads when its body is materialized.
+    The walk finds record offsets by the fixed shape, and one gather reads
+    them.  From the first record the walk may have sized wrong, the offsets
+    are taken as the stream scan takes them, up to any structural fault,
+    and the gather reads every record or raises the first fault.
+    ``shared`` is the reader's table of parameter-free instructions, which
+    every circuit it decodes fills and reads when its body is materialized.
     """
     layout = _LAYOUTS[compress]
     nq, o = _read_varint(data, o, end)
     nc, o = _read_varint(data, o, end)
-    m, records = _read_varint(data, o, end)
+    m, o = _read_varint(data, o, end)
     offs: list = []
-    at = _walk_offsets(data, records, end, m, layout.step, offs)
-    if at is not None:
-        cols = _gather(arr, offs, [(m, nq, nc)], layout, shared)
+    at = _walk_offsets(data, o, end, m, layout.step, offs)
+    if len(offs) == m:
+        cols = _gather(arr[:at], offs, [(m, nq, nc)], layout, shared)
         if cols is not None:
             return Circuit._from_columns(nq, nc, cols[0]), at
-    cols, at = _careful_records(data, records, end, m, nq, nc, compress, shared)
-    return Circuit._from_columns(nq, nc, cols), at
+    if compress and offs:  # from the first record with a multi-octet index
+        starts = np.array(offs)
+        longer = np.flatnonzero(
+            arr[starts + 1] | arr[starts + _NIDX_BY_CLASS[arr[starts] >> 5]] > 0x7F)
+        if len(longer):
+            at = offs[longer[0]]
+            del offs[longer[0]:]
+    stop = None
+    try:
+        at, left, varints, skip = _size_records(data, at, end, m - len(offs),
+                                                0, 0, layout, offs)
+    except BisDecodeError as e:  # an unknown opcode or an overlong varint
+        stop = e
+    else:
+        if left or varints or skip:  # the bytes ran out
+            stop = Truncated("record runs past end of data", at)
+            if at < end and not varints + skip:
+                offs.append(at)  # a barrier, inside its count
+    cols = _gather(arr[:end], offs, [(len(offs), nq, nc)], layout, shared, stop)
+    return Circuit._from_columns(nq, nc, cols[0]), at
 
 
 def _decode_batch(data, arr, stops, offs, blocks, compress: bool,
@@ -523,11 +667,8 @@ def _decode_batch(data, arr, stops, offs, blocks, compress: bool,
 
     ``offs`` starts with the exact offset of every record of the batch, as
     the stream decoder's scan records them, and ``blocks`` holds one
-    ``(records, nq, nc)`` per circuit; one gather serves them all.  The
-    offsets must be exact: a fixed-shape walk across circuits could fall
-    short at a multi-byte index and read the next header inside a record.
-    If the gather fails, the circuits are decoded again one by one by
-    :func:`_decode_circuit`, so the first fault in byte order is reported.
+    ``(records, nq, nc)`` per circuit; one gather serves them all.  Only
+    offsets it cannot trust send the circuits to :func:`_decode_circuit`.
     """
     cols = _gather(arr, offs, blocks, _LAYOUTS[compress], shared)
     if cols is not None:
@@ -675,12 +816,11 @@ class StreamDecoder:
     A length-only scan finds where each pending circuit ends, and records
     where each of its records starts as it goes.  All circuits a feed
     completes are then gathered at those offsets in one pass by the same
-    gatherer as :func:`decode`; if any of them is bad or holds a barrier,
-    they are decoded one by one as :func:`decode` would, so every error
-    matches :func:`decode`'s class and absolute offset.  Operand errors
-    therefore surface when their circuit is complete, or at :meth:`finish`.
-    Parameter-free instructions are shared across every circuit this
-    decoder returns.
+    gatherer as :func:`decode`, barriers and multi-octet varints included,
+    so every error matches :func:`decode`'s class and absolute offset.
+    Operand errors therefore surface when their circuit is complete, or at
+    :meth:`finish`.  Parameter-free instructions are shared across every
+    circuit this decoder returns.
     """
 
     def __init__(self):
@@ -712,90 +852,24 @@ class StreamDecoder:
     def _scan(self) -> bool:
         """Size the pending circuit from the cursor on; True once it is complete.
 
-        Reads only opcodes, barrier counts and varint continuation bits, and
-        appends each record's start to ``_offs``.  The cursor stops after the
-        last whole field, so a circuit split across feeds is scanned once.
+        The cursor stops after the last whole field, so a circuit split
+        across feeds is scanned once.
         """
         buf = self._buf
-        end = len(buf)
-        compress = self._compress
-        layout = _LAYOUTS[compress]
-        step, span, varint_lut = layout.step, layout.span, layout.varints
-        offs = self._offs
-        ap = offs.append
-        o, left, varints, skip = self._pos, self._left, self._varints, self._skip
-        try:
-            if left < 0:  # circuit header: num_qubits, num_cbits, record count
-                nq, h = _read_varint(buf, o, end)
-                nc, h = _read_varint(buf, h, end)
-                left, o = _read_varint(buf, h, end)
-                self._head = (left, nq, nc)
-            while True:
-                while varints:
-                    _, o = _read_varint(buf, o, end)
-                    varints -= 1
-                if skip:
-                    if o + skip > end:
-                        skip -= end - o
-                        o = end
-                        return False
-                    o += skip
-                    skip = 0
-                # the tight loop: fixed-size records that lie wholly in the
-                # buffer (a barrier's or unknown opcode's span never does)
-                # and, compressed, have one-byte indices: no continuation bit
-                # at o+1 .. o+k.  Such a record's size is its step
-                sized = len(offs)
-                try:
-                    if compress:
-                        for _ in range(left):
-                            op = buf[o]
-                            n = span[op]
-                            if (o + n > end
-                                    or (buf[o + 1] | buf[o + varint_lut[op]]) & 0x80):
-                                break
-                            ap(o)
-                            o += n
-                    else:
-                        for _ in range(left):
-                            n = span[buf[o]]
-                            if o + n > end:
-                                break
-                            ap(o)
-                            o += n
-                except IndexError:  # o reached the end of the buffer
-                    pass
-                left -= len(offs) - sized
-                if not left:
-                    return True
-                if o >= end:
-                    return False
-                # any other record: the exact per-field path.  A record's
-                # start is committed once its opcode (and a barrier's count)
-                # is consumed, never before: a feed that stops inside the
-                # count re-reads the record, which must not add it twice
-                op = buf[o]
-                n = step[op]
-                if n:
-                    ap(o)
-                    varints = varint_lut[op]
-                    skip = n - 1 - varints
-                    o += 1
-                elif op == _BARRIER:
-                    cnt, after = _read_varint(buf, o + 1, end)
-                    ap(o)
-                    o = after
-                    if compress:
-                        varints = cnt
-                    else:
-                        skip = 4 * cnt
-                else:
-                    raise UnknownOpcode(f"unknown opcode 0x{op:02X}", o)
-                left -= 1
-        except Truncated:
-            return False
-        finally:
-            self._pos, self._left, self._varints, self._skip = o, left, varints, skip
+        o = self._pos
+        if self._left < 0:  # circuit header: num_qubits, num_cbits, record count
+            try:
+                nq, o = _read_varint(buf, o, len(buf))
+                nc, o = _read_varint(buf, o, len(buf))
+                left, o = _read_varint(buf, o, len(buf))
+            except Truncated:
+                return False
+            self._head = (left, nq, nc)
+            self._pos, self._left = o, left
+        self._pos, self._left, self._varints, self._skip = _size_records(
+            buf, o, len(buf), self._left, self._varints, self._skip,
+            _LAYOUTS[self._compress], self._offs)
+        return not (self._left or self._varints or self._skip)
 
     def feed(self, data) -> list[Circuit]:
         self._buf += data

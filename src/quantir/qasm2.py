@@ -39,6 +39,7 @@ import re
 
 from .circuit import Circuit, CircuitError, Instruction, flatten
 from .gates import GateKind
+from .originir import _ANGLE_RE
 
 __all__ = ["QasmError", "UnsupportedFeature", "import_qasm2", "emit_qasm2"]
 
@@ -79,7 +80,6 @@ _PARAMETERS = ("no parameters", "1 parameter", "2 parameters", "3 parameters")
 # digits are written [0-9]: \d matches any Unicode decimal digit, and int()
 # and float() convert them, but the grammar takes ASCII digits only.  No
 # re.ASCII, so \s is the blank set of str.isspace, as in strip() and split()
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
 _PI_FORM = re.compile(r"([+-])?\s*(?:([0-9]+)\s*\*\s*)?pi(?:\s*/\s*([0-9]+))?\Z")
 _REG_DECL = re.compile(r"(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*"
                        r"\[\s*([0-9]+)\s*\]\Z")
@@ -127,7 +127,7 @@ def _int(digits: str, what: str, line: int) -> int:
 
 def _parse_angle(expr: str, line: int) -> float:
     expr = expr.strip()
-    if _DECIMAL.match(expr):
+    if _ANGLE_RE.match(expr):
         return float(expr)
     m = _PI_FORM.match(expr)
     if m:

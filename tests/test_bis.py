@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import struct
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from quantir.bis import (
     StreamDecoder, StreamEncoder, TrailingBytes, Truncated, UnknownOpcode,
     UnsupportedVersion, VarintTooLong, decode, encode,
 )
-from quantir.circuit import Circuit, Instruction, flatten
+from quantir.circuit import Circuit, Instruction, _Columns, flatten
 from quantir.gates import GateKind, KIND_BY_OPCODE
 
 from conftest import circuits, ghz
@@ -98,7 +99,7 @@ class TestRoundTrip:
         assert got.body[0].dagger and got.body[0].kind is GateKind.X1
 
     def test_wide_indices_compressed(self):
-        # forces multi-byte varints (and the careful decode path)
+        # forces multi-byte varints (and the gather's sized branch)
         c = Circuit(300)
         c.h(255).cnot(130, 299).rz(200, 0.25).barrier(128, 256)
         c.measure(299, 250)
@@ -913,3 +914,248 @@ class TestEncodeErrors:
         c = Circuit(1 << 33)
         with pytest.raises(BisEncodeError):
             encode([c])
+
+
+# -- the per-record parser, kept as the oracle of the one decoder ----------------
+#
+# ``_careful_records`` is the parser that decoded every circuit holding a
+# barrier, a compressed index >= 128 or any fault before the gather located
+# faults itself; it moved here unchanged, with the names it used.
+
+_read_varint = bis._read_varint
+_LAYOUTS = bis._LAYOUTS
+_BARRIER = bis._BARRIER
+_UNPACK_U32 = struct.Struct("<I").unpack_from
+_UNPACK_D = struct.Struct("<d").unpack_from
+_UNPACK_3D = struct.Struct("<ddd").unpack_from
+
+
+def _careful_records(data, o: int, end: int, m: int, nq: int, nc: int,
+                     compress: bool, shared: dict) -> tuple[_Columns, int]:
+    """Parse ``m`` records one by one; raises at the first fault in byte order."""
+    step = _LAYOUTS[0].step
+    code: list = []
+    a: list = []
+    b: list = []
+    params: list = []
+    extra: list = []
+
+    def read_index(limit: int, what: str) -> int:
+        nonlocal o
+        field = o
+        if compress:
+            v, o = _read_varint(data, o, end)
+        else:
+            if o + 4 > end:
+                raise Truncated(f"{what} runs past end of data", field)
+            v = _UNPACK_U32(data, field)[0]
+            o += 4
+        if v >= limit:
+            raise BadOperand(f"{what} {v} out of range for {limit}", field)
+        return v
+
+    for _ in range(m):
+        if o >= end:
+            raise Truncated("record runs past end of data", o)
+        op = data[o]
+        if step[op] == 0 and op != _BARRIER:
+            raise UnknownOpcode(f"unknown opcode 0x{op:02X}", o)
+        o += 1
+        cls = op >> 5
+        if cls == 5:
+            cnt_off = o
+            cnt, o = _read_varint(data, o, end)
+            if cnt < 1:
+                raise BadOperand("barrier needs at least one qubit", cnt_off)
+            qs = [read_index(nq, "qubit index") for _ in range(cnt)]
+            if len(set(qs)) != cnt:
+                raise BadOperand("barrier qubits must be distinct", cnt_off)
+            q0, q1 = cnt, -1
+            extra += qs
+        else:
+            q0 = read_index(nq, "qubit index")
+            q1 = -1
+        if cls == 1 or cls == 2:
+            width = 8 if cls == 1 else 24
+            if o + width > end:
+                raise Truncated("angle runs past end of data", o)
+            vals = _UNPACK_D(data, o) if cls == 1 else _UNPACK_3D(data, o)
+            for k, v in enumerate(vals):
+                if not math.isfinite(v):
+                    raise BadOperand("angle is not finite", o + 8 * k)
+            params += vals
+            o += width
+        elif cls == 3:
+            field = o
+            q1 = read_index(nq, "qubit index")
+            if q1 == q0:
+                raise BadOperand("two-qubit gate operands must be distinct", field)
+        elif cls == 4:
+            q1 = read_index(nc, "cbit index")
+        code.append(op)
+        a.append(q0)
+        b.append(q1)
+    return _Columns.from_lists(code, a, b, params, extra, shared), o
+
+
+def _careful_decode(data: bytes) -> list:
+    """``decode`` with every circuit's records parsed by the oracle."""
+    end = len(data)
+    compress, count, o = bis._parse_stream_header(data, end)
+    out = []
+    for _ in range(count):
+        nq, o = _read_varint(data, o, end)
+        nc, o = _read_varint(data, o, end)
+        m, o = _read_varint(data, o, end)
+        cols, o = _careful_records(data, o, end, m, nq, nc, compress, {})
+        out.append((nq, nc, cols))
+    if o != end:
+        raise TrailingBytes("trailing bytes after last circuit", o)
+    return out
+
+
+def _columns_outcome(read):
+    """Each circuit's widths and packed columns, or the error's class,
+    offset and text."""
+    try:
+        return [(c.num_qubits, c.num_cbits, c._columns()) for c in read()]
+    except BisDecodeError as e:
+        return type(e), e.offset, str(e)
+
+
+def _same_outcome(got, want) -> bool:
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    return len(got) == len(want) and all(
+        g[:2] == w[:2] and g[2].same(w[2]) for g, w in zip(got, want))
+
+
+# widths whose indices take every varint length; index draws favour the edges
+_WIDTHS = [1, 2, 3, 5, 12, 127, 128, 129, 300, 16385, (1 << 21) + 1,
+           (1 << 28) + 1, (1 << 32) - 1]
+_EDGES = [0, 1, 2, 127, 128, 299, (1 << 14) - 1, 1 << 14, (1 << 21) - 1,
+          1 << 21, (1 << 28) - 1, 1 << 28, (1 << 32) - 2]
+_OPCODES = sorted(KIND_BY_OPCODE)
+
+
+def _fuzz_stream(rng) -> bytes:
+    """A stream written record by record: random records, some with a bad
+    operand, barriers of 1-300 qubits, varints of 1-5 octets and now and
+    then padded; then left whole, corrupted, truncated, or given a byte
+    more or less."""
+    compress = rng.random() < 0.5
+
+    def varint(v: int) -> bytes:
+        out = bytearray()
+        while v >> 7:
+            out.append(v & 0x7F | 0x80)
+            v >>= 7
+        out.append(v)
+        if rng.random() < 0.1 and len(out) < 5:  # padded to more octets
+            out[-1] |= 0x80
+            out += b"\x80" * rng.randrange(4 - len(out) + 1) + b"\x00"
+        return bytes(out)
+
+    def index(v: int) -> bytes:
+        return varint(v) if compress else struct.pack("<I", v)
+
+    def qubit(nq: int) -> int:
+        if rng.random() < 0.02:
+            return min(nq + rng.choice([0, 1, 200]), (1 << 32) - 1)
+        if rng.random() < 0.5:
+            return rng.choice([q for q in _EDGES if q < nq])
+        return rng.randrange(nq)
+
+    count = rng.choice([0, 1, 1, 1, 2, 2, 3])
+    out = bytearray(encode([], compress=compress)[:-1] + varint(count))
+    for _ in range(count):
+        nq, nc = rng.choice(_WIDTHS), rng.choice([0, 1, 2, 130])
+        m = rng.randint(0, 5)
+        out += varint(nq) + varint(nc) + varint(m)
+        for _ in range(m):
+            op = rng.choice(_OPCODES + [_BARRIER] * 3)
+            out.append(op)
+            cls = op >> 5
+            if cls == 5:
+                qs = rng.sample(range(nq), min(nq, rng.choice([1, 2, 3, 129, 300])))
+                if rng.random() < 0.03:
+                    qs.append(qs[0])
+                elif rng.random() < 0.01:
+                    qs = []
+                out += varint(len(qs)) + b"".join(map(index, qs))
+                continue
+            q0 = qubit(nq)
+            out += index(q0)
+            if cls == 1 or cls == 2:
+                for _ in range(1 if cls == 1 else 3):
+                    x = (rng.uniform(-7.0, 7.0) if rng.random() > 0.02
+                         else rng.choice([math.inf, -math.inf, math.nan]))
+                    out += struct.pack("<d", x)
+            elif cls == 3:
+                q1 = qubit(nq)
+                while q1 == q0 and nq > 1 and rng.random() < 0.9:
+                    q1 = qubit(nq)
+                out += index(q1)
+            elif cls == 4:
+                out += index(rng.randrange(nc) if nc and rng.random() > 0.03
+                             else nc + 1)
+    damage = rng.random()
+    if damage < 0.25:
+        for _ in range(rng.randint(1, 4)):
+            out[rng.randrange(len(out))] ^= rng.randint(1, 255)
+    elif damage < 0.5:
+        del out[rng.randrange(len(out)):]
+    elif damage < 0.6:
+        out.insert(rng.randint(0, len(out)), rng.randrange(256))
+    elif damage < 0.7:
+        del out[rng.randrange(len(out))]
+    return bytes(out)
+
+
+class TestOneDecoder:
+    """``decode`` and ``StreamDecoder``, fed in chunks, agree with the
+    per-record oracle on every stream: the same circuits, or the same
+    error class, text and offset."""
+
+    def test_fuzzed_streams_match_the_oracle(self):
+        rng = random.Random(2323)
+        seen = set()
+        for n in range(20_000):
+            blob = _fuzz_stream(rng)
+            cuts = sorted(rng.randint(0, len(blob))
+                          for _ in range(rng.randint(0, 2)))
+            want = _columns_outcome(lambda: [
+                Circuit._from_columns(*c) for c in _careful_decode(blob)])
+            got = _columns_outcome(lambda: decode(blob))
+            assert _same_outcome(got, want), (n, blob.hex())
+            got = _columns_outcome(lambda: _stream_read(blob, cuts))
+            assert _same_outcome(got, want), (n, blob.hex(), cuts)
+            seen.add(want[0].__name__ if isinstance(want, tuple) else "ok")
+        assert seen == {"ok", "BadMagic", "UnsupportedVersion", "ReservedBits",
+                        "Truncated", "UnknownOpcode", "VarintTooLong",
+                        "BadOperand", "TrailingBytes"}
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_off_shape_feed_is_gathered_in_one_batch(self, compress, monkeypatch):
+        # barriers, and indices of 128 and more (multi-octet when compressed),
+        # in circuits that one feed completes together
+        walks, batches = [], []
+        real_decode, real_gather = bis._decode_circuit, bis._gather
+
+        def decode_spy(*args):
+            walks.append(args[2])
+            return real_decode(*args)
+
+        def gather_spy(arr, offs, blocks, *rest):
+            batches.append(len(blocks))
+            return real_gather(arr, offs, blocks, *rest)
+
+        monkeypatch.setattr(bis, "_decode_circuit", decode_spy)
+        monkeypatch.setattr(bis, "_gather", gather_spy)
+        cs = [Circuit(4, 1).h(1).barrier(0, 2, 3).x(2).measure(3, 0), _fixed(3),
+              Circuit(200).h(150).rz(0, -0.8).barrier(*range(0, 200, 7)),
+              Circuit(200, 2).cnot(199, 3).measure(130, 1), ghz(5).barrier(4)]
+        dec = StreamDecoder()
+        assert dec.feed(encode(cs, compress=compress)) == cs
+        dec.finish()
+        assert walks == [] and batches == [len(cs)]

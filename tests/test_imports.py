@@ -114,3 +114,59 @@ def test_unread_locals_are_caught():
 def test_no_unread_locals(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unread_locals(tree) == []
+
+
+# -- orphaned helpers ---------------------------------------------------------------
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private names a module binds at its top level (not by import), with
+    the line of the first binding."""
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [(n.id, n.lineno) for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name, line in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found.setdefault(name, line)
+    return found
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads: as a variable, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _orphans(defining: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    read = set().union(*map(_read_names, readers))
+    return [f"{module} line {line}: {name}"
+            for module, tree in defining.items()
+            for name, line in _private_definitions(tree).items()
+            if name not in read]
+
+
+def test_orphaned_helpers_are_caught():
+    lib = ast.parse("_USED = 1\n_LEFT = 2\n\ndef _helper():\n    return _USED\n")
+    script = ast.parse("from quantir.lib import _helper\n_helper()\n")
+    assert _orphans({"lib.py": lib}, [lib, script]) == ["lib.py line 2: _LEFT"]
+
+
+def test_no_orphaned_helpers():
+    # every private module-level name of the library is read by some
+    # library module or script; tests do not count
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in _CHECKED}
+    library = {p.name: trees[p] for p in _MODULES}
+    assert _orphans(library, list(trees.values())) == []
