@@ -490,7 +490,7 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
         return None
     code = arr[offs]
     cls = code >> 5
-    rows = np.cumsum([0] + counts)
+    rows = np.array([0] + counts).cumsum()
     step = layout.steps[code]
     w = layout.width
     # the fixed-shape branch: every record of a fixed shape, inside arr
@@ -557,7 +557,7 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
         if stop is None and stops[-1] > end:
             return None
     cbit = (k == 1) & (cls[row] == 4)
-    lim = np.repeat([[q, c] for _, q, c in blocks], counts, axis=0)[row, cbit * 1]
+    lim = np.array(blocks)[:, 1:].repeat(counts, axis=0)[row, cbit * 1]
     apos = _angle_bytes(stops - ang, cls)
     params = arr[np.minimum(apos, end - 1)].view("<f8")
     apos = apos[::8]
@@ -567,16 +567,17 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
         order = np.lexsort((v[pool], row[pool]))
         pr, pv = row[pool][order], v[pool][order]
         dup[pr[1:][(pr[1:] == pr[:-1]) & (pv[1:] == pv[:-1])]] = True
-    # the first fault in byte order: keys order faults by offset, then by
-    # what a record checks first there.  A field's own octets come first,
-    # then its value; a barrier's indices are checked to be distinct after
-    # the last is read, and that fault is reported at its count
+    # the first fault in byte order: each key is four times the offset
+    # where the fault is found, so a barrier's indices are checked to be
+    # distinct after the last is read, and an angle block cut short counts
+    # before its first value.  A field's own checks come in the order
+    # below: its octets, then its value
     out = np.where(count, v == 0, v >= lim)
     twin = (k == 1) & (cls[row] == 3) & (v == v[first[row]])
     cut = (ang > 0) & (stops > end)
     never = 1 << 62
     key = np.concatenate((
-        4 * at + np.where(bad, 0, np.where(out, 1, np.where(twin, 2, never))),
+        np.where(bad | out | twin, 4 * at, never),
         np.where(cut, 4 * (stops - ang), np.where(dup, 4 * stops - 1, never)),
         np.where(np.isfinite(params), never, 4 * apos + 1), [never]))
     i = int(key.argmin())
