@@ -445,6 +445,7 @@ def _size_records(buf, o: int, end: int, left: int, varints: int, skip: int,
 
 
 _K5 = np.arange(5)
+_POW128, _POW256 = 128 ** _K5, 256 ** _K5[:4]  # octet weights of a varint, a u32
 
 
 def _read_fields(arr, at, var):
@@ -457,9 +458,9 @@ def _read_fields(arr, at, var):
     octet[pos >= len(arr)] = 0x80
     more = octet > 0x7F
     last = more.argmin(axis=1)  # where a varint ends: its first octet below 0x80
-    varint = np.where(_K5 <= last[:, None], (octet & 0x7F) << 7 * _K5, 0).sum(axis=1)
+    varint = ((octet & 0x7F) * (_K5 <= last[:, None])) @ _POW128
     ended = ~more.all(axis=1)
-    return (np.where(var, varint, (octet[:, :4] << 8 * _K5[:4]).sum(axis=1)),
+    return (np.where(var, varint, octet[:, :4] @ _POW256),
             np.where(var, np.where(ended, last + 1, 6), 4),
             np.where(var, ~ended | (varint > _U32_MAX), pos[:, 3] >= len(arr)))
 
