@@ -36,14 +36,15 @@ masks.  Every operand is checked, each row against its own circuit's
 register widths, and the masks and field offsets of these checks locate
 the first fault in byte order: every malformed input raises a
 :class:`BisDecodeError` subclass carrying that fault's byte ``offset``.
+:class:`StreamDecoder`'s scan sizes every record exactly and records the
+offsets as it goes, so one gather serves every circuit a feed completes.
 :func:`decode` walks one circuit at a time by the fixed shape; from the
-first record the walk may have sized wrong, it takes the offsets exactly,
-as :class:`StreamDecoder`'s scan does while it sizes each circuit, so one
-gather serves every circuit a feed completes.  Both readers take this one
-path for every input, valid or not, and raise the same error at the same
-offset.  The stream decoder reports a circuit's operand errors once that
-circuit is complete, or at :meth:`StreamDecoder.finish`, rather than when
-the bad record arrives.
+first circuit that the walk cannot size (a barrier, a multi-octet index
+or a structural fault), the rest of the stream takes the stream decoder's
+path.  So both readers raise the
+same error at the same offset for every input.  The stream decoder
+reports a circuit's operand errors once that circuit is complete, or at
+:meth:`StreamDecoder.finish`, rather than when the bad record arrives.
 
 Each reader owns one table of parameter-free instructions (1Q, 2Q,
 MEASURE): one per :func:`decode` call, one per :class:`StreamDecoder` for
@@ -53,7 +54,6 @@ materialized; separate reads share none.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -346,14 +346,14 @@ def encode(circuits, *, compress: bool = False) -> bytes:
 
 def _walk_offsets(data, o: int, end: int, m: int, step_lut, offs: list) -> int:
     """Append the offsets of up to ``m`` records from ``o``, each sized by
-    its fixed shape, and return where the last one appended ends.
+    its fixed shape, and return where the last one appended ends, which may
+    be past ``end``.
 
-    Stops before a barrier or an unknown opcode, and before a record that
-    would reach past ``end``.  Compressed, the shape takes each index as one
-    octet, so the offsets after a multi-octet index are wrong.
+    Stops before a barrier or an unknown opcode.  Compressed, the shape
+    takes each index as one octet, so the offsets after a multi-octet
+    index are wrong.
     """
     ap = offs.append
-    first = len(offs)
     try:
         for _ in range(m):
             step = step_lut[data[o]]
@@ -363,10 +363,6 @@ def _walk_offsets(data, o: int, end: int, m: int, step_lut, offs: list) -> int:
             o += step
     except IndexError:  # o reached the end of data
         pass
-    if o > end:  # the first record that reaches past end starts by end
-        k = bisect_right(offs, end, first) - 1
-        o = offs[k]
-        del offs[k:]
     return o
 
 
@@ -523,10 +519,11 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
                                                       else end):
                 return None
             fixed = False
-    # every record's fields, each where the one before ends: an index or a
-    # barrier's count (a varint in both modes), then a second index, or as
-    # many of a barrier's indices as could start before end, and one more.
-    # Read where the fixed shape puts them, if it holds
+    # the sized branch, which also locates faults.  A record's fields follow
+    # its opcode back to back: an index or a barrier's count (a varint in
+    # both modes), then a second index, or as many of a barrier's indices
+    # as could start before end, and one more.  While the fixed shape
+    # holds, they are where it puts them
     bar = code == _BARRIER
     if ((step == 0) & ~bar).any():
         return None
@@ -619,16 +616,12 @@ def _split(rows, code, a, b, params, extra, pools, shared) -> list[_Columns]:
 
 
 def _decode_circuit(data, arr, o: int, end: int, compress: bool,
-                    shared: dict) -> tuple[Circuit, int]:
-    """Decode the circuit at ``o``, whose bytes end by ``end``; returns it
-    and where it ends.
-
-    The walk finds record offsets by the fixed shape, and one gather reads
-    them.  From the first record the walk may have sized wrong, the offsets
-    are taken as the stream scan takes them, up to any structural fault,
-    and the gather reads every record or raises the first fault.
-    ``shared`` is the reader's table of parameter-free instructions, which
-    every circuit it decodes fills and reads when its body is materialized.
+                    shared: dict) -> tuple[Circuit | None, int]:
+    """Decode the circuit at ``o``, whose bytes end by ``end``, if a walk by
+    the fixed shape sizes all its records; returns it, else None, and where
+    it ends.  ``shared`` is the reader's table of parameter-free
+    instructions, which every circuit it decodes fills and reads when its
+    body is materialized.
     """
     layout = _LAYOUTS[compress]
     nq, o = _read_varint(data, o, end)
@@ -636,30 +629,8 @@ def _decode_circuit(data, arr, o: int, end: int, compress: bool,
     m, o = _read_varint(data, o, end)
     offs: list = []
     at = _walk_offsets(data, o, end, m, layout.step, offs)
-    if len(offs) == m:
-        cols = _gather(arr[:at], offs, [(m, nq, nc)], layout, shared)
-        if cols is not None:
-            return Circuit._from_columns(nq, nc, cols[0]), at
-    if compress and offs:  # from the first record with a multi-octet index
-        starts = np.array(offs)
-        longer = np.flatnonzero(
-            arr[starts + 1] | arr[starts + _NIDX_BY_CLASS[arr[starts] >> 5]] > 0x7F)
-        if len(longer):
-            at = offs[longer[0]]
-            del offs[longer[0]:]
-    stop = None
-    try:
-        at, left, varints, skip = _size_records(data, at, end, m - len(offs),
-                                                0, 0, layout, offs)
-    except BisDecodeError as e:  # an unknown opcode or an overlong varint
-        stop = e
-    else:
-        if left or varints or skip:  # the bytes ran out
-            stop = Truncated("record runs past end of data", at)
-            if at < end and not varints + skip:
-                offs.append(at)  # a barrier, inside its count
-    cols = _gather(arr[:end], offs, [(len(offs), nq, nc)], layout, shared, stop)
-    return Circuit._from_columns(nq, nc, cols[0]), at
+    cols = len(offs) == m and _gather(arr[:at], offs, [(m, nq, nc)], layout, shared)
+    return Circuit._from_columns(nq, nc, cols[0]) if cols else None, at
 
 
 def _decode_batch(data, arr, stops, offs, blocks, compress: bool,
@@ -669,19 +640,15 @@ def _decode_batch(data, arr, stops, offs, blocks, compress: bool,
 
     ``offs`` starts with the exact offset of every record of the batch, as
     the stream decoder's scan records them, and ``blocks`` holds one
-    ``(records, nq, nc)`` per circuit; one gather serves them all.  Only
-    offsets it cannot trust send the circuits to :func:`_decode_circuit`.
+    ``(records, nq, nc)`` per circuit; one gather serves them all.  Offsets
+    it cannot trust are taken again by a fresh scan.
     """
     cols = _gather(arr, offs, blocks, _LAYOUTS[compress], shared)
-    if cols is not None:
-        return [Circuit._from_columns(nq, nc, c)
-                for (_, nq, nc), c in zip(blocks, cols)]
-    out = []
-    o = 0
-    for stop in stops:
-        c, o = _decode_circuit(data, arr, o, stop, compress, shared)
-        out.append(c)
-    return out
+    if cols is None:
+        dec = StreamDecoder._resume(compress, len(stops), 0, shared)
+        return dec.feed(memoryview(data)[:stops[-1]])
+    return [Circuit._from_columns(nq, nc, c)
+            for (_, nq, nc), c in zip(blocks, cols)]
 
 
 def _parse_stream_header(data, end: int) -> tuple[bool, int, int]:
@@ -706,6 +673,10 @@ def _parse_stream_header(data, end: int) -> tuple[bool, int, int]:
     return bool(flags & FLAG_COMPRESSED), count, o
 
 
+# bytes that decode feeds the stream decoder at a time
+_FEED = 1 << 16
+
+
 def decode(data) -> list[Circuit]:
     """Decode a stream into its circuits."""
     if not isinstance(data, bytes):
@@ -716,8 +687,19 @@ def decode(data) -> list[Circuit]:
     shared: dict = {}
     out = []
     for _ in range(count):
-        c, o = _decode_circuit(data, arr, o, end, compress, shared)
+        c, at = _decode_circuit(data, arr, o, end, compress, shared)
+        if c is None:
+            # off the fixed shape, or at fault: the rest takes the stream
+            # decoder's path, which sizes every record exactly.  Fed in
+            # parts, it gathers a few circuits at a time
+            dec = StreamDecoder._resume(compress, count - len(out), o, shared)
+            view = memoryview(data)
+            for part in range(o, end, _FEED):
+                out += dec.feed(view[part:part + _FEED])
+            dec.finish()
+            return out
         out.append(c)
+        o = at
     if o != end:
         # no byte count: StreamDecoder raises on the first trailing byte it
         # sees, before the rest has arrived, and must say the same
@@ -843,6 +825,16 @@ class StreamDecoder:
         self._head = (0, 0, 0)
         self._offs: list[int] = []
 
+    @classmethod
+    def _resume(cls, compress: bool, remaining: int, consumed: int,
+                shared: dict) -> "StreamDecoder":
+        """A decoder of the ``remaining`` circuits of a stream whose first
+        ``consumed`` bytes were read, filling ``shared``."""
+        dec = cls()
+        dec._compress, dec._remaining, dec._consumed = compress, remaining, consumed
+        dec._shared = shared
+        return dec
+
     def _drop(self, n: int) -> None:
         del self._buf[:n]
         self._consumed += n
@@ -873,6 +865,13 @@ class StreamDecoder:
             _LAYOUTS[self._compress], self._offs)
         return not (self._left or self._varints or self._skip)
 
+    def _fail(self, arr, offs: list, stop: BisDecodeError) -> None:
+        """Raise the pending circuit's first fault up to ``stop``, where
+        sizing it stopped; ``offs`` are its records' starts in ``arr``."""
+        _, nq, nc = self._head
+        _gather(arr, offs, [(len(offs), nq, nc)], _LAYOUTS[self._compress],
+                self._shared, stop)
+
     def feed(self, data) -> list[Circuit]:
         self._buf += data
         if self._compress is None:
@@ -901,11 +900,9 @@ class StreamDecoder:
                 if ends:
                     out = _decode_batch(chunk, arr, ends, self._offs, blocks,
                                         self._compress, self._shared)
-                if fault is not None:
-                    # reports an earlier bad operand, else the scan's fault
-                    _decode_circuit(chunk, arr, o, len(chunk), self._compress,
-                                    self._shared)
-                    raise fault
+                if fault is not None:  # an earlier fault, else the scan's
+                    self._fail(arr, self._offs[sum(m for m, _, _ in blocks):],
+                               fault)
             except BisDecodeError as e:
                 raise _shifted(e, self._consumed) from None
             self._remaining -= len(ends)
@@ -923,14 +920,20 @@ class StreamDecoder:
                 raise TrailingBytes("trailing bytes after last circuit",
                                     self._consumed)
             return
-        # the stream stopped mid-way: read the tail as decode would
+        # the stream stopped mid-way: the pending circuit's first fault
         tail = bytes(self._buf)
         try:
             if self._compress is None:
                 _parse_stream_header(tail, len(tail))
-            else:
-                _decode_circuit(tail, np.frombuffer(tail, dtype=np.uint8), 0,
-                                len(tail), self._compress, self._shared)
+            o = self._pos
+            if self._left < 0:  # inside the circuit header
+                for _ in range(3):
+                    _, o = _read_varint(tail, o, len(tail))
+            offs = list(self._offs)
+            if o < len(tail) and not self._varints + self._skip:
+                offs.append(o)  # a barrier, inside its count
+            self._fail(np.frombuffer(tail, dtype=np.uint8), offs,
+                       Truncated("record runs past end of data", o))
         except BisDecodeError as e:
             raise _shifted(e, self._consumed) from None
         raise Truncated("stream ended before the declared circuits",

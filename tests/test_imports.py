@@ -1,5 +1,6 @@
-"""Every name a library module or a script imports, and every local a
-function of theirs binds, is read somewhere."""
+"""Every name a library module or a script imports, every local a
+function of theirs binds, and every private name a library module defines
+at its top level, is read somewhere."""
 import ast
 from pathlib import Path
 
