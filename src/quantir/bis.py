@@ -629,7 +629,8 @@ def _decode_circuit(data, arr, o: int, end: int, compress: bool,
     m, o = _read_varint(data, o, end)
     offs: list = []
     at = _walk_offsets(data, o, end, m, layout.step, offs)
-    cols = len(offs) == m and _gather(arr[:at], offs, [(m, nq, nc)], layout, shared)
+    cols = len(offs) == m and at <= end and _gather(arr[:at], offs, [(m, nq, nc)],
+                                                    layout, shared)
     return Circuit._from_columns(nq, nc, cols[0]) if cols else None, at
 
 
