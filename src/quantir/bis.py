@@ -872,6 +872,7 @@ class StreamDecoder:
         _, nq, nc = self._head
         _gather(arr, offs, [(len(offs), nq, nc)], _LAYOUTS[self._compress],
                 self._shared, stop)
+        raise stop
 
     def feed(self, data) -> list[Circuit]:
         self._buf += data
