@@ -450,15 +450,16 @@ def _read_fields(arr, at, var):
     of ``arr``, or is a varint too long or too large; a varint with no last
     octet in reach is taken as 6 octets, longer than any."""
     pos = at[:, None] + _K5
-    octet = arr[np.minimum(pos, len(arr) - 1)].astype(np.int64)
-    octet[pos >= len(arr)] = 0x80
+    missing = pos >= len(arr)
+    octet = arr[np.minimum(pos, len(arr) - 1, out=pos)]
+    octet[missing] = 0x80
     more = octet > 0x7F
     last = more.argmin(axis=1)  # where a varint ends: its first octet below 0x80
     varint = ((octet & 0x7F) * (_K5 <= last[:, None])) @ _POW128
     ended = ~more.all(axis=1)
     return (np.where(var, varint, octet[:, :4] @ _POW256),
             np.where(var, np.where(ended, last + 1, 6), 4),
-            np.where(var, ~ended | (varint > _U32_MAX), pos[:, 3] >= len(arr)))
+            np.where(var, ~ended | (varint > _U32_MAX), missing[:, 3]))
 
 
 def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
