@@ -515,8 +515,8 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
             # a multi-octet index: if its record ends where the fixed shape
             # does, a walk by that shape took these offsets, and got the
             # ones after it wrong
-            k = ((a > 0x7F) | (b > 0x7F)).argmax()
-            if stop is None and offs[k] + step[k] == (offs[k + 1] if k + 1 < m
+            i = ((a > 0x7F) | (b > 0x7F)).argmax()
+            if stop is None and offs[i] + step[i] == (offs[i + 1] if i + 1 < m
                                                       else end):
                 return None
             fixed = False
