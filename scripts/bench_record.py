@@ -14,11 +14,15 @@ the median and quartiles (``statistics.quantiles(values, n=4)``) with the
 per-seed values, next to the side's commit id as it was when the runs
 started, to ``BENCH_<pr>.json`` in this checkout.  It also counts, per
 metric, the seeds on which this checkout did better than the parent, using
-the metric's direction in ``BENCHMARK.json``, and under ``median_change``
-gives, per workload and metric, the relative change of this checkout's
-median against the parent's and whether it lies within the metric's
-``bound``: a change for the better always does, a change for the worse
-when it is at most ``bound``.  Failed operations are summed per side and
+the metric's direction in ``BENCHMARK.json``.  Under ``claim`` it records,
+per workload and metric, whether this checkout meets the rule a claimed
+gain must meet: it wins on at least nine tenths of the seeds run (a tie
+counts for neither side), and its median is better than the parent's by
+more than the parent's q3 - q1.  Under ``median_change`` it gives, per
+workload and metric, the relative change of this checkout's median against
+the parent's and whether it lies within the metric's ``bound``: a change
+for the better always does, a change for the worse when it is at most
+``bound``.  Failed operations are summed per side and
 workload.  Where a run's report prints a ``compiled batch sha256`` (the
 compile workloads do), each side records that digest per seed, and
 ``digests_match`` says per workload whether every seed's digest is the same
@@ -98,6 +102,23 @@ def median_change(pr: float, parent: float, metric: dict) -> dict:
             "within_bound": within}
 
 
+def claim(pr: list[float], parent: list[float], metric: dict) -> dict:
+    """Whether ``pr``'s seeds, paired in order with ``parent``'s, meet the
+    rule for claiming a gain in ``metric``: wins on at least nine tenths of
+    the pairs, ties counting for neither side, and a median better by more
+    than the parent's q3 - q1."""
+    sign = 1 if metric["better"] == "lower" else -1
+    wins = sum(sign * a < sign * b for a, b in zip(pr, parent))
+    base = summarize(parent)
+    gap = sign * (base["median"] - summarize(pr)["median"])
+    spread = base["q3"] - base["q1"]
+    return {"wins": wins, "pairs": len(pr),
+            "wins_nine_tenths": 10 * wins >= 9 * len(pr),
+            "median_gap": gap, "parent_spread": spread,
+            "gap_exceeds_spread": gap > spread,
+            "holds": 10 * wins >= 9 * len(pr) and gap > spread}
+
+
 def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -146,17 +167,17 @@ def main() -> int:
                 "digests": [r["digest"] for r in results],
             }
         record["sides"][name] = {"commit": commits[name], "workloads": per_workload}
-    wins = {}
-    for workload in args.workloads:
-        wins[workload] = {}
-        for m in metrics:
-            sign = 1 if m["better"] == "lower" else -1
-            wins[workload][m["name"]] = sum(
-                sign * a["metrics"][m["name"]]["value"]
-                < sign * b["metrics"][m["name"]]["value"]
-                for a, b in zip(runs["pr"][workload], runs["parent"][workload]))
-    record["sides"]["parent"]["pr_better_on_seeds"] = wins
     medians = {name: record["sides"][name]["workloads"] for name, _ in sides}
+    claims = {
+        workload: {m["name"]: claim(
+            medians["pr"][workload]["metrics"][m["name"]]["values"],
+            medians["parent"][workload]["metrics"][m["name"]]["values"], m)
+            for m in metrics}
+        for workload in args.workloads}
+    record["sides"]["parent"]["pr_better_on_seeds"] = {
+        workload: {name: c["wins"] for name, c in per_metric.items()}
+        for workload, per_metric in claims.items()}
+    record["claim"] = claims
     record["median_change"] = {
         workload: {m["name"]: median_change(
             medians["pr"][workload]["metrics"][m["name"]]["median"],

@@ -24,11 +24,12 @@ once built, so the table lives only as long as its reader or a circuit of
 it whose body is not yet built.  Other columns, packed from a caller's own
 instructions or written by the generator, get a table per body.
 Rotation, U3 and BARRIER rows are built per row.  Bodies from the QASM
-reader (one object per repeated statement text), from basis lowering and
-from the route builder (one object per repeated input object) may also
-hold one instruction at many positions.  Lowering builds each sequence on
-its input's operand tuple; the route builder gives every instruction on
-one physical qubit, or one ordered pair, the same tuple.
+reader (one object per repeated statement text), from basis lowering (one
+object per lowered value, except values that hold a zero angle) and from
+the route builder (one object per repeated input object) may also hold one
+instruction at many positions.  Lowering builds each sequence on its
+input's operand tuple; the route builder gives every instruction on one
+physical qubit, or one ordered pair, the same tuple.
 """
 from __future__ import annotations
 

@@ -5,6 +5,13 @@ every wire an instruction touches: qubit wires for gates and barriers, and
 the classical wire for measurements.  Body order is a topological order.
 ``pairs[i]`` holds the two logical operands of a two-qubit gate node and is
 None for every other node, so the router never re-derives gate classes.
+
+The build keeps what the router reads: ``succs``, ``pairs`` and one
+in-degree per node, which ``pred_counts`` and ``front_layer`` read.  A node
+on one qubit wire with no classical bit has at most one edge in, so it takes
+a short branch with no duplicate-edge check.  The predecessor lists, which
+only metrics read, are derived on first read of ``preds`` by the same wire
+walk, so they hold the same nodes in the same order as an eager build would.
 """
 from __future__ import annotations
 
@@ -17,51 +24,90 @@ __all__ = ["CircuitDag"]
 class CircuitDag:
     """Dependency structure of a flat circuit."""
 
-    __slots__ = ("circuit", "body", "preds", "succs", "pairs")
+    __slots__ = ("circuit", "body", "succs", "pairs", "_indeg", "_preds")
 
     def __init__(self, circuit: Circuit):
         flat = flatten(circuit)
         self.circuit = flat
         body = self.body = flat.body
         n = len(body)
-        preds: list[list[int]] = [[] for _ in range(n)]
         succs: list[list[int]] = [[] for _ in range(n)]
         pairs: list[tuple[int, int] | None] = [None] * n
+        indeg = [0] * n
         last_q = [-1] * flat.num_qubits
         last_c = [-1] * flat.num_cbits
         barrier = GateKind.BARRIER
         for i, ins in enumerate(body):
             qs = ins.qubits
+            cb = ins.cbit
+            if len(qs) == 1 and cb is None:
+                q = qs[0]
+                p = last_q[q]
+                if p >= 0:
+                    succs[p].append(i)
+                    indeg[i] = 1
+                last_q[q] = i
+                continue
             # two operands: a two-qubit gate, or a barrier that happens to span two
             if len(qs) == 2 and ins.kind is not barrier:
                 pairs[i] = qs
+            d = 0
             for q in qs:
                 p = last_q[q]
                 if p >= 0 and (not succs[p] or succs[p][-1] != i):
                     succs[p].append(i)
-                    preds[i].append(p)
+                    d += 1
                 last_q[q] = i
-            cb = ins.cbit
             if cb is not None:
                 p = last_c[cb]
                 if p >= 0 and (not succs[p] or succs[p][-1] != i):
                     succs[p].append(i)
-                    preds[i].append(p)
+                    d += 1
                 last_c[cb] = i
-        self.preds = preds
+            indeg[i] = d
         self.succs = succs
         self.pairs = pairs
+        self._indeg = indeg
+        self._preds = None
 
     def __len__(self) -> int:
         return len(self.body)
 
+    @property
+    def preds(self) -> list[list[int]]:
+        """Per node, its predecessors in the order its wires meet them."""
+        preds = self._preds
+        if preds is None:
+            flat = self.circuit
+            preds = self._preds = [[] for _ in self.body]
+            # node -> the last node that took it as a predecessor: an edge
+            # along two wires is listed once, as ``succs`` holds it once
+            seen = [-1] * len(preds)
+            last_q = [-1] * flat.num_qubits
+            last_c = [-1] * flat.num_cbits
+            for i, ins in enumerate(self.body):
+                ps = preds[i]
+                for q in ins.qubits:
+                    p = last_q[q]
+                    if p >= 0 and seen[p] != i:
+                        seen[p] = i
+                        ps.append(p)
+                    last_q[q] = i
+                cb = ins.cbit
+                if cb is not None:
+                    p = last_c[cb]
+                    if p >= 0 and seen[p] != i:
+                        ps.append(p)
+                    last_c[cb] = i
+        return preds
+
     def pred_counts(self) -> list[int]:
         """Mutable copy of per-node predecessor counts."""
-        return [len(p) for p in self.preds]
+        return self._indeg.copy()
 
     def front_layer(self) -> list[int]:
         """Nodes with no predecessors, in body order."""
-        return [i for i, p in enumerate(self.preds) if not p]
+        return [i for i, d in enumerate(self._indeg) if not d]
 
     def two_qubit_nodes(self) -> list[int]:
         return [i for i, pair in enumerate(self.pairs) if pair is not None]

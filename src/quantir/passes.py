@@ -6,7 +6,10 @@ the overall unitary up to global phase.  Two drivers run them all.
 ``_peephole`` runs merging and cancellation, each a rule over two
 instructions.  It walks the body and offers the rule each instruction of
 the rule's kinds together with the one before it, when a single instruction
-is the last on all of its wires.  The rule keeps both, replaces the pair
+is the last on all of its wires and is of a kind the rule declares can
+combine with it: the same axis for merging, the same kind or its
+``DAGGER_SWAP`` partner for cancellation.  Every other pair the rule would
+keep, so it is not called for them.  The rule keeps both, replaces the pair
 with one instruction of the same kind, or drops both.  Pairs are thus
 adjacent on every wire they share, so barriers and measurements fence them.
 Only a drop makes two instructions newly adjacent, so a further walk can
@@ -20,7 +23,10 @@ table, keyed by gate kind; a rule maps one instruction to its sequence in
 that set.  The rules both tables share (RZ kept, I dropped, Z, S, S†, T and
 T† as one RZ) are written once.  Each instruction of the given kinds becomes
 its rule's sequence, and every other passes through.  ``decompose_to_basis``
-lowers every gate, ``expand_swaps`` only SWAPs.
+lowers every gate, ``expand_swaps`` only SWAPs.  Within one lowering, a rule
+runs once per distinct input object, and equal lowered instructions are one
+object (those that hold a zero angle aside), so the route builder after it
+maps each value once.
 
 * ``rz-x1-cz``: RZ rotations, the X1 (sqrt-X) pulse, and CZ.
 * ``rz-rx-cnot``: RZ/RX rotations and CNOT.
@@ -64,35 +70,42 @@ def _opcodes(kinds) -> frozenset:
     return frozenset(k._value_ for k in kinds)
 
 
-def _peephole(c: Circuit, kinds, combine) -> Circuit:
+def _meets(kinds) -> dict:
+    """A rule's ``meets`` table: for each opcode of its kinds, the opcodes
+    of the kinds it can combine with (``kinds`` maps a kind to those)."""
+    return {k._value_: _opcodes(ps) for k, ps in kinds.items()}
+
+
+def _peephole(c: Circuit, meets: dict, combine) -> Circuit:
     """Apply ``combine`` to adjacent pairs until a walk would change nothing.
 
-    An instruction whose kind is in ``kinds`` (one- and two-qubit gates)
-    meets ``prev``, the last instruction on its wires, when that is the same
-    one on each of them.  ``combine(prev, ins)`` returns ``ins`` to keep
-    both, an instruction of the same kind on the same wires to replace the
-    pair, or None to drop both; it drops only pairs on the same wires.  A
+    An instruction whose opcode is a key of ``meets`` (one- and two-qubit
+    gates) meets ``prev``, the last instruction on its wires, when that is
+    the same one on each of them; ``combine(prev, ins)`` is called only when
+    ``prev``'s opcode is in ``meets[ins opcode]``, since for every other
+    pair it would keep both.  It returns ``ins`` to keep both, an
+    instruction of the same kind on the same wires to replace the pair, or
+    None to drop both; it drops only pairs on the same wires.  A
     replacement meets later instructions in the same walk and exposes no new
     pair, so it needs no further walk.  A drop leaves its wires with no last
     instruction for the rest of the walk, so a further walk differs from
     this one only where a drop's wire resumes; ``_exposed`` checks those
     sites, and the walk repeats only when one of them would change.
     """
-    codes = _opcodes(kinds)
     flat = flatten(c)
     body: list = flat.body
     while True:
-        out, drops = _walk(body, flat.num_qubits, codes, combine)
+        out, drops = _walk(body, flat.num_qubits, meets, combine)
         if not drops:
             body = out
             break
         body = [ins for ins in out if ins is not None]
-        if not _exposed(out, drops, codes, combine):
+        if not _exposed(out, drops, meets, combine):
             break
     return Circuit._from_items(flat.num_qubits, flat.num_cbits, body, flat.name)
 
 
-def _walk(body: list, num_qubits: int, codes, combine) -> tuple[list, list]:
+def _walk(body: list, num_qubits: int, meets: dict, combine) -> tuple[list, list]:
     """One ``_peephole`` walk: its output, with None where a drop's
     ``prev`` stood, and each drop as ``(prev index, ins index, wires)``."""
     out: list = []
@@ -101,11 +114,14 @@ def _walk(body: list, num_qubits: int, codes, combine) -> tuple[list, list]:
     # wire -> index in out of its last instruction, or -1; one slot per
     # wire, as depth and CircuitDag keep
     last = [-1] * num_qubits
+    partners = meets.get
     for ins in body:
         qs = ins.qubits
-        if ins.kind._value_ in codes:
+        codes = partners(ins.kind._value_)
+        if codes is not None:
             li = last[qs[0]]
-            if li >= 0 and (len(qs) == 1 or last[qs[1]] == li):
+            if (li >= 0 and (len(qs) == 1 or last[qs[1]] == li)
+                    and out[li].kind._value_ in codes):
                 new = combine(out[li], ins)
                 if new is not ins:
                     out[li] = new
@@ -133,17 +149,17 @@ def _scan(out: list, w: int, i: int, stop: int, step: int) -> int:
     return i
 
 
-def _exposed(out: list, drops: list, codes, combine) -> bool:
+def _exposed(out: list, drops: list, meets: dict, combine) -> bool:
     """Whether a further walk over ``out`` could change it.
 
     On each wire ``w`` of a drop, the next walk offers ``N``, the first
     instruction left on ``w`` after the dropped pair, to ``P``, the last one
-    left before it, when ``N`` is of the rule's kinds and ``P`` is last on
-    all of ``N``'s wires.  Everywhere else it meets the pairs this walk met
-    and keeps them.  So the next walk changes something only if some drop
-    site has ``combine(P, N) is not N``.  Each scan stops after ``_REACH``
-    rows, and a site it cannot settle counts as exposed: the caller then
-    walks again, which is never wrong.
+    left before it, when ``N`` and ``P`` are kinds the rule combines and
+    ``P`` is last on all of ``N``'s wires.  Everywhere else it meets the
+    pairs this walk met and keeps them.  So the next walk changes something
+    only if some drop site has ``combine(P, N) is not N``.  Each scan stops
+    after ``_REACH`` rows, and a site it cannot settle counts as exposed: the
+    caller then walks again, which is never wrong.
     """
     end = len(out)
     for li, d, qs in drops:
@@ -155,7 +171,8 @@ def _exposed(out: list, drops: list, codes, combine) -> bool:
                     return True
                 continue  # nothing follows on w
             nxt = out[j]
-            if nxt.kind._value_ not in codes:
+            codes = meets.get(nxt.kind._value_)
+            if codes is None:
                 continue
             stop = max(-1, li - 1 - _REACH)
             i = _scan(out, w, li - 1, stop, -1)
@@ -175,7 +192,7 @@ def _exposed(out: list, drops: list, codes, combine) -> bool:
                     if k == stop:
                         return True
                     continue  # something on v comes between
-            if combine(prv, nxt) is not nxt:
+            if prv.kind._value_ in codes and combine(prv, nxt) is not nxt:
                 return True
     return False
 
@@ -183,6 +200,8 @@ def _exposed(out: list, drops: list, codes, combine) -> bool:
 # -- rotation merging ----------------------------------------------------------
 
 _FULL_TURN_TOL = 1e-12
+# a rotation merges only with one about the same axis
+_MERGE_MEETS = _meets({k: (k,) for k in (_RX, _RY, _RZ)})
 
 
 def merge_adjacent_rotations(c: Circuit) -> Circuit:
@@ -202,7 +221,7 @@ def merge_adjacent_rotations(c: Circuit) -> Circuit:
         # a result that ``is ins`` as "keep both"
         return _new(Instruction, (ins.kind, ins.qubits, (total,), None, False))
 
-    return _peephole(c, (_RX, _RY, _RZ), merge)
+    return _peephole(c, _MERGE_MEETS, merge)
 
 
 # -- inverse cancellation -------------------------------------------------------
@@ -211,7 +230,9 @@ def merge_adjacent_rotations(c: Circuit) -> Circuit:
 # one on both of its wires
 _SELF_CANCEL = _opcodes((_H, _X, _Y, _Z, _CZ, _SWAP))
 _PHASE_INVERSE = {k._value_: inv for k, inv in DAGGER_SWAP.items()}
-_CANCELLABLE = (_H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _X1, _CNOT, _CZ, _SWAP)
+# a gate cancels only against its own kind or its DAGGER_SWAP partner
+_CANCEL_MEETS = _meets({k: (k, DAGGER_SWAP.get(k, k)) for k in (
+    _H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _X1, _CNOT, _CZ, _SWAP)})
 
 
 def _cancel(prev: Instruction, ins: Instruction) -> Instruction | None:
@@ -233,82 +254,103 @@ def cancel_adjacent_inverses(c: Circuit) -> Circuit:
     One-qubit pairs need a clear wire between them; two-qubit pairs must be
     adjacent on both wires.
     """
-    return _peephole(c, _CANCELLABLE, _cancel)
+    return _peephole(c, _CANCEL_MEETS, _cancel)
 
 
 # -- basis lowering -------------------------------------------------------------
 
-# Each rule takes its input's operand tuple, ``qs``, and builds its
-# sequence on it, so a lowered sequence makes no new one-qubit tuple.  The
+# Each rule takes its input instruction and ``made``, the table of its
+# ``_lower`` call (None: no table), and builds its sequence on the input's
+# operand tuple, so a lowered sequence makes no new one-qubit tuple.  The
 # two-qubit rules make one ``(t,)`` for the target side of each CNOT.
 
-def _rz(qs, a):
-    return _new(Instruction, (_RZ, qs, (a,), None, False))
+def _instruction(made: dict | None, kind, qs, params=()):
+    """``kind`` on ``qs`` with ``params``: one object per value in ``made``.
+
+    ``made`` maps ``(opcode, qubits, params, dagger)`` to the instruction of
+    that value.  An instruction that holds a zero angle is built anew each
+    time and never keyed: 0.0 == -0.0, so one key would give both signs one
+    object, and the output is bit-exact.
+    """
+    if made is None or 0.0 in params:
+        return _new(Instruction, (kind, qs, params, None, False))
+    key = (kind._value_, qs, params, False)
+    ins = made.get(key)
+    if ins is None:
+        ins = made[key] = _new(Instruction, (kind, qs, params, None, False))
+    return ins
 
 
-def _rx(qs, a):
-    return _new(Instruction, (_RX, qs, (a,), None, False))
+def _rz(m, qs, a):
+    return _instruction(m, _RZ, qs, (a,))
 
 
-def _x1(qs):
-    return _new(Instruction, (_X1, qs, (), None, False))
+def _rx(m, qs, a):
+    return _instruction(m, _RX, qs, (a,))
 
 
-def _cnot(qs):
-    return _new(Instruction, (_CNOT, qs, (), None, False))
+def _x1(m, qs):
+    return _instruction(m, _X1, qs)
 
 
-def _h_as_x1(qs):
-    return [_rz(qs, _PI / 2), _x1(qs), _rz(qs, _PI / 2)]
+def _cnot(m, qs):
+    return _instruction(m, _CNOT, qs)
 
 
-def _h_as_rx(qs):
-    return [_rz(qs, _PI / 2), _rx(qs, _PI / 2), _rz(qs, _PI / 2)]
+def _h_as_x1(m, qs):
+    return [_rz(m, qs, _PI / 2), _x1(m, qs), _rz(m, qs, _PI / 2)]
 
 
-def _cnot_as_cz(qs):
+def _h_as_rx(m, qs):
+    return [_rz(m, qs, _PI / 2), _rx(m, qs, _PI / 2), _rz(m, qs, _PI / 2)]
+
+
+def _cnot_as_cz(m, qs):
     t = (qs[1],)
-    cz = _new(Instruction, (_CZ, qs, (), None, False))
-    return [*_h_as_x1(t), cz, *_h_as_x1(t)]
+    return [*_h_as_x1(m, t), _instruction(m, _CZ, qs), *_h_as_x1(m, t)]
 
 
-def _swap_as_cnots(qs):
-    back = (qs[1], qs[0])
-    return [_cnot(qs), _cnot(back), _cnot(qs)]
+def _swap_as_pairs(qs):
+    """The operands of the three CNOTs that make a SWAP."""
+    return qs, (qs[1], qs[0]), qs
 
 
-def _keep(ins):
-    return [ins]
+def _keep(ins, m=None):
+    """``[ins]``, or the equal instruction ``m`` already holds."""
+    params = ins.params
+    if m is None or 0.0 in params:
+        return [ins]
+    return [m.setdefault((ins.kind._value_, ins.qubits, params, ins.dagger), ins)]
 
 
 def _one_q(build):
-    """The rule for a one-qubit kind whose sequence is ``build(qs, *params)``."""
-    return lambda ins: build(ins.qubits, *ins.params)
+    """The rule for a one-qubit kind whose sequence is ``build(m, qs, *params)``."""
+    return lambda ins, m=None: build(m, ins.qubits, *ins.params)
 
 
 def _phase(a):
-    return _one_q(lambda qs: [_rz(qs, a)])
+    return _one_q(lambda m, qs: [_rz(m, qs, a)])
 
 
-def _x1_as_pulses(ins):
+def _x1_as_pulses(ins, m=None):
     if not ins.dagger:
-        return [ins]
+        return _keep(ins, m)
     qs = ins.qubits
-    return [_rz(qs, _PI), _x1(qs), _rz(qs, _PI)]
+    return [_rz(m, qs, _PI), _x1(m, qs), _rz(m, qs, _PI)]
 
 
-def _x1_as_rx(ins):
-    return [_rx(ins.qubits, -_PI / 2 if ins.dagger else _PI / 2)]
+def _x1_as_rx(ins, m=None):
+    return [_rx(m, ins.qubits, -_PI / 2 if ins.dagger else _PI / 2)]
 
 
-def _cz_as_cnot(ins):
+def _cz_as_cnot(ins, m=None):
     qs = ins.qubits
     t = (qs[1],)
-    return [*_h_as_rx(t), _cnot(qs), *_h_as_rx(t)]
+    return [*_h_as_rx(m, t), _cnot(m, qs), *_h_as_rx(m, t)]
 
 
 _SHARED_RULES = {
-    _RZ: _keep, _I: lambda ins: [],
+    _RZ: _keep, _I: lambda ins, m=None: [],
     _Z: _phase(_PI), _S: _phase(_PI / 2), _SDG: _phase(-_PI / 2),
     _T: _phase(_PI / 4), _TDG: _phase(-_PI / 4),
 }
@@ -325,32 +367,36 @@ _RULES = {
         **_SHARED_RULES,
         _X1: _x1_as_pulses,
         _H: _one_q(_h_as_x1),
-        _X: _one_q(lambda qs: [_x1(qs), _x1(qs)]),
-        _Y: _one_q(lambda qs: [_x1(qs), _x1(qs), _rz(qs, _PI)]),
-        _RX: _one_q(lambda qs, t: [_rz(qs, _PI / 2), _x1(qs), _rz(qs, t + _PI),
-                                   _x1(qs), _rz(qs, _PI / 2)]),
-        _RY: _one_q(lambda qs, t: [_x1(qs), _rz(qs, t + _PI), _x1(qs),
-                                   _rz(qs, _PI)]),
-        _U3: _one_q(lambda qs, t, p, l: [_rz(qs, l), _x1(qs), _rz(qs, t + _PI),
-                                         _x1(qs), _rz(qs, p + _PI)]),
+        _X: _one_q(lambda m, qs: [_x1(m, qs), _x1(m, qs)]),
+        _Y: _one_q(lambda m, qs: [_x1(m, qs), _x1(m, qs), _rz(m, qs, _PI)]),
+        _RX: _one_q(lambda m, qs, t: [
+            _rz(m, qs, _PI / 2), _x1(m, qs), _rz(m, qs, t + _PI), _x1(m, qs),
+            _rz(m, qs, _PI / 2)]),
+        _RY: _one_q(lambda m, qs, t: [
+            _x1(m, qs), _rz(m, qs, t + _PI), _x1(m, qs), _rz(m, qs, _PI)]),
+        _U3: _one_q(lambda m, qs, t, p, l: [
+            _rz(m, qs, l), _x1(m, qs), _rz(m, qs, t + _PI), _x1(m, qs),
+            _rz(m, qs, p + _PI)]),
         _CZ: _keep,
-        _CNOT: lambda ins: _cnot_as_cz(ins.qubits),
-        _SWAP: lambda ins: [g for cnot in _swap_as_cnots(ins.qubits)
-                            for g in _cnot_as_cz(cnot.qubits)],
+        _CNOT: lambda ins, m=None: _cnot_as_cz(m, ins.qubits),
+        _SWAP: lambda ins, m=None: [g for qs in _swap_as_pairs(ins.qubits)
+                                    for g in _cnot_as_cz(m, qs)],
     }),
     "rz-rx-cnot": _by_opcode({
         **_SHARED_RULES,
         _RX: _keep, _CNOT: _keep,
         _X1: _x1_as_rx,
         _H: _one_q(_h_as_rx),
-        _X: _one_q(lambda qs: [_rx(qs, _PI)]),
-        _Y: _one_q(lambda qs: [_rz(qs, -_PI / 2), _rx(qs, _PI), _rz(qs, _PI / 2)]),
-        _RY: _one_q(lambda qs, t: [_rz(qs, -_PI / 2), _rx(qs, t),
-                                   _rz(qs, _PI / 2)]),
-        _U3: _one_q(lambda qs, t, p, l: [_rz(qs, l - _PI / 2), _rx(qs, t),
-                                         _rz(qs, p + _PI / 2)]),
+        _X: _one_q(lambda m, qs: [_rx(m, qs, _PI)]),
+        _Y: _one_q(lambda m, qs: [_rz(m, qs, -_PI / 2), _rx(m, qs, _PI),
+                                  _rz(m, qs, _PI / 2)]),
+        _RY: _one_q(lambda m, qs, t: [_rz(m, qs, -_PI / 2), _rx(m, qs, t),
+                                      _rz(m, qs, _PI / 2)]),
+        _U3: _one_q(lambda m, qs, t, p, l: [_rz(m, qs, l - _PI / 2), _rx(m, qs, t),
+                                            _rz(m, qs, p + _PI / 2)]),
         _CZ: _cz_as_cnot,
-        _SWAP: lambda ins: _swap_as_cnots(ins.qubits),
+        _SWAP: lambda ins, m=None: [_cnot(m, qs)
+                                    for qs in _swap_as_pairs(ins.qubits)],
     }),
 }
 
@@ -364,8 +410,14 @@ def _lower(c: Circuit, basis: str, kinds) -> Circuit:
     one object at many positions) reuses that sequence's instructions.  An
     id is unique only while its object lives; ``flat.body`` holds every
     keyed object until this call returns, and the table dies with the call,
-    so no id is reused inside it.  Never key it by value: equal angles
-    0.0 and -0.0 hash alike, and the output is bit-exact.
+    so no id is reused inside it.
+
+    Equal lowered instructions are one object too, whichever inputs they
+    come from: the rules make them through ``made``, which maps
+    ``(opcode, qubits, params, dagger)`` to the one instruction of that
+    value, built the first time a rule asks for it.  An instruction that
+    holds a zero angle is never keyed: 0.0 == -0.0 and both hash alike,
+    and the output is bit-exact, so each is built where its rule asks.
     """
     if basis not in BASES:
         raise PassError(f"unknown basis {basis!r}; choose from {BASES}")
@@ -375,6 +427,7 @@ def _lower(c: Circuit, basis: str, kinds) -> Circuit:
     rules = _RULES[basis]
     codes = _opcodes(kinds)
     lowered: dict[int, list] = {}
+    made: dict = {}
     items: list = []
     keep = items.append
     for ins in flat.body:
@@ -382,7 +435,7 @@ def _lower(c: Circuit, basis: str, kinds) -> Circuit:
         if code in codes:
             seq = lowered.get(id(ins))
             if seq is None:
-                seq = lowered[id(ins)] = rules[code](ins)
+                seq = lowered[id(ins)] = rules[code](ins, made)
             items += seq
         else:
             keep(ins)

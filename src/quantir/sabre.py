@@ -107,7 +107,15 @@ class Layout:
     __slots__ = ("_l2p", "_p2l")
 
     def __init__(self, l2p):
-        l2p = [int(p) for p in l2p]
+        entries = list(l2p)
+        # any integer, NumPy's too; int() would take a float, a string or a
+        # bool for some wire
+        try:
+            if any(type(p) is bool for p in entries):
+                raise TypeError
+            l2p = [operator.index(p) for p in entries]
+        except TypeError:
+            raise RoutingError(f"layout entries must be integers: {entries}") from None
         n = len(l2p)
         if sorted(l2p) != list(range(n)):
             raise RoutingError(f"not a permutation of 0..{n - 1}: {l2p}")

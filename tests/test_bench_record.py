@@ -1,5 +1,7 @@
-"""scripts/bench_record.py: the median change per metric and the digests."""
+"""scripts/bench_record.py: the median change per metric, the claim rule and
+the digests."""
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,29 @@ def test_digests_match(pr, parent, match):
     runs = {side: [bench_record.parse_run(_fake_run(d)) for d in digests]
             for side, digests in (("pr", pr), ("parent", parent))}
     assert bench_record.digests_match(runs["pr"], runs["parent"]) is match
+
+
+_PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+@pytest.mark.parametrize("pr,metric,wins,nine_tenths,gap_exceeds", [
+    # nine wins of ten, with a median gap past the parent's q3 - q1
+    ([0.90] * 9 + [1.05], LOWER, 9, True, True),
+    # eight wins: the median gap alone does not make a claim
+    ([0.90] * 8 + [1.05, 1.05], LOWER, 8, False, True),
+    # ten wins, but by less than the parent's own spread
+    ([p - 0.001 for p in _PARENT], LOWER, 10, True, False),
+    # a tie counts for neither side
+    ([0.90] * 8 + [1.05, _PARENT[9]], LOWER, 8, False, True),
+    # higher is better: the same figures are a loss
+    ([0.90] * 9 + [1.05], HIGHER, 1, False, False),
+    ([1.10] * 10, HIGHER, 10, True, True),
+])
+def test_claim_rule(pr, metric, wins, nine_tenths, gap_exceeds):
+    got = bench_record.claim(pr, _PARENT, metric)
+    assert got["wins"] == wins and got["pairs"] == 10
+    assert got["wins_nine_tenths"] is nine_tenths
+    assert got["gap_exceeds_spread"] is gap_exceeds
+    assert got["holds"] is (nine_tenths and gap_exceeds)
+    q1, _, q3 = statistics.quantiles(_PARENT, n=4)
+    assert got["parent_spread"] == pytest.approx(q3 - q1)

@@ -1,7 +1,7 @@
 """Wire-dependency DAG construction."""
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from quantir.circuit import Circuit
+from quantir.circuit import Circuit, flatten
 from quantir.dag import CircuitDag
 from quantir.gates import GateKind
 
@@ -80,3 +80,84 @@ def test_empty_circuit():
     assert len(d) == 0
     assert d.front_layer() == []
     assert d.two_qubit_nodes() == []
+
+
+# -- differential check against the eager builder --------------------------------
+
+def _eager(circuit):
+    """``(preds, succs, pairs)`` as the builder made them when it kept every
+    predecessor list: the reference for the lean build and lazy ``preds``."""
+    flat = flatten(circuit)
+    body = flat.body
+    n = len(body)
+    preds = [[] for _ in range(n)]
+    succs = [[] for _ in range(n)]
+    pairs = [None] * n
+    last_q = [-1] * flat.num_qubits
+    last_c = [-1] * flat.num_cbits
+    for i, ins in enumerate(body):
+        qs = ins.qubits
+        if len(qs) == 2 and ins.kind is not GateKind.BARRIER:
+            pairs[i] = qs
+        for q in qs:
+            p = last_q[q]
+            if p >= 0 and (not succs[p] or succs[p][-1] != i):
+                succs[p].append(i)
+                preds[i].append(p)
+            last_q[q] = i
+        cb = ins.cbit
+        if cb is not None:
+            p = last_c[cb]
+            if p >= 0 and (not succs[p] or succs[p][-1] != i):
+                succs[p].append(i)
+                preds[i].append(p)
+            last_c[cb] = i
+    return preds, succs, pairs
+
+
+@st.composite
+def _dag_circuits(draw):
+    """Circuits with one-qubit and wide barriers, measures that share a
+    classical bit, repeated two-qubit pairs and daggered sub-circuits."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    nc = draw(st.integers(min_value=1, max_value=2))
+    c = Circuit(n, nc)
+    wire = st.integers(min_value=0, max_value=n - 1)
+    pair = None
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        which = draw(st.sampled_from(
+            ["1q", "2q", "again", "measure", "barrier", "sub"] if n >= 2
+            else ["1q", "measure", "barrier"]))
+        if which == "1q":
+            c.append_gate(draw(st.sampled_from([GateKind.H, GateKind.T, GateKind.X1])),
+                          (draw(wire),), dagger=draw(st.booleans()))
+        elif which == "2q" or (which == "again" and pair is None):
+            pair = tuple(draw(st.permutations(range(n)))[:2])
+            c.append_gate(draw(st.sampled_from([GateKind.CNOT, GateKind.CZ,
+                                                GateKind.SWAP])), pair)
+        elif which == "again":
+            c.append_gate(GateKind.CZ, draw(st.sampled_from([pair, pair[::-1]])))
+        elif which == "measure":
+            c.measure(draw(wire), draw(st.integers(min_value=0, max_value=nc - 1)))
+        elif which == "barrier":
+            k = draw(st.integers(min_value=1, max_value=n))
+            c.barrier(*draw(st.permutations(range(n)))[:k])
+        else:
+            inner = Circuit(n, 0)
+            a, b = draw(st.permutations(range(n)))[:2]
+            inner.s(a).cnot(a, b).rz(b, 0.5).barrier(a, b).t(b)
+            c.sub(inner, dagger=draw(st.booleans()))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_dag_circuits())
+def test_lean_build_matches_the_eager_builder(c):
+    preds, succs, pairs = _eager(c)
+    d = CircuitDag(c)
+    assert d.succs == succs
+    assert d.pairs == pairs
+    assert d.pred_counts() == [len(p) for p in preds]
+    assert d.front_layer() == [i for i, p in enumerate(preds) if not p]
+    assert d.preds == preds
+    assert d.preds is d.preds  # derived once

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantir import passes
+from quantir import bis, passes
+from quantir.bench import random_circuit
 from quantir.circuit import Circuit, Instruction, flatten, gate_counts
 from quantir.gates import CLS_2Q, GateKind
 from quantir.passes import (BASES, PassError, cancel_adjacent_inverses,
@@ -213,6 +214,25 @@ def test_cancel_keeps_rotations():
     assert len(cancel_adjacent_inverses(c).body) == 2  # merging's job
 
 
+def test_passes_on_one_object_at_two_adjacent_positions():
+    # lowering leaves one object at every position of a value, so a rule
+    # may meet the very object it already holds as ``prev``
+    rz = Instruction(GateKind.RZ, (0,), (0.25,))
+    h = Instruction(GateKind.H, (0,))
+    x1 = Instruction(GateKind.X1, (0,))
+    x1_dg = Instruction(GateKind.X1, (0,), dagger=True)
+
+    def twice(a, b):
+        return Circuit._from_items(1, 0, [a, b])
+
+    assert merge_adjacent_rotations(twice(rz, rz)).body == \
+        [Instruction(GateKind.RZ, (0,), (0.5,))]
+    assert cancel_adjacent_inverses(twice(h, h)).body == []
+    kept = cancel_adjacent_inverses(twice(x1, x1)).body
+    assert kept == [x1, x1] and kept[0] is kept[1] is x1
+    assert cancel_adjacent_inverses(twice(x1, x1_dg)).body == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(circuits(max_qubits=4, max_len=16, measures=False, barriers=False))
 def test_cancel_preserves_unitary(c):
@@ -299,6 +319,42 @@ def test_lowered_sequences_share_their_operand_tuples(basis):
         seq = decompose_to_basis(c, basis).body
         ones = {id(out.qubits) for out in seq if len(out.qubits) == 1}
         assert len(ones) <= 1
+
+
+def test_lowering_keeps_signed_zero_angles_apart():
+    # 0.0 == -0.0, so a zero angle is never keyed by value: each sign keeps
+    # its own instruction, and both reach the encoded bytes
+    c = Circuit(1, 0).u3(0, 0.3, 0.7, 0.0).u3(0, 0.3, 0.7, -0.0)
+    lowered = decompose_to_basis(c, "rz-x1-cz")
+    body = lowered.body
+    assert len(body) == 10
+    plus, minus = body[0], body[5]
+    assert plus.kind is minus.kind is GateKind.RZ and plus is not minus
+    assert math.copysign(1.0, plus.params[0]) == 1.0
+    assert math.copysign(1.0, minus.params[0]) == -1.0
+    # the rest of the two sequences are equal values, so one object each
+    assert all(a is b for a, b in zip(body[1:5], body[6:]))
+    for compress in (False, True):
+        back = bis.decode(bis.encode(lowered, compress=compress))[0].body
+        assert back == body  # bit-exact angles
+        assert math.copysign(1.0, back[5].params[0]) == -1.0
+
+
+@pytest.mark.parametrize("basis", ["rz-x1-cz", "rz-rx-cnot"])
+def test_lowered_body_holds_one_object_per_value(basis):
+    c = random_circuit(5, 30, seed=7)
+    # equal inputs as distinct objects, and inputs that lower to equal rows
+    c.rz(0, 0.5).rz(0, 0.5).h(1).h(1).x1(2).x(2).rx(3, PI / 2).cnot(3, 4).cnot(3, 4)
+    c.rz(4, 0.0).rz(4, -0.0).u3(0, 0.0, 0.2, 0.0)
+    body = decompose_to_basis(c, basis).body
+    ids = {}
+    for ins in body:
+        if 0.0 not in ins.params:
+            key = (ins.kind, ins.qubits, ins.params, ins.dagger)
+            ids.setdefault(key, set()).add(id(ins))
+    assert ids and all(len(objects) == 1 for objects in ids.values())
+    zeros = [ins for ins in body if 0.0 in ins.params]
+    assert len({id(ins) for ins in zeros}) == len(zeros)  # built per position
 
 
 def test_identity_gate_dropped():

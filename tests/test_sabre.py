@@ -5,6 +5,7 @@ import random
 from collections import deque
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,23 @@ def test_layout_permutation():
 def test_layout_rejects_non_permutations(bad):
     with pytest.raises(RoutingError):
         Layout(bad)
+
+
+@pytest.mark.parametrize("bad", [[0.9, 1.2, 2.5], [1.0, 0.0], [True, False],
+                                 ["1", "0"], [np.True_, np.False_]])
+def test_layout_rejects_entries_that_are_not_integers(bad):
+    # int() would truncate or parse each of these into some permutation
+    with pytest.raises(RoutingError):
+        Layout(bad)
+    n = len(bad)
+    with pytest.raises(RoutingError):
+        sabre_route(CircuitDag(Circuit(n).h(0)), topology.linear(n), bad)
+
+
+def test_layout_takes_numpy_integers():
+    assert Layout(np.array([2, 0, 1])) == Layout([2, 0, 1])
+    lay = Layout([np.int32(1), np.int64(0)])
+    assert list(lay) == [1, 0] and all(type(p) is int for p in lay)
 
 
 def test_layout_swap_physical():
