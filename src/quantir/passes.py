@@ -70,20 +70,15 @@ def _opcodes(kinds) -> frozenset:
     return frozenset(k._value_ for k in kinds)
 
 
-def _meets(kinds) -> dict:
-    """A rule's ``meets`` table: for each opcode of its kinds, the opcodes
-    of the kinds it can combine with (``kinds`` maps a kind to those)."""
-    return {k._value_: _opcodes(ps) for k, ps in kinds.items()}
-
-
 def _peephole(c: Circuit, meets: dict, combine) -> Circuit:
     """Apply ``combine`` to adjacent pairs until a walk would change nothing.
 
-    An instruction whose opcode is a key of ``meets`` (one- and two-qubit
-    gates) meets ``prev``, the last instruction on its wires, when that is
-    the same one on each of them; ``combine(prev, ins)`` is called only when
-    ``prev``'s opcode is in ``meets[ins opcode]``, since for every other
-    pair it would keep both.  It returns ``ins`` to keep both, an
+    ``meets`` maps the opcode of each of the rule's kinds (one- and
+    two-qubit gates) to the opcodes of the kinds it can combine with.  An
+    instruction of the rule's kinds meets ``prev``, the last instruction on
+    its wires, when that is the same one on each of them;
+    ``combine(prev, ins)`` is called only when ``prev``'s opcode is in
+    ``meets[ins opcode]``, since for every other pair it would keep both.  It returns ``ins`` to keep both, an
     instruction of the same kind on the same wires to replace the pair, or
     None to drop both; it drops only pairs on the same wires.  A
     replacement meets later instructions in the same walk and exposes no new
@@ -201,7 +196,7 @@ def _exposed(out: list, drops: list, meets: dict, combine) -> bool:
 
 _FULL_TURN_TOL = 1e-12
 # a rotation merges only with one about the same axis
-_MERGE_MEETS = _meets({k: (k,) for k in (_RX, _RY, _RZ)})
+_MERGE_MEETS = {k._value_: _opcodes((k,)) for k in (_RX, _RY, _RZ)}
 
 
 def merge_adjacent_rotations(c: Circuit) -> Circuit:
@@ -231,8 +226,8 @@ def merge_adjacent_rotations(c: Circuit) -> Circuit:
 _SELF_CANCEL = _opcodes((_H, _X, _Y, _Z, _CZ, _SWAP))
 _PHASE_INVERSE = {k._value_: inv for k, inv in DAGGER_SWAP.items()}
 # a gate cancels only against its own kind or its DAGGER_SWAP partner
-_CANCEL_MEETS = _meets({k: (k, DAGGER_SWAP.get(k, k)) for k in (
-    _H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _X1, _CNOT, _CZ, _SWAP)})
+_CANCEL_MEETS = {k._value_: _opcodes((k, DAGGER_SWAP.get(k, k))) for k in (
+    _H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _X1, _CNOT, _CZ, _SWAP)}
 
 
 def _cancel(prev: Instruction, ins: Instruction) -> Instruction | None:
