@@ -354,7 +354,7 @@ def test_lowered_body_holds_one_object_per_value(basis):
             ids.setdefault(key, set()).add(id(ins))
     assert ids and all(len(objects) == 1 for objects in ids.values())
     zeros = [ins for ins in body if 0.0 in ins.params]
-    assert len({id(ins) for ins in zeros}) == len(zeros)  # built per position
+    assert len({id(ins) for ins in zeros}) == len(zeros)  # never shared by value
 
 
 def test_identity_gate_dropped():
