@@ -27,7 +27,9 @@ workload.  Where a run's report prints a ``compiled batch sha256`` (the
 compile workloads do), each side records that digest per seed, and
 ``digests_match`` says per workload whether every seed's digest is the same
 on both sides (None when the workload prints none): a change that claims to
-keep the compiled bytes shows here that it did.  After each run it prints
+keep the compiled bytes shows here that it did.  ``src_lines`` gives the
+lines of ``src/**/*.py`` in each checkout and their change, the figure of
+the aim to keep the same behaviour in less code.  After each run it prints
 that run's end-to-end metrics, so the signal of any of them shows while the
 record runs.
 """
@@ -55,6 +57,13 @@ def commit_of(checkout: Path) -> str:
 
 
 _DIGEST = re.compile(r"^\s*compiled batch sha256 ([0-9a-f]+)\s*$", re.MULTILINE)
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under ``checkout``'s ``src``, as ``wc -l``
+    counts them."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src").rglob("*.py"))
 
 
 def parse_run(stdout: str) -> dict:
@@ -188,6 +197,8 @@ def main() -> int:
     record["digests_match"] = {
         workload: digests_match(runs["pr"][workload], runs["parent"][workload])
         for workload in args.workloads}
+    lines = {name: src_lines(checkout) for name, checkout in sides}
+    record["src_lines"] = {**lines, "change": lines["pr"] - lines["parent"]}
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")

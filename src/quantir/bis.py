@@ -473,19 +473,15 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
     register widths its rows are checked; its columns are slices of the
     batch's.  ``stop`` is the fault at which sizing stopped short of the
     batch's records, if it did: the last row may then be cut short by the
-    end of ``arr``.  None for offsets that cannot be trusted: one lies
-    outside ``arr`` or names no opcode, the last record runs past ``arr``,
-    or a walk by the fixed shape took them and a multi-octet index made
-    them wrong.
+    end of ``arr``.  Every offset names an opcode inside ``arr``, and
+    without ``stop`` every record ends inside it, as both record walkers
+    leave them.  None only when a walk by the fixed shape took the offsets
+    and a multi-octet index made them wrong.
     """
     counts = [n for n, _, _ in blocks]
     m = sum(counts)
     end = len(arr)
     offs = np.fromiter(offs_list, dtype=np.int64, count=m)
-    # offsets ascend, so the first and last bound them all; a stale
-    # negative offset would read from the end of the buffer
-    if m and (offs[0] < 0 or offs[-1] >= end):
-        return None
     code = arr[offs]
     cls = code >> 5
     rows = np.array([0] + counts).cumsum()
@@ -526,8 +522,6 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
     # as could start before end, and one more.  While the fixed shape
     # holds, they are where it puts them
     bar = code == _BARRIER
-    if ((step == 0) & ~bar).any():
-        return None
     head = offs + 1
     size = np.full(m, w)
     two = (cls == 3) | (cls == 4)
@@ -553,8 +547,6 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
             at = np.where(k > 0, term[j] + 1, at)
         v, size, bad = _read_fields(arr, at, var)
         stops = (at + size)[first + n - 1] + ang
-        if stop is None and stops[-1] > end:
-            return None
     cbit = (k == 1) & (cls[row] == 4)
     lim = np.array(blocks)[:, 1:].repeat(counts, axis=0)[row, cbit * 1]
     apos = _angle_bytes(stops - ang, cls)
@@ -635,20 +627,15 @@ def _decode_circuit(data, arr, o: int, end: int, compress: bool,
     return Circuit._from_columns(nq, nc, cols[0]) if cols else None, at
 
 
-def _decode_batch(data, arr, stops, offs, blocks, compress: bool,
+def _decode_batch(arr, offs, blocks, compress: bool,
                   shared: dict) -> list[Circuit]:
-    """Decode the circuits that ``data`` starts with, the k-th ending at
-    ``stops[k]``.
+    """Decode the circuits that ``arr`` starts with.
 
     ``offs`` starts with the exact offset of every record of the batch, as
     the stream decoder's scan records them, and ``blocks`` holds one
-    ``(records, nq, nc)`` per circuit; one gather serves them all.  Offsets
-    it cannot trust are taken again by a fresh scan.
+    ``(records, nq, nc)`` per circuit; one gather serves them all.
     """
     cols = _gather(arr, offs, blocks, _LAYOUTS[compress], shared)
-    if cols is None:
-        dec = StreamDecoder._resume(compress, len(stops), 0, shared)
-        return dec.feed(memoryview(data)[:stops[-1]])
     return [Circuit._from_columns(nq, nc, c)
             for (_, nq, nc), c in zip(blocks, cols)]
 
@@ -896,12 +883,11 @@ class StreamDecoder:
             fault = e
         out: list[Circuit] = []
         if ends or fault is not None:
-            chunk = bytes(self._buf)
-            arr = np.frombuffer(chunk, dtype=np.uint8)
+            arr = np.frombuffer(bytes(self._buf), dtype=np.uint8)
             o = ends[-1] if ends else 0
             try:
                 if ends:
-                    out = _decode_batch(chunk, arr, ends, self._offs, blocks,
+                    out = _decode_batch(arr, self._offs, blocks,
                                         self._compress, self._shared)
                 if fault is not None:  # an earlier fault, else the scan's
                     self._fail(arr, self._offs[sum(m for m, _, _ in blocks):],

@@ -25,11 +25,12 @@ it whose body is not yet built.  Other columns, packed from a caller's own
 instructions or written by the generator, get a table per body.
 Rotation, U3 and BARRIER rows are built per row.  Bodies from the QASM
 reader (one object per repeated statement text), from basis lowering (one
-object per lowered value, except values that hold a zero angle) and from
-the route builder (one object per repeated input object) may also hold one
-instruction at many positions.  Lowering builds each sequence on its
-input's operand tuple; the route builder gives every instruction on one
-physical qubit, or one ordered pair, the same tuple.
+object per value it lowers or keeps, except values that hold a zero angle,
+all made in one place) and from the route builder (one object per repeated
+input object) may also hold one instruction at many positions.  Lowering
+builds each sequence on its input's operand tuple; the route builder gives
+every instruction on one physical qubit, or one ordered pair, the same
+tuple.
 """
 from __future__ import annotations
 
@@ -616,12 +617,4 @@ def layered_depth(num_qubits: int, operands) -> int:
 
 def gate_counts(c: Circuit) -> Counter:
     """Flat instruction counts by kind (daggered X1 counts as X1)."""
-    flat = flatten(c)
-    if flat._items is None:
-        codes = flat._cols.code
-        vals, counts = np.unique(codes, return_counts=True)
-        out: Counter = Counter()
-        for v, n in zip(vals.tolist(), counts.tolist()):
-            out[KIND_BY_OPCODE[v]] += int(n)
-        return out
-    return Counter(ins.kind for ins in flat.body)
+    return Counter(ins.kind for ins in flatten(c).body)

@@ -6,12 +6,10 @@ the classical wire for measurements.  Body order is a topological order.
 ``pairs[i]`` holds the two logical operands of a two-qubit gate node and is
 None for every other node, so the router never re-derives gate classes.
 
-The build keeps what the router reads: ``succs``, ``pairs`` and one
-in-degree per node, which ``pred_counts`` and ``front_layer`` read.  A node
-on one qubit wire with no classical bit has at most one edge in, so it takes
-a short branch with no duplicate-edge check.  The predecessor lists, which
-only metrics read, are derived on first read of ``preds`` by the same wire
-walk, so they hold the same nodes in the same order as an eager build would.
+The build keeps only what the router reads: ``succs``, ``pairs`` and one
+in-degree per node, which ``pred_counts`` and ``front_layer`` read; it keeps
+no predecessor lists.  A node on one qubit wire with no classical bit has at
+most one edge in, so it takes a short branch with no duplicate-edge check.
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ __all__ = ["CircuitDag"]
 class CircuitDag:
     """Dependency structure of a flat circuit."""
 
-    __slots__ = ("circuit", "body", "succs", "pairs", "_indeg", "_preds")
+    __slots__ = ("circuit", "body", "succs", "pairs", "_indeg")
 
     def __init__(self, circuit: Circuit):
         flat = flatten(circuit)
@@ -68,38 +66,9 @@ class CircuitDag:
         self.succs = succs
         self.pairs = pairs
         self._indeg = indeg
-        self._preds = None
 
     def __len__(self) -> int:
         return len(self.body)
-
-    @property
-    def preds(self) -> list[list[int]]:
-        """Per node, its predecessors in the order its wires meet them."""
-        preds = self._preds
-        if preds is None:
-            flat = self.circuit
-            preds = self._preds = [[] for _ in self.body]
-            # node -> the last node that took it as a predecessor: an edge
-            # along two wires is listed once, as ``succs`` holds it once
-            seen = [-1] * len(preds)
-            last_q = [-1] * flat.num_qubits
-            last_c = [-1] * flat.num_cbits
-            for i, ins in enumerate(self.body):
-                ps = preds[i]
-                for q in ins.qubits:
-                    p = last_q[q]
-                    if p >= 0 and seen[p] != i:
-                        seen[p] = i
-                        ps.append(p)
-                    last_q[q] = i
-                cb = ins.cbit
-                if cb is not None:
-                    p = last_c[cb]
-                    if p >= 0 and seen[p] != i:
-                        ps.append(p)
-                    last_c[cb] = i
-        return preds
 
     def pred_counts(self) -> list[int]:
         """Mutable copy of per-node predecessor counts."""

@@ -6,7 +6,8 @@ wire layering, ``circuit.depth``), and e two-qubit gates:
 
 * ``communication``  — interaction-graph density: sum of qubit degrees over
   N(N-1), where qubits are adjacent iff some two-qubit gate couples them.
-* ``critical_depth`` — two-qubit gates on a longest dependency path, over e.
+* ``critical_depth`` — two-qubit gates on a longest dependency path, over e;
+  one wire walk finds the path, as it finds d.
 * ``entanglement_ratio`` — e / G.
 * ``parallelism``    — (G/d - 1) / (N - 1): how densely layers are filled.
 * ``liveness``       — active (qubit, layer) cells over N * d.
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .circuit import Circuit, depth, flatten
-from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 
 __all__ = ["MetricsVector", "circuit_metrics"]
@@ -54,28 +54,21 @@ def _critical_two_q(c: Circuit, e: int) -> float:
     """Two-qubit gates on a longest path of the dependency DAG, over ``e``.
 
     Among equally long paths the one with the most two-qubit gates counts.
+    ``c`` holds no MEASURE or BARRIER, so a gate depends only on the last
+    gate on each of its wires, and one walk finds the path: each wire keeps
+    ``(length, two-qubit gates)`` of the best path that ends at its last
+    gate.  Every path ends at some wire's last gate.
     """
     if e == 0:
         return 0.0
-    dag = CircuitDag(c)
-    body = dag.body
-    best_len = 0
-    best_two = 0
-    length = [0] * len(body)
-    twoq = [0] * len(body)
-    for i, ins in enumerate(body):
-        l = 0
-        t = 0
-        for p in dag.preds[i]:
-            if length[p] > l or (length[p] == l and twoq[p] > t):
-                l, t = length[p], twoq[p]
-        if ins.kind.opclass == CLS_2Q:
-            t += 1
-        l += 1
-        length[i], twoq[i] = l, t
-        if l > best_len or (l == best_len and t > best_two):
-            best_len, best_two = l, t
-    return best_two / e
+    best = [(0, 0)] * c.num_qubits
+    for ins in c.body:
+        qs = ins.qubits
+        l, t = max([best[q] for q in qs])
+        top = (l + 1, t + (ins.kind.opclass == CLS_2Q))
+        for q in qs:
+            best[q] = top
+    return max(best)[1] / e
 
 
 def circuit_metrics(c: Circuit) -> MetricsVector:

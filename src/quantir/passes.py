@@ -20,13 +20,14 @@ check cannot settle a site within its scan.
 
 ``_lower`` runs basis lowering.  Each of the two native sets has one rule
 table, keyed by gate kind; a rule maps one instruction to its sequence in
-that set.  The rules both tables share (RZ kept, I dropped, Z, S, S†, T and
-T† as one RZ) are written once.  Each instruction of the given kinds becomes
-its rule's sequence, and every other passes through.  ``decompose_to_basis``
-lowers every gate, ``expand_swaps`` only SWAPs.  Within one lowering, a rule
-runs once per distinct input object, and equal lowered instructions are one
-object (those that hold a zero angle aside), so the route builder after it
-maps each value once.
+that set, as plain ``(kind, qubits, params)`` triples.  The rules both
+tables share (RZ kept, I dropped, Z, S, S†, T and T† as one RZ) are written
+once.  Each instruction of the given kinds becomes its rule's sequence, and
+every other passes through.  ``decompose_to_basis`` lowers every gate,
+``expand_swaps`` only SWAPs.  Within one lowering, a rule runs once per
+distinct input object, and ``_lower`` alone makes the instructions: one
+object per lowered value (those that hold a zero angle aside), so the route
+builder after it maps each value once.
 
 * ``rz-x1-cz``: RZ rotations, the X1 (sqrt-X) pulse, and CZ.
 * ``rz-rx-cnot``: RZ/RX rotations and CNOT.
@@ -254,55 +255,26 @@ def cancel_adjacent_inverses(c: Circuit) -> Circuit:
 
 # -- basis lowering -------------------------------------------------------------
 
-# Each rule takes its input instruction and ``made``, the table of its
-# ``_lower`` call (None: no table), and builds its sequence on the input's
-# operand tuple, so a lowered sequence makes no new one-qubit tuple.  The
-# two-qubit rules make one ``(t,)`` for the target side of each CNOT.
+# Each rule maps its input instruction to its sequence as plain ``(kind,
+# qubits, params)`` triples, and ``_lower`` makes the instructions.  A rule
+# builds its sequence on the input's operand tuple, so a lowered sequence
+# makes no new one-qubit tuple.  The two-qubit rules make one ``(t,)`` for
+# the target side of each CNOT.
 
-def _instruction(made: dict | None, kind, qs, params=()):
-    """``kind`` on ``qs`` with ``params``: one object per value in ``made``.
-
-    ``made`` maps ``(opcode, qubits, params, dagger)`` to the instruction of
-    that value.  An instruction that holds a zero angle is built anew each
-    time and never keyed: 0.0 == -0.0, so one key would give both signs one
-    object, and the output is bit-exact.
-    """
-    if made is None or 0.0 in params:
-        return _new(Instruction, (kind, qs, params, None, False))
-    key = (kind._value_, qs, params, False)
-    ins = made.get(key)
-    if ins is None:
-        ins = made[key] = _new(Instruction, (kind, qs, params, None, False))
-    return ins
+_QUARTER, _HALF, _BACK_QUARTER = (_PI / 2,), (_PI,), (-_PI / 2,)
 
 
-def _rz(m, qs, a):
-    return _instruction(m, _RZ, qs, (a,))
+def _h_as_x1(qs):
+    return [(_RZ, qs, _QUARTER), (_X1, qs, ()), (_RZ, qs, _QUARTER)]
 
 
-def _rx(m, qs, a):
-    return _instruction(m, _RX, qs, (a,))
+def _h_as_rx(qs):
+    return [(_RZ, qs, _QUARTER), (_RX, qs, _QUARTER), (_RZ, qs, _QUARTER)]
 
 
-def _x1(m, qs):
-    return _instruction(m, _X1, qs)
-
-
-def _cnot(m, qs):
-    return _instruction(m, _CNOT, qs)
-
-
-def _h_as_x1(m, qs):
-    return [_rz(m, qs, _PI / 2), _x1(m, qs), _rz(m, qs, _PI / 2)]
-
-
-def _h_as_rx(m, qs):
-    return [_rz(m, qs, _PI / 2), _rx(m, qs, _PI / 2), _rz(m, qs, _PI / 2)]
-
-
-def _cnot_as_cz(m, qs):
+def _cnot_as_cz(qs):
     t = (qs[1],)
-    return [*_h_as_x1(m, t), _instruction(m, _CZ, qs), *_h_as_x1(m, t)]
+    return [*_h_as_x1(t), (_CZ, qs, ()), *_h_as_x1(t)]
 
 
 def _swap_as_pairs(qs):
@@ -310,42 +282,39 @@ def _swap_as_pairs(qs):
     return qs, (qs[1], qs[0]), qs
 
 
-def _keep(ins, m=None):
-    """``[ins]``, or the equal instruction ``m`` already holds."""
-    params = ins.params
-    if m is None or 0.0 in params:
-        return [ins]
-    return [m.setdefault((ins.kind._value_, ins.qubits, params, ins.dagger), ins)]
+def _keep(ins):
+    return [(ins.kind, ins.qubits, ins.params)]
 
 
 def _one_q(build):
-    """The rule for a one-qubit kind whose sequence is ``build(m, qs, *params)``."""
-    return lambda ins, m=None: build(m, ins.qubits, *ins.params)
+    """The rule for a one-qubit kind whose sequence is ``build(qs, *params)``."""
+    return lambda ins: build(ins.qubits, *ins.params)
 
 
 def _phase(a):
-    return _one_q(lambda m, qs: [_rz(m, qs, a)])
+    a = (a,)
+    return _one_q(lambda qs: [(_RZ, qs, a)])
 
 
-def _x1_as_pulses(ins, m=None):
+def _x1_as_pulses(ins):
     if not ins.dagger:
-        return _keep(ins, m)
+        return _keep(ins)
     qs = ins.qubits
-    return [_rz(m, qs, _PI), _x1(m, qs), _rz(m, qs, _PI)]
+    return [(_RZ, qs, _HALF), (_X1, qs, ()), (_RZ, qs, _HALF)]
 
 
-def _x1_as_rx(ins, m=None):
-    return [_rx(m, ins.qubits, -_PI / 2 if ins.dagger else _PI / 2)]
+def _x1_as_rx(ins):
+    return [(_RX, ins.qubits, _BACK_QUARTER if ins.dagger else _QUARTER)]
 
 
-def _cz_as_cnot(ins, m=None):
+def _cz_as_cnot(ins):
     qs = ins.qubits
     t = (qs[1],)
-    return [*_h_as_rx(m, t), _cnot(m, qs), *_h_as_rx(m, t)]
+    return [*_h_as_rx(t), (_CNOT, qs, ()), *_h_as_rx(t)]
 
 
 _SHARED_RULES = {
-    _RZ: _keep, _I: lambda ins, m=None: [],
+    _RZ: _keep, _I: lambda ins: [],
     _Z: _phase(_PI), _S: _phase(_PI / 2), _SDG: _phase(-_PI / 2),
     _T: _phase(_PI / 4), _TDG: _phase(-_PI / 4),
 }
@@ -362,36 +331,35 @@ _RULES = {
         **_SHARED_RULES,
         _X1: _x1_as_pulses,
         _H: _one_q(_h_as_x1),
-        _X: _one_q(lambda m, qs: [_x1(m, qs), _x1(m, qs)]),
-        _Y: _one_q(lambda m, qs: [_x1(m, qs), _x1(m, qs), _rz(m, qs, _PI)]),
-        _RX: _one_q(lambda m, qs, t: [
-            _rz(m, qs, _PI / 2), _x1(m, qs), _rz(m, qs, t + _PI), _x1(m, qs),
-            _rz(m, qs, _PI / 2)]),
-        _RY: _one_q(lambda m, qs, t: [
-            _x1(m, qs), _rz(m, qs, t + _PI), _x1(m, qs), _rz(m, qs, _PI)]),
-        _U3: _one_q(lambda m, qs, t, p, l: [
-            _rz(m, qs, l), _x1(m, qs), _rz(m, qs, t + _PI), _x1(m, qs),
-            _rz(m, qs, p + _PI)]),
+        _X: _one_q(lambda qs: [(_X1, qs, ()), (_X1, qs, ())]),
+        _Y: _one_q(lambda qs: [(_X1, qs, ()), (_X1, qs, ()), (_RZ, qs, _HALF)]),
+        _RX: _one_q(lambda qs, t: [
+            (_RZ, qs, _QUARTER), (_X1, qs, ()), (_RZ, qs, (t + _PI,)),
+            (_X1, qs, ()), (_RZ, qs, _QUARTER)]),
+        _RY: _one_q(lambda qs, t: [
+            (_X1, qs, ()), (_RZ, qs, (t + _PI,)), (_X1, qs, ()), (_RZ, qs, _HALF)]),
+        _U3: _one_q(lambda qs, t, p, l: [
+            (_RZ, qs, (l,)), (_X1, qs, ()), (_RZ, qs, (t + _PI,)), (_X1, qs, ()),
+            (_RZ, qs, (p + _PI,))]),
         _CZ: _keep,
-        _CNOT: lambda ins, m=None: _cnot_as_cz(m, ins.qubits),
-        _SWAP: lambda ins, m=None: [g for qs in _swap_as_pairs(ins.qubits)
-                                    for g in _cnot_as_cz(m, qs)],
+        _CNOT: lambda ins: _cnot_as_cz(ins.qubits),
+        _SWAP: lambda ins: [g for qs in _swap_as_pairs(ins.qubits)
+                            for g in _cnot_as_cz(qs)],
     }),
     "rz-rx-cnot": _by_opcode({
         **_SHARED_RULES,
         _RX: _keep, _CNOT: _keep,
         _X1: _x1_as_rx,
         _H: _one_q(_h_as_rx),
-        _X: _one_q(lambda m, qs: [_rx(m, qs, _PI)]),
-        _Y: _one_q(lambda m, qs: [_rz(m, qs, -_PI / 2), _rx(m, qs, _PI),
-                                  _rz(m, qs, _PI / 2)]),
-        _RY: _one_q(lambda m, qs, t: [_rz(m, qs, -_PI / 2), _rx(m, qs, t),
-                                      _rz(m, qs, _PI / 2)]),
-        _U3: _one_q(lambda m, qs, t, p, l: [_rz(m, qs, l - _PI / 2), _rx(m, qs, t),
-                                            _rz(m, qs, p + _PI / 2)]),
+        _X: _one_q(lambda qs: [(_RX, qs, _HALF)]),
+        _Y: _one_q(lambda qs: [(_RZ, qs, _BACK_QUARTER), (_RX, qs, _HALF),
+                               (_RZ, qs, _QUARTER)]),
+        _RY: _one_q(lambda qs, t: [(_RZ, qs, _BACK_QUARTER), (_RX, qs, (t,)),
+                                   (_RZ, qs, _QUARTER)]),
+        _U3: _one_q(lambda qs, t, p, l: [(_RZ, qs, (l - _PI / 2,)), (_RX, qs, (t,)),
+                                         (_RZ, qs, (p + _PI / 2,))]),
         _CZ: _cz_as_cnot,
-        _SWAP: lambda ins, m=None: [_cnot(m, qs)
-                                    for qs in _swap_as_pairs(ins.qubits)],
+        _SWAP: lambda ins: [(_CNOT, qs, ()) for qs in _swap_as_pairs(ins.qubits)],
     }),
 }
 
@@ -400,19 +368,19 @@ def _lower(c: Circuit, basis: str, kinds) -> Circuit:
     """Rewrite each instruction of ``kinds`` into ``basis``; keep the rest.
 
     A rule runs once per distinct instruction object: ``lowered`` maps
-    ``id(ins)`` to the sequence its rule built, and every later position of
-    the same object (bodies from the QASM reader or the route builder hold
-    one object at many positions) reuses that sequence's instructions.  An
-    id is unique only while its object lives; ``flat.body`` holds every
-    keyed object until this call returns, and the table dies with the call,
-    so no id is reused inside it.
+    ``id(ins)`` to the instructions made from its rule's triples, and every
+    later position of the same object (bodies from the QASM reader or the
+    route builder hold one object at many positions) reuses them.  An id is
+    unique only while its object lives; ``flat.body`` holds every keyed
+    object until this call returns, and the table dies with the call, so no
+    id is reused inside it.
 
     Equal lowered instructions are one object too, whichever inputs they
-    come from: the rules make them through ``made``, which maps
-    ``(opcode, qubits, params, dagger)`` to the one instruction of that
-    value, built the first time a rule asks for it.  An instruction that
-    holds a zero angle is never keyed: 0.0 == -0.0 and both hash alike,
-    and the output is bit-exact, so each is built where its rule asks.
+    come from: ``made`` maps ``(opcode, qubits, params)`` to the one
+    instruction of that value, the first one made.  A kept input is made
+    anew like any other row.  An instruction that holds a zero angle is
+    never keyed: 0.0 == -0.0 and both hash alike, and the output is
+    bit-exact, so each is made where its rule puts it.
     """
     if basis not in BASES:
         raise PassError(f"unknown basis {basis!r}; choose from {BASES}")
@@ -427,13 +395,22 @@ def _lower(c: Circuit, basis: str, kinds) -> Circuit:
     keep = items.append
     for ins in flat.body:
         code = ins.kind._value_
-        if code in codes:
-            seq = lowered.get(id(ins))
-            if seq is None:
-                seq = lowered[id(ins)] = rules[code](ins, made)
-            items += seq
-        else:
+        if code not in codes:
             keep(ins)
+            continue
+        seq = lowered.get(id(ins))
+        if seq is None:
+            seq = lowered[id(ins)] = []
+            for kind, qs, params in rules[code](ins):
+                # a zero angle is never keyed, and None finds nothing
+                key = None if 0.0 in params else (kind._value_, qs, params)
+                new = made.get(key)
+                if new is None:
+                    new = _new(Instruction, (kind, qs, params, None, False))
+                    if key:
+                        made[key] = new
+                seq.append(new)
+        items += seq
     return Circuit._from_items(flat.num_qubits, flat.num_cbits, items, flat.name)
 
 

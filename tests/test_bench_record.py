@@ -1,5 +1,5 @@
-"""scripts/bench_record.py: the median change per metric, the claim rule and
-the digests."""
+"""scripts/bench_record.py: the median change per metric, the claim rule,
+the digests and the source line count."""
 import importlib.util
 import statistics
 from pathlib import Path
@@ -92,3 +92,14 @@ def test_claim_rule(pr, metric, wins, nine_tenths, gap_exceeds):
     assert got["holds"] is (nine_tenths and gap_exceeds)
     q1, _, q3 = statistics.quantiles(_PARENT, n=4)
     assert got["parent_spread"] == pytest.approx(q3 - q1)
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "sub" / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not code\n" * 5)
+    (tmp_path / "top.py").write_text("outside src\n")
+    assert bench_record.src_lines(tmp_path) == 4

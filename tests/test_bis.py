@@ -697,73 +697,6 @@ class TestOneWalk:
             _outcome_text(lambda: decode(blob))
 
 
-class TestStaleOffsets:
-    """The gather fails closed on record offsets outside its buffer."""
-
-    def test_offset_before_the_buffer(self):
-        data = encode(Circuit(2).h(0))
-        arr = np.frombuffer(data, dtype=np.uint8)
-        assert len(data) == 17
-        assert bis._gather(arr, [-5], [(1, 2, 0)], bis._LAYOUTS[0], {}) is None
-
-    def test_offsets_inside_the_buffer_whose_records_run_past_it(self):
-        c = Circuit(2).h(0).x(1).h(1)
-        data = _payload(c, True)
-        arr = np.frombuffer(data, dtype=np.uint8)
-        layout = bis._LAYOUTS[True]
-        offs = []
-        assert bis._walk_offsets(data, 3, len(data), len(c), layout.step,
-                                 offs) == len(data)
-        assert bis._gather(arr, offs, [(3, 2, 2)], layout, {}) is not None
-        # every stale offset lies inside the buffer, and the last record
-        # they name would end one byte past it
-        stale = [o + 1 for o in offs]
-        assert stale[-1] < len(data)
-        assert bis._gather(arr, stale, [(3, 2, 2)], layout, {}) is None
-
-    def test_offset_on_a_byte_that_is_no_opcode(self):
-        c = Circuit(12).h(11).h(0)
-        data = _payload(c, True)
-        arr = np.frombuffer(data, dtype=np.uint8)
-        layout = bis._LAYOUTS[True]
-        offs = []
-        assert bis._walk_offsets(data, 3, len(data), len(c), layout.step,
-                                 offs) == len(data)
-        # one past the first opcode is qubit 11, 0x0B, which names no gate;
-        # the byte after it, read as its qubit, is a valid index
-        stale = [offs[0] + 1, offs[1]]
-        assert data[stale[0]] == 0x0B and 0x0B not in KIND_BY_OPCODE
-        assert data[stale[0] + 1] < c.num_qubits
-        assert bis._gather(arr, stale, [(2, 12, 12)], layout, {}) is None
-
-    @pytest.mark.parametrize("shift", ["first_negative", "all_negative",
-                                       "last_past_end", "all_past_end"])
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_shifted_offsets(self, compress, shift):
-        cs = [Circuit(2).h(0), _fixed(3), Circuit(2).h(0).x(1)]
-        payloads = [_payload(c, compress) for c in cs]
-        data = b"".join(payloads)
-        arr = np.frombuffer(data, dtype=np.uint8)
-        layout = bis._LAYOUTS[compress]
-        offs, stops, blocks = [], [], []
-        for c, p in zip(cs, payloads):
-            start = stops[-1] if stops else 0
-            stops.append(start + len(p))
-            blocks.append((len(c), c.num_qubits, c.num_cbits))
-            # after the three one-octet header varints
-            assert bis._walk_offsets(data, start + 3, stops[-1], len(c),
-                                     layout.step, offs) == stops[-1]
-        assert bis._gather(arr, offs, blocks, layout, {}) is not None
-        by = {"first_negative": -offs[0] - 1, "all_negative": -len(data),
-              "last_past_end": len(data) - offs[-1], "all_past_end": len(data)}
-        stale = [o + by[shift] for o in offs]
-        assert bis._gather(arr, stale, blocks, layout, {}) is None
-        want = _outcome(lambda: decode(_stream_of(payloads, compress)))
-        assert want == cs
-        assert _outcome(lambda: bis._decode_batch(
-            data, arr, stops, stale, blocks, compress, {})) == want
-
-
 def _reference(c: Circuit, compress: bool) -> bytes:
     """One circuit's bytes as a stream holds them, written record by record
     from its flat body as docs/bis-format.md lays them out."""

@@ -1,23 +1,26 @@
-"""Wire-dependency DAG construction."""
+"""Wire-dependency DAG construction, and the critical-path metric checked
+against the longest path through the DAG's predecessor lists."""
 from hypothesis import given, settings, strategies as st
 
+from quantir import metrics
 from quantir.circuit import Circuit, flatten
 from quantir.dag import CircuitDag
-from quantir.gates import GateKind
+from quantir.gates import CLS_2Q, GateKind
 
 
 def test_ghz_chain():
     c = Circuit(3).h(0).cnot(0, 1).cnot(1, 2)
     d = CircuitDag(c)
     assert len(d) == 3
-    assert d.preds == [[], [0], [1]]
     assert d.succs == [[1], [2], []]
+    assert d.pred_counts() == [0, 1, 1]
 
 
 def test_parallel_gates_have_no_edges():
     c = Circuit(3).h(0).x(1).z(2)
     d = CircuitDag(c)
-    assert d.preds == [[], [], []]
+    assert d.succs == [[], [], []]
+    assert d.pred_counts() == [0, 0, 0]
     assert d.front_layer() == [0, 1, 2]
 
 
@@ -25,23 +28,24 @@ def test_two_qubit_edge_deduplicated():
     c = Circuit(2).cnot(0, 1).cnot(0, 1)
     d = CircuitDag(c)
     # both wires connect the same pair; the edge is stored once
-    assert d.preds == [[], [0]]
     assert d.succs == [[1], []]
+    assert d.pred_counts() == [0, 1]
 
 
 def test_cbit_wire_orders_measurements():
     c = Circuit(2, 1).measure(0, 0).measure(1, 0)
     d = CircuitDag(c)
     # distinct qubits, shared classical bit: still ordered
-    assert d.preds == [[], [0]]
+    assert d.succs == [[1], []]
+    assert d.pred_counts() == [0, 1]
 
 
 def test_barrier_fences_its_qubits_only():
     c = Circuit(3).h(0).barrier(0, 1).x(1).z(2)
     d = CircuitDag(c)
-    assert d.preds[1] == [0]   # barrier after h
-    assert d.preds[2] == [1]   # x after barrier
-    assert d.preds[3] == []    # z untouched by barrier
+    # barrier after h, x after barrier, z untouched by barrier
+    assert d.succs == [[1], [2], [], []]
+    assert d.pred_counts() == [0, 1, 1, 0]
 
 
 def test_front_layer_and_pred_counts():
@@ -65,7 +69,8 @@ def test_flattens_subcircuits():
     c = Circuit(2).h(0).sub(inner)
     d = CircuitDag(c)
     assert [ins.kind for ins in d.body] == [GateKind.H, GateKind.CNOT]
-    assert d.preds == [[], [0]]
+    assert d.succs == [[1], []]
+    assert d.pred_counts() == [0, 1]
 
 
 def test_reversed_circuit_keeps_gates():
@@ -86,7 +91,8 @@ def test_empty_circuit():
 
 def _eager(circuit):
     """``(preds, succs, pairs)`` as the builder made them when it kept every
-    predecessor list: the reference for the lean build and lazy ``preds``."""
+    predecessor list: the reference for the lean build and for the
+    critical-path metric."""
     flat = flatten(circuit)
     body = flat.body
     n = len(body)
@@ -159,5 +165,37 @@ def test_lean_build_matches_the_eager_builder(c):
     assert d.pairs == pairs
     assert d.pred_counts() == [len(p) for p in preds]
     assert d.front_layer() == [i for i, p in enumerate(preds) if not p]
-    assert d.preds == preds
-    assert d.preds is d.preds  # derived once
+
+
+def _ref_critical_two_q(stripped, e):
+    """Two-qubit gates on a longest path, over ``e``, by the loop over
+    every node's predecessor lists that the metric was first written as."""
+    if e == 0:
+        return 0.0
+    preds, _, _ = _eager(stripped)
+    body = stripped.body
+    best_len = best_two = 0
+    length = [0] * len(body)
+    twoq = [0] * len(body)
+    for i, ins in enumerate(body):
+        l = t = 0
+        for p in preds[i]:
+            if length[p] > l or (length[p] == l and twoq[p] > t):
+                l, t = length[p], twoq[p]
+        if ins.kind.opclass == CLS_2Q:
+            t += 1
+        l += 1
+        length[i], twoq[i] = l, t
+        if l > best_len or (l == best_len and t > best_two):
+            best_len, best_two = l, t
+    return best_two / e
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_dag_circuits())
+def test_critical_path_walk_matches_the_longest_dag_path(c):
+    stripped = metrics._strip(c)
+    e = sum(ins.kind.opclass == CLS_2Q for ins in stripped.body)
+    want = _ref_critical_two_q(stripped, e)
+    assert metrics._critical_two_q(stripped, e) == want
+    assert metrics.circuit_metrics(c).critical_depth == want

@@ -428,7 +428,8 @@ def test_expand_swaps_in_cnot_basis_is_three_cnots():
 # Test-local copies of each pass's loop as first written: one fixpoint loop
 # for merging, one for cancellation, and one lowering loop each for
 # ``decompose_to_basis`` and ``expand_swaps``.  The per-gate lowering rules
-# are the library's own.
+# are the library's own, and each triple they return is built through the
+# validating ``Instruction``.
 
 from quantir.passes import _RULES  # noqa: E402
 
@@ -523,13 +524,18 @@ def _ref_cancel(c):
     return _ref_rebuild(flat, body)
 
 
+def _ref_lower(basis, ins):
+    return [Instruction(kind, qubits, params)
+            for kind, qubits, params in _RULES[basis][ins.kind.value](ins)]
+
+
 def _ref_decompose(c, basis):
     flat = flatten(c)
     if basis == "none":
         return flat
     body = []
     for ins in flat.body:
-        body.extend([ins] if ins.kind.opclass >= 4 else _RULES[basis][ins.kind.value](ins))
+        body.extend([ins] if ins.kind.opclass >= 4 else _ref_lower(basis, ins))
     return _ref_rebuild(flat, body)
 
 
@@ -539,7 +545,7 @@ def _ref_expand_swaps(c, basis):
         return flat
     body = []
     for ins in flat.body:
-        body.extend(_RULES[basis][ins.kind.value](ins) if ins.kind is GateKind.SWAP else [ins])
+        body.extend(_ref_lower(basis, ins) if ins.kind is GateKind.SWAP else [ins])
     return _ref_rebuild(flat, body)
 
 
