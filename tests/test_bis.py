@@ -697,6 +697,75 @@ class TestOneWalk:
             _outcome_text(lambda: decode(blob))
 
 
+# compressed circuits with one index of 128 or more, a multi-octet varint,
+# at each place in a record and in the body
+_WIDE_INDEX = {
+    "first_record": lambda: Circuit(200).h(150),
+    "middle_record": lambda: Circuit(200).h(3).h(150).h(4),
+    "last_record": lambda: Circuit(200).h(3).x(4).h(150),
+    "rotation": lambda: Circuit(200).h(2).rz(130, 0.5),
+    "two_qubit_control": lambda: Circuit(200).cnot(131, 2).h(1),
+    "two_qubit_target": lambda: Circuit(200).cz(2, 199).x(0),
+    "measured_qubit": lambda: Circuit(200, 1).h(0).measure(128, 0),
+    "measured_cbit": lambda: Circuit(2, 200).h(0).measure(1, 150),
+}
+
+
+def _exact_offsets(cs, compress: bool) -> list:
+    """Where every record of ``cs``, written one after another as a stream
+    holds them, starts: each record is as long as it makes its circuit's
+    bytes grow."""
+    offs, at = [], 0
+    for c in cs:
+        empty = len(_payload(Circuit(c.num_qubits, c.num_cbits), compress))
+        at += empty  # the header; a count below 128 takes one octet
+        for ins in flatten(c).body:
+            offs.append(at)
+            at += len(_payload(Circuit._from_items(
+                c.num_qubits, c.num_cbits, [ins]), compress)) - empty
+    return offs
+
+
+class TestGatherOffsets:
+    """The gather returns None only where a walk by the fixed shape took its
+    offsets and a multi-octet index made them wrong; exact offsets always
+    gather."""
+
+    @pytest.mark.parametrize("case", list(_WIDE_INDEX))
+    def test_fixed_shape_walk_over_a_multi_octet_index(self, case):
+        c = _WIDE_INDEX[case]()
+        data = _payload(c, True)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        layout = bis._LAYOUTS[True]
+        o, fields = 0, []
+        for _ in range(3):
+            v, o = bis._read_varint(data, o, len(data))
+            fields.append(v)
+        nq, nc, m = fields
+        offs = []
+        at = bis._walk_offsets(data, o, len(data), m, layout.step, offs)
+        # the walk sized every record, short of the end by the extra octet
+        assert len(offs) == m == len(c) and at == len(data) - 1
+        assert bis._gather(arr[:at], offs, [(m, nq, nc)], layout, {}) is None
+        assert bis._decode_circuit(data, arr, 0, len(data), True, {})[0] is None
+        assert decode(_stream_of([data], True)) == [c]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_batch_at_exact_offsets(self, compress):
+        cs = [b() for b in _WIDE_INDEX.values()] + [
+            _fixed(3), Circuit(4, 1).h(1).barrier(0, 2, 3).x(2).measure(3, 0),
+            Circuit(200).barrier(*range(0, 200, 9)).cnot(199, 0), Circuit(1)]
+        data = b"".join(_payload(c, compress) for c in cs)
+        arr = np.frombuffer(data, dtype=np.uint8)
+        offs = _exact_offsets(cs, compress)
+        blocks = [(len(c), c.num_qubits, c.num_cbits) for c in cs]
+        assert bis._gather(arr, offs, blocks, bis._LAYOUTS[compress], {}) \
+            is not None
+        assert bis._decode_batch(arr, offs, blocks, compress, {}) == cs
+        assert decode(_stream_of([_payload(c, compress) for c in cs],
+                                 compress)) == cs
+
+
 def _reference(c: Circuit, compress: bool) -> bytes:
     """One circuit's bytes as a stream holds them, written record by record
     from its flat body as docs/bis-format.md lays them out."""

@@ -436,6 +436,18 @@ class TestGateCounts:
         c = Circuit(1).x1(0).x1(0, dagger=True)
         assert gate_counts(c) == {GateKind.X1: 2}
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_decoded_circuit_counts_as_its_source(self, compress):
+        inner = Circuit(3, 0).x1(0, dagger=True).cnot(0, 2)
+        c = (Circuit(3, 1).h(0).x1(1).rz(2, 0.5).sub(inner).barrier(0, 1)
+             .measure(2, 0))
+        (back,) = bis.decode(bis.encode(c, compress=compress))
+        want = {GateKind.H: 1, GateKind.X1: 2, GateKind.RZ: 1, GateKind.CNOT: 1,
+                GateKind.BARRIER: 1, GateKind.MEASURE: 1}
+        assert gate_counts(c) == want
+        assert gate_counts(back) == want
+        assert back.body == flatten(c).body
+
 
 class TestColumnarRoundTrip:
     @settings(max_examples=60, deadline=None)

@@ -72,6 +72,27 @@ def test_critical_depth_prefers_two_qubit_rich_path():
     assert circuit_metrics(c).critical_depth == 1.0
 
 
+def test_critical_depth_longer_path_outranks_two_qubit_gates():
+    # a four-gate one-qubit chain outranks a three-gate two-qubit chain
+    c = Circuit(3)
+    c.h(0).x(0).h(0).x(0)
+    c.cnot(1, 2).cnot(1, 2).cnot(1, 2)
+    assert circuit_metrics(c).critical_depth == 0.0
+
+
+def test_critical_depth_gate_takes_the_better_of_its_wires():
+    # the CZ joins a two-gate path with two CNOTs (wires 0-1) and a
+    # three-gate path of one-qubit gates (wire 2); the longer one counts,
+    # then the CZ and the CNOT after it on wire 2
+    c = Circuit(4)
+    c.cnot(0, 1).cnot(0, 1)
+    c.h(2).x(2).h(2)
+    c.cz(1, 2).cnot(2, 3)
+    e = 4
+    assert _critical_two_q(c, e) == 2 / e
+    assert circuit_metrics(c).critical_depth == 2 / e
+
+
 def test_vector_iter_and_dict():
     m = circuit_metrics(Circuit(2).cnot(0, 1))
     assert list(m) == [m.communication, m.critical_depth,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quantir import bis, passes
 from quantir.bench import random_circuit
 from quantir.circuit import Circuit, Instruction, flatten, gate_counts
-from quantir.gates import CLS_2Q, GateKind
+from quantir.gates import CLS_2Q, PARAM_COUNT, GateKind
 from quantir.passes import (BASES, PassError, cancel_adjacent_inverses,
                             decompose_to_basis, expand_swaps,
                             merge_adjacent_rotations)
@@ -319,6 +319,29 @@ def test_lowered_sequences_share_their_operand_tuples(basis):
         seq = decompose_to_basis(c, basis).body
         ones = {id(out.qubits) for out in seq if len(out.qubits) == 1}
         assert len(ones) <= 1
+
+
+@pytest.mark.parametrize("basis", ["rz-x1-cz", "rz-rx-cnot"])
+def test_every_rule_returns_valid_triples_that_lowering_makes(basis):
+    # each rule maps an instruction to (kind, qubits, params) triples of its
+    # basis, every one a valid Instruction on the input's operands; the
+    # lowered body holds those values, in that order
+    inputs = []
+    for kind in GateKind:
+        if kind.opclass < 4:
+            c = Circuit(2)
+            qs = (1, 0) if kind.opclass == CLS_2Q else (1,)
+            c.append_gate(kind, qs, (0.25, -1.5, 2.0)[:PARAM_COUNT[kind.opclass]])
+            inputs += c.body
+    inputs += Circuit(1).x1(0, dagger=True).body
+    for ins in inputs:
+        triples = list(passes._RULES[basis][ins.kind.value](ins))
+        made = [Instruction(kind, qs, params) for kind, qs, params in triples]
+        assert all(out.kind in ALLOWED[basis] for out in made), ins
+        assert all(set(qs) <= set(ins.qubits) for _, qs, _ in triples), ins
+        assert (ins.kind is GateKind.I) == (not triples)
+        lowered = decompose_to_basis(Circuit._from_items(2, 0, [ins]), basis)
+        assert lowered.body == made, ins
 
 
 def test_lowering_keeps_signed_zero_angles_apart():
