@@ -166,10 +166,10 @@ def parse(text: str) -> Circuit:
             word = m.group(1)
             count = _int(m.group(2), f"{word} size", lineno)
             if word == "QINIT":
+                # no body line is taken before QINIT, so a late one is a
+                # duplicate
                 if num_qubits is not None:
                     raise OriginIRError("duplicate QINIT", lineno)
-                if in_body:
-                    raise OriginIRError("QINIT must come first", lineno)
                 num_qubits = count
             else:
                 if num_qubits is None:

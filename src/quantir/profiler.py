@@ -1,8 +1,10 @@
 """Time profiling over the circuit containment graph.
 
-``profile`` walks the *unflattened* circuit: every distinct sub-circuit
-definition (by object identity) becomes a node, as does every gate kind that
-appears.  Given a device time table (gate name -> duration), it accounts:
+``profile`` walks the *unflattened* circuit once, children first, and counts
+each definition's direct gates and children as it visits them.  Every
+distinct sub-circuit definition (by object identity) becomes a node, as does
+every gate kind that appears.  Given a device time table (gate name ->
+duration), it accounts:
 
 * a definition's per-instance time = its direct gates' time plus its direct
   children's per-instance time scaled by multiplicity;
@@ -28,6 +30,7 @@ node labels and ``<N>x`` edge labels.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit, SubcircuitInstance
@@ -67,22 +70,28 @@ class ProfileReport:
     total_time: float
 
 
-def _collect_defs(root: Circuit) -> list[Circuit]:
-    """All reachable definitions, children before parents (postorder)."""
+def _collect_defs(root: Circuit):
+    """All reachable definitions, children before parents (postorder), and
+    each one's direct contents: gate counts by name and child counts by id,
+    both in the order the body first names them."""
     order: list[Circuit] = []
-    seen: set[int] = set()
+    gate_counts: dict[int, Counter] = {}
+    child_mults: dict[int, Counter] = {}
 
     def visit(c: Circuit):
-        if id(c) in seen:
-            return
-        seen.add(id(c))
+        gc = gate_counts[id(c)] = Counter()
+        cm = child_mults[id(c)] = Counter()
         for el in c.body:
             if isinstance(el, SubcircuitInstance):
-                visit(el.circuit)
+                if id(el.circuit) not in gate_counts:
+                    visit(el.circuit)
+                cm[id(el.circuit)] += 1
+            elif el.kind is not GateKind.BARRIER:
+                gc[el.kind.name] += 1
         order.append(c)
 
     visit(root)
-    return order
+    return order, gate_counts, child_mults
 
 
 def _name_defs(defs: list[Circuit]) -> dict[int, str]:
@@ -125,33 +134,23 @@ def _check_times(times) -> dict[str, float]:
 def profile(circuit: Circuit, times: dict[str, float]) -> ProfileReport:
     """Account device time over the containment graph of ``circuit``."""
     times = _check_times(times)
-    defs = _collect_defs(circuit)          # postorder: children first
+    defs, gate_counts, child_mults = _collect_defs(circuit)  # children first
     names = _name_defs(defs)
 
-    # direct contents per definition
-    gate_counts: dict[int, dict[str, int]] = {}
-    child_mults: dict[int, dict[int, int]] = {}
-    child_order: dict[int, list[int]] = {}
-    for c in defs:
-        gc: dict[str, int] = {}
-        cm: dict[int, int] = {}
-        co: list[int] = []
-        for el in c.body:
-            if isinstance(el, SubcircuitInstance):
-                cid = id(el.circuit)
-                if cid not in cm:
-                    cm[cid] = 0
-                    co.append(cid)
-                cm[cid] += 1
-            elif el.kind is not GateKind.BARRIER:
-                gc[el.kind.name] = gc.get(el.kind.name, 0) + 1
-        gate_counts[id(c)] = gc
-        child_mults[id(c)] = cm
-        child_order[id(c)] = co
+    # expansion counts, parents first (reverse postorder is topological);
+    # a definition's count is final when the loop reaches it
+    expansion: dict[int, int] = {id(c): 0 for c in defs}
+    expansion[id(circuit)] = 1
+    gate_calls: Counter = Counter()
+    for c in reversed(defs):
+        ex = expansion[id(c)]
+        for cid, m in child_mults[id(c)].items():
+            expansion[cid] += ex * m
+        for k, n in gate_counts[id(c)].items():
+            gate_calls[k] += ex * n
 
     # every present gate kind needs a duration
-    present = sorted({k for gc in gate_counts.values() for k in gc})
-    missing = [k for k in present if k not in times]
+    missing = [k for k in sorted(gate_calls) if k not in times]
     if missing:
         raise ProfilerError(
             "no duration for gate(s): " + ", ".join(missing))
@@ -163,14 +162,6 @@ def profile(circuit: Circuit, times: dict[str, float]) -> ProfileReport:
         kids = sum(m * per_instance[cid]
                    for cid, m in child_mults[id(c)].items())
         per_instance[id(c)] = own + kids
-
-    # expansion counts, parents first (reverse postorder is topological)
-    expansion: dict[int, int] = {id(c): 0 for c in defs}
-    expansion[id(circuit)] = 1
-    for c in reversed(defs):
-        ex = expansion[id(c)]
-        for cid, m in child_mults[id(c)].items():
-            expansion[cid] += ex * m
 
     total = per_instance[id(circuit)]
 
@@ -184,23 +175,17 @@ def profile(circuit: Circuit, times: dict[str, float]) -> ProfileReport:
         nodes.append(ProfileNode(
             name=names[id(c)], kind="circuit", calls=expansion[id(c)],
             self_time=0.0, cumulative_time=cum, time_share=share(cum)))
-    total_gate_calls: dict[str, int] = {}
-    for c in defs:
-        ex = expansion[id(c)]
-        for k, n in gate_counts[id(c)].items():
-            total_gate_calls[k] = total_gate_calls.get(k, 0) + ex * n
-    for k in sorted(total_gate_calls):
-        t = total_gate_calls[k] * times[k]
+    for k in sorted(gate_calls):
+        t = gate_calls[k] * times[k]
         nodes.append(ProfileNode(
-            name=k, kind="gate", calls=total_gate_calls[k],
+            name=k, kind="gate", calls=gate_calls[k],
             self_time=t, cumulative_time=t, time_share=share(t)))
 
     def_pos = {id(c): i for i, c in enumerate(rev)}
     edges: list[ProfileEdge] = []
     for c in rev:
         ex = expansion[id(c)]
-        kids = sorted(child_order[id(c)], key=def_pos.__getitem__)
-        for cid in kids:
+        for cid in sorted(child_mults[id(c)], key=def_pos.__getitem__):
             edges.append(ProfileEdge(
                 parent=names[id(c)], child=names[cid],
                 calls=ex * child_mults[id(c)][cid]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 import random
 from collections import deque
 
@@ -25,19 +26,29 @@ class TopologyError(ValueError):
     """Invalid coupling graph or construction parameter."""
 
 
+def _index(value, what: str) -> int:
+    # any integer, NumPy's too; int() would take a float, a string or a bool
+    try:
+        if type(value) is bool:
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TopologyError(f"{what} must be an integer, got {value!r}") from None
+
+
 class CouplingGraph:
     """Undirected connected graph over qubits ``0..num_qubits-1``."""
 
     __slots__ = ("num_qubits", "edges", "_adj", "_dist", "_routing")
 
     def __init__(self, num_qubits: int, edges):
-        num_qubits = int(num_qubits)
+        num_qubits = _index(num_qubits, "qubit count")
         if num_qubits < 1:
             raise TopologyError("coupling graph needs at least one qubit")
         canon = set()
         for e in edges:
             a, b = e
-            a, b = int(a), int(b)
+            a, b = _index(a, "edge entry"), _index(b, "edge entry")
             if not (0 <= a < num_qubits and 0 <= b < num_qubits):
                 raise TopologyError(f"edge ({a},{b}) out of range for {num_qubits} qubits")
             if a == b:

@@ -20,11 +20,12 @@ Everything is deterministic per (circuit, graph, config).
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
 from .circuit import (Circuit, CircuitError, Instruction, depth, flatten,
-                      split_trailing_measures)
+                      layered_depth, split_trailing_measures)
 from .dag import CircuitDag
 from .gates import CLS_2Q, GateKind
 from .passes import (BASES, cancel_adjacent_inverses, decompose_to_basis,
@@ -52,7 +53,12 @@ class TranspileConfig:
     routing: SabreConfig = SabreConfig()
 
     def __post_init__(self):
-        if self.level not in LEVELS:
+        # any integer, NumPy's too; 2.0 and True equal levels 2 and 1
+        try:
+            known = type(self.level) is not bool and operator.index(self.level) in LEVELS
+        except TypeError:
+            known = False
+        if not known:
             raise TranspileError(f"level must be one of {LEVELS}, "
                                  f"got {self.level!r}")
         if self.basis not in BASES:
@@ -139,13 +145,13 @@ def transpile(circuit: Circuit, graph: CouplingGraph,
         raw(measure, ones[final.phys(m.qubits[0])], (), m.cbit, False)
         for m in measures], out.name)
 
-    two_q = [ins for ins in out.body if ins.kind.opclass == CLS_2Q]
+    two_q = [ins.qubits for ins in out.body if ins.kind.opclass == CLS_2Q]
     stats = TranspileStats(
         swaps_inserted=swaps_inserted,
         depth_before=depth_before,
         depth_after=depth(out),
         two_q_count=len(two_q),
-        two_q_depth=depth(Circuit._from_items(out.num_qubits, 0, two_q)),
+        two_q_depth=layered_depth(out.num_qubits, two_q),
         elapsed=time.perf_counter() - t0,
     )
     return TranspileResult(out, initial, final, stats)

@@ -227,6 +227,11 @@ class TestCircuitBuilding:
         assert Circuit(3).num_cbits == 3
         assert Circuit(3, 1).num_cbits == 1
 
+    @pytest.mark.parametrize("args", [(-1,), (2, -1)])
+    def test_negative_width_rejected(self, args):
+        with pytest.raises(CircuitError, match="must be >= 0"):
+            Circuit(*args)
+
     def test_operand_range_checks(self):
         c = Circuit(2, 1)
         with pytest.raises(CircuitError):
@@ -267,6 +272,14 @@ class TestFlatten:
         flat = flatten(outer)
         kinds = [i.kind for i in flat.body]
         assert kinds == [GateKind.X, GateKind.H, GateKind.CNOT, GateKind.Z]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_decoded_sub_circuit_expands(self, compress):
+        inner = Circuit(2).h(0).cnot(0, 1).rz(1, 0.5)
+        decoded = bis.decode(bis.encode([inner], compress=compress))[0]
+        assert decoded._items is None  # columns only, until a body is read
+        outer = Circuit(2).x(1).sub(decoded)
+        assert flatten(outer).body == [Instruction(GateKind.X, (1,))] + inner.body
 
     def test_dagger_block_reverses_and_adjoints(self):
         inner = Circuit(2).s(0).rx(1, 0.5).cnot(0, 1)

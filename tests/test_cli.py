@@ -144,6 +144,16 @@ def test_failed_write_leaves_no_partial_output(tmp_path, capsys):
     assert list(tmp_path.glob(".quantir-tmp-*")) == []
 
 
+def test_write_onto_a_directory_leaves_no_temporary_file(tmp_path, ghz_oir,
+                                                          capsys):
+    target = tmp_path / "out.bis"
+    target.mkdir()
+    assert app(["convert", "--in", str(ghz_oir), "--out", str(target)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert target.is_dir() and list(target.iterdir()) == []
+    assert list(tmp_path.glob(".quantir-tmp-*")) == []
+
+
 # -- transpile --------------------------------------------------------------------
 
 def test_transpile_writes_circuit_and_stats(tmp_path, ghz_oir):
@@ -160,6 +170,13 @@ def test_transpile_writes_circuit_and_stats(tmp_path, ghz_oir):
                 "initial_layout", "final_layout"):
         assert key in stats
     assert sorted(stats["initial_layout"]) == [0, 1, 2]
+
+
+def test_transpile_refuses_a_stream_of_two_circuits(tmp_path, capsys):
+    multi = tmp_path / "two.bis"
+    multi.write_bytes(bis.encode([ghz(2), ghz(3)]))
+    assert app(["transpile", "--in", str(multi), "--topology", "linear:3"]) == 2
+    assert "holds 2 circuits; expected exactly 1" in capsys.readouterr().err
 
 
 def test_transpile_all_pairs_cz_on_path_inserts_swaps(tmp_path):
@@ -255,6 +272,13 @@ def test_profile_missing_duration_names_gate(tmp_path, ghz_oir, capsys):
     assert "CNOT" in capsys.readouterr().err
 
 
+def test_profile_time_table_must_be_an_object(tmp_path, ghz_oir, capsys):
+    times = tmp_path / "times.json"
+    times.write_text(json.dumps([["H", 40], ["CNOT", 200]]), encoding="utf-8")
+    assert app(["profile", "--in", str(ghz_oir), "--times", str(times)]) == 2
+    assert "time table must be a JSON object" in capsys.readouterr().err
+
+
 def test_profile_defaults_to_stdout_gprof(tmp_path, ghz_oir, capsys):
     times = tmp_path / "times.json"
     times.write_text(json.dumps({"H": 40, "CNOT": 200}), encoding="utf-8")
@@ -304,6 +328,14 @@ def test_gen_circuit_deterministic_files(tmp_path):
                     "--seed", "7", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(originir.parse(a.read_text(encoding="utf-8"))) > 0
+
+
+def test_gen_circuit_stdout_is_text_ir(capsys):
+    assert app(["gen", "circuit", "--qubits", "4", "--depth", "5",
+                "--seed", "1"]) == 0
+    text = capsys.readouterr().out
+    assert text == originir.emit(bench.random_circuit(4, 5, 1))
+    assert originir.parse(text).num_qubits == 4
 
 
 def test_gen_circuit_bis_compress(tmp_path):

@@ -194,8 +194,11 @@ def _ref_critical_two_q(stripped, e):
 @settings(max_examples=300, deadline=None)
 @given(c=_dag_circuits())
 def test_critical_path_walk_matches_the_longest_dag_path(c):
-    stripped = metrics._strip(c)
+    flat = flatten(c)
+    stripped = Circuit(flat.num_qubits, flat.num_cbits)
+    for ins in flat.body:
+        if ins.kind not in (GateKind.MEASURE, GateKind.BARRIER):
+            stripped.append(ins)
     e = sum(ins.kind.opclass == CLS_2Q for ins in stripped.body)
     want = _ref_critical_two_q(stripped, e)
-    assert metrics._critical_two_q(stripped, e) == want
     assert metrics.circuit_metrics(c).critical_depth == want

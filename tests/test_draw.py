@@ -64,3 +64,7 @@ def test_empty_and_flattening():
 def test_deterministic():
     c = ghz(5)
     assert draw(c) == draw(c)
+
+
+def test_no_wires_draws_nothing():
+    assert draw(Circuit(0)) == ""

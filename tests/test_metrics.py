@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from quantir.circuit import Circuit, flatten
 from quantir.gates import CLS_2Q, GateKind
-from quantir.metrics import MetricsVector, _critical_two_q, circuit_metrics
+from quantir.metrics import MetricsVector, circuit_metrics
 
 from conftest import circuits
 
@@ -88,9 +88,7 @@ def test_critical_depth_gate_takes_the_better_of_its_wires():
     c.cnot(0, 1).cnot(0, 1)
     c.h(2).x(2).h(2)
     c.cz(1, 2).cnot(2, 3)
-    e = 4
-    assert _critical_two_q(c, e) == 2 / e
-    assert circuit_metrics(c).critical_depth == 2 / e
+    assert circuit_metrics(c).critical_depth == 2 / 4
 
 
 def test_vector_iter_and_dict():
@@ -137,8 +135,8 @@ def test_metrics_in_unit_interval_property(c):
 
 # -- differential check against the loop the metrics were written as -----------
 # A test-local copy of ``circuit_metrics`` as first written: one greedy
-# wire-layering loop that also collects the two-qubit pairs.  Floats must
-# match bit for bit.
+# wire-layering loop that also collects the two-qubit pairs, then a second
+# walk for the critical path.  Floats must match bit for bit.
 
 def _ref_metrics(c):
     flat = flatten(c)
@@ -165,10 +163,15 @@ def _ref_metrics(c):
             pairs.add((a, b) if a < b else (b, a))
     communication = 2 * len(pairs) / (n * (n - 1)) if n > 1 and pairs else 0.0
     parallelism = (g / d - 1) / (n - 1) if n > 1 and d > 0 else 0.0
-    stripped = Circuit(n, flat.num_cbits)
+    # the critical path: each wire keeps (length, two-qubit gates) of the
+    # best path that ends at its last gate
+    best = [(0, 0)] * n
     for ins in body:
-        stripped.append(ins)
-    return (communication, _critical_two_q(stripped, e),
+        l, t = max(best[q] for q in ins.qubits)
+        for q in ins.qubits:
+            best[q] = (l + 1, t + (ins.kind.opclass == CLS_2Q))
+    critical = max(best, default=(0, 0))[1] / e if e else 0.0
+    return (communication, critical,
             e / g if g else 0.0, parallelism,
             active / (n * d) if d > 0 else 0.0)
 

@@ -142,6 +142,25 @@ class TestParseErrors:
         assert exc.value.line == line
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text,line,message", [
+        ("QINIT 1\nCREG 2\nH q[0])\n", 3, "unbalanced ')'"),
+        ("QINIT 1\nCREG 2\nMEASURE c[0],q[0]\n", 3,
+         "qubit operand after classical operand"),
+        ("QINIT 1\nCREG 2\nMEASURE q[0],c[0],c[1]\n", 3,
+         "duplicate classical operand"),
+        ("QINIT 1\nCREG 2\nRZ q[0],(0.5),(0.25)\n", 3,
+         "duplicate parameter list"),
+        # no body line comes before QINIT, so a late one is a duplicate
+        ("QINIT 1\nCREG 1\nH q[0]\nQINIT 2\n", 4, "duplicate QINIT"),
+    ], ids=["close-paren", "qubit-after-cbit", "two-cbits", "two-param-lists",
+            "late-qinit"])
+    def test_operand_and_header_faults_pinned(self, text, line, message):
+        with pytest.raises(OriginIRError) as exc:
+            parse(text)
+        assert type(exc.value) is OriginIRError
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_angle_rejects_exponent_only(self):
         with pytest.raises(OriginIRError):
             parse("QINIT 1\nCREG 1\nRZ q[0],(e5)\n")

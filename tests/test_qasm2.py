@@ -302,6 +302,10 @@ _PINNED_REJECTIONS = [
     (_at5("h q[" + "1" * 5000 + "];"), QasmError, 5, "index has too many digits"),
     (HEADER + "qreg q[" + "1" * 5000 + "];\n", QasmError, 3,
      "register size has too many digits"),
+    (_at5("rz(pi/0) q[0];"), QasmError, 5, "division by zero in angle"),
+    (_at5("1x q[0];"), QasmError, 5, "bad statement '1x q[0]'"),
+    (_at5("OPENQASM 2.0;"), QasmError, 5, "duplicate OPENQASM header"),
+    (HEADER + "qreg q[0];\n", QasmError, 3, "register size must be >= 1"),
 ]
 
 

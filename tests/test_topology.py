@@ -38,6 +38,25 @@ class TestCouplingGraph:
         with pytest.raises(TopologyError):
             CouplingGraph(0, [])
 
+    @pytest.mark.parametrize("n,edges,message", [
+        (3.9, [(0, 1), (1, 2)], "qubit count must be an integer, got 3.9"),
+        ("3", [(0, 1), (1, 2)], "qubit count must be an integer, got '3'"),
+        (True, [], "qubit count must be an integer, got True"),
+        (3, [(0, 1), (1, 2.7)], "edge entry must be an integer, got 2.7"),
+        (3, [("0", "1"), (1, 2)], "edge entry must be an integer, got '0'"),
+        (3, [(0, 1), (True, 2)], "edge entry must be an integer, got True"),
+    ], ids=["float-n", "str-n", "bool-n", "float-edge", "str-edge", "bool-edge"])
+    def test_non_integers_rejected(self, n, edges, message):
+        with pytest.raises(TopologyError) as exc:
+            CouplingGraph(n, edges)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_accepted(self):
+        g = CouplingGraph(np.int64(3), [(np.int32(0), np.int64(1)), (1, 2)])
+        assert g.num_qubits == 3 and type(g.num_qubits) is int
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(q) is int for e in g.edges for q in e)
+
     def test_single_node(self):
         g = CouplingGraph(1, [])
         assert g.num_qubits == 1 and g.edges == ()

@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,16 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(TranspileError):
         TranspileConfig(**kwargs)
+
+
+@pytest.mark.parametrize("level", [True, 2.0, "2"])
+def test_config_rejects_a_level_that_is_no_integer(level):
+    with pytest.raises(TranspileError, match="level must be one of"):
+        TranspileConfig(level=level)
+
+
+def test_config_takes_a_numpy_level():
+    assert TranspileConfig(level=np.int64(2)).level == 2
 
 
 # -- preprocess ------------------------------------------------------------------
