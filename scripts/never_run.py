@@ -59,12 +59,12 @@ def never_run(path: Path, ran: set) -> list[tuple[int, str]]:
     no line in ``ran``."""
     source = path.read_text()
     lines = source.split("\n")
-    out = set()
+    out = []
     for fn in ast.walk(ast.parse(source, filename=str(path))):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for first, last in statements(fn.body):
                 if ran.isdisjoint(range(first, last + 1)):
-                    out.add((first, lines[first - 1].strip()))
+                    out.append((first, lines[first - 1].strip()))
     return sorted(out)
 
 
