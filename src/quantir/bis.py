@@ -921,9 +921,8 @@ class StreamDecoder:
             offs = list(self._offs)
             if o < len(tail) and not self._varints + self._skip:
                 offs.append(o)  # a barrier, inside its count
+            # always raises: the first fault, else the truncation at o
             self._fail(np.frombuffer(tail, dtype=np.uint8), offs,
                        Truncated("record runs past end of data", o))
         except BisDecodeError as e:
             raise _shifted(e, self._consumed) from None
-        raise Truncated("stream ended before the declared circuits",
-                        self._consumed + len(tail))

@@ -5,10 +5,16 @@ elements.  Flat bodies (instructions only) are additionally kept in a packed
 columnar form -- an opcode byte array plus operand/parameter arrays -- so
 that serialization and structural equality run as bulk array operations.
 The packed columns and the Instruction list are two views of the same body;
-each is built lazily from the other and cached.  Circuits that ``bis``
-readers decode and that ``bench.random_circuit`` builds start with columns
-only: the generator writes them as it draws, so their first encode packs
-nothing, and the Instruction list is built when ``.body`` is first read.
+each is built lazily from the other and cached.  Every circuit starts with
+columns only: one built empty, one that ``bis`` readers decode and one that
+``bench.random_circuit`` writes as it draws.  Until its ``.body`` is read,
+the gate methods and ``append_gate`` validate each row and append it to
+growable column buffers, so no Instruction exists and the first encode
+packs nothing.  Reading ``.body`` builds the Instruction list once, and the
+body then stays a list: later appends go to it.  So do a ``.sub()``, a
+dagger flag on any kind but X1, and an Instruction passed to ``append``,
+which the columns cannot hold or which the caller already built.  A width
+past 64 bits keeps a list from the start.
 
 An Instruction is an immutable record, a ``tuple`` of ``(kind, qubits,
 params, cbit, dagger)``.  ``Instruction(...)`` validates its arguments;
@@ -89,34 +95,7 @@ class Instruction(tuple):
 
     def __new__(cls, kind: GateKind, qubits, params=(), cbit: int | None = None,
                 dagger: bool = False):
-        qubits = tuple(_as_index(q) for q in qubits)
-        params = tuple(float(p) for p in params)
-        kcls = kind.opclass
-        if kcls == CLS_BARRIER:
-            if not qubits:
-                raise CircuitError("BARRIER needs at least one qubit")
-        elif kcls == CLS_2Q:
-            if len(qubits) != 2:
-                raise CircuitError(f"{kind.name} takes 2 qubits, got {len(qubits)}")
-        elif len(qubits) != 1:
-            raise CircuitError(f"{kind.name} takes 1 qubit, got {len(qubits)}")
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError(f"{kind.name} qubits must be distinct: {qubits}")
-        want = PARAM_COUNT[kcls]
-        if len(params) != want:
-            raise CircuitError(f"{kind.name} takes {want} params, got {len(params)}")
-        for p in params:
-            if not math.isfinite(p):
-                raise CircuitError(f"{kind.name} param not finite: {p!r}")
-        if kcls == CLS_MEASURE:
-            if cbit is None:
-                raise CircuitError("MEASURE needs a classical bit")
-            cbit = _as_index(cbit)
-            if dagger:
-                raise CircuitError("MEASURE cannot be daggered")
-        elif cbit is not None:
-            raise CircuitError(f"{kind.name} takes no classical bit")
-        return _new(cls, (kind, qubits, params, cbit, bool(dagger)))
+        return _new(cls, _checked(kind, qubits, params, cbit, dagger))
 
     @classmethod
     def _raw(cls, kind, qubits, params, cbit, dagger):
@@ -172,6 +151,11 @@ _qubits_of = itemgetter(1)
 _X1 = GateKind.X1
 _X1_CODE = _X1._value_
 _MEASURE = GateKind.MEASURE
+_MEASURE_CODE = _MEASURE._value_
+# the builders' kinds: reading a member off GateKind costs ~100 ns a call
+(_I, _H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _RX, _RY, _RZ, _U3, _CNOT, _CZ,
+ _SWAP, _BARRIER) = (GateKind[name] for name in (
+    "I H X Y Z S SDG T TDG RX RY RZ U3 CNOT CZ SWAP BARRIER".split()))
 
 
 def dagger_instruction(ins: Instruction) -> Instruction:
@@ -193,14 +177,66 @@ def dagger_instruction(ins: Instruction) -> Instruction:
     raise CircuitError(f"no dagger rule for {k.name}")  # pragma: no cover
 
 
-def check_operands(ins: Instruction, num_qubits: int, num_cbits: int) -> None:
-    """Raise ``CircuitError`` unless ``ins``'s qubits and bit fit the widths."""
-    for q in ins.qubits:
+def _integer(value, what: str) -> int:
+    # any integer, NumPy's too, but not a bool
+    if value.__class__ is bool:
+        raise CircuitError(f"{what} must be an integer, got {value!r}")
+    return _as_index(value)
+
+
+def _checked(kind: GateKind, qubits, params, cbit, dagger) -> tuple:
+    """``(kind, qubits, params, cbit, dagger)`` of a valid instruction.
+
+    The one check of an instruction's own fields, for ``Instruction(...)``
+    and for the gate builders that write rows without one.  Operands become
+    plain ints and angles plain floats; ``check_operands`` then fits them to
+    a circuit's widths.
+    """
+    qubits = tuple(qubits)
+    if bool in map(type, qubits):
+        raise CircuitError(f"qubits must be integers, got {qubits}")
+    qubits = tuple(map(_as_index, qubits))
+    params = tuple(map(float, params))
+    kcls = kind.opclass
+    if kcls == CLS_BARRIER:
+        if not qubits:
+            raise CircuitError("BARRIER needs at least one qubit")
+    elif kcls == CLS_2Q:
+        if len(qubits) != 2:
+            raise CircuitError(f"{kind.name} takes 2 qubits, got {len(qubits)}")
+    elif len(qubits) != 1:
+        raise CircuitError(f"{kind.name} takes 1 qubit, got {len(qubits)}")
+    if len(set(qubits)) != len(qubits):
+        raise CircuitError(f"{kind.name} qubits must be distinct: {qubits}")
+    want = PARAM_COUNT[kcls]
+    if len(params) != want:
+        raise CircuitError(f"{kind.name} takes {want} params, got {len(params)}")
+    for p in params:
+        if not math.isfinite(p):
+            raise CircuitError(f"{kind.name} param not finite: {p!r}")
+    if kcls == CLS_MEASURE:
+        if cbit is None:
+            raise CircuitError("MEASURE needs a classical bit")
+        cbit = _integer(cbit, "cbit")
+        if dagger:
+            raise CircuitError("MEASURE cannot be daggered")
+    elif cbit is not None:
+        raise CircuitError(f"{kind.name} takes no classical bit")
+    return kind, qubits, params, cbit, bool(dagger)
+
+
+def check_operands(ins, num_qubits: int, num_cbits: int) -> None:
+    """Raise ``CircuitError`` unless ``ins``'s qubits and bit fit the widths.
+
+    ``ins`` is an instruction, or the fields ``_checked`` returns.
+    """
+    kind, qubits, _, cbit, _ = ins
+    for q in qubits:
         if not 0 <= q < num_qubits:
             raise CircuitError(
                 f"qubit {q} out of range for {num_qubits}-qubit circuit")
-    if ins.kind is _MEASURE and not 0 <= ins.cbit < num_cbits:
-        raise CircuitError(f"cbit {ins.cbit} out of range for {num_cbits} cbits")
+    if kind is _MEASURE and not 0 <= cbit < num_cbits:
+        raise CircuitError(f"cbit {cbit} out of range for {num_cbits} cbits")
 
 
 def _resolve(ins: Instruction, block_dagger: bool) -> Instruction:
@@ -278,6 +314,26 @@ class _Columns:
                 and self.b.tobytes() == other.b.tobytes()
                 and self.params.tobytes() == other.params.tobytes()
                 and self.extra.tobytes() == other.extra.tobytes())
+
+    def extended(self, tail: "_Columns") -> "_Columns":
+        """New columns: these rows, then ``tail``'s, sharing this row table.
+
+        ``tail`` holds growable buffers (a bytearray and lists).  Neither
+        side is written to; an array ``tail`` adds nothing to is reused.
+        """
+        return _Columns(*[np.concatenate((mine, more)) if len(more) else mine
+                          for mine, more in ((self.code, tail.code),
+                                             (self.a, tail.a), (self.b, tail.b),
+                                             (self.params, tail.params),
+                                             (self.extra, tail.extra))],
+                        self.shared)
+
+
+# the columns of every circuit built empty, never written to
+_NO_ROWS = _Columns.from_lists([], [], [], [], [])
+# operands live in int64 columns; a wider circuit keeps its body as a list
+_I64_MAX = 2**63 - 1
+_INF = math.inf
 
 
 def _pack_body(body) -> _Columns:
@@ -361,21 +417,24 @@ class Circuit:
     """A quantum circuit over ``num_qubits`` wires and ``num_cbits`` bits."""
 
     __slots__ = ("num_qubits", "num_cbits", "name", "_items", "_cols",
-                 "_subs", "_dagger_fixups")
+                 "_tail", "_subs", "_dagger_fixups")
 
     def __init__(self, num_qubits: int, num_cbits: int | None = None,
                  name: str | None = None):
-        num_qubits = _as_index(num_qubits)
+        num_qubits = _integer(num_qubits, "num_qubits")
         if num_qubits < 0:
             raise CircuitError("num_qubits must be >= 0")
-        num_cbits = num_qubits if num_cbits is None else _as_index(num_cbits)
+        num_cbits = (num_qubits if num_cbits is None
+                     else _integer(num_cbits, "num_cbits"))
         if num_cbits < 0:
             raise CircuitError("num_cbits must be >= 0")
         self.num_qubits = num_qubits
         self.num_cbits = num_cbits
         self.name = name
-        self._items: list | None = []
-        self._cols: _Columns | None = None
+        self._items: list | None = (
+            [] if num_qubits > _I64_MAX or num_cbits > _I64_MAX else None)
+        self._cols: _Columns | None = _NO_ROWS
+        self._tail: _Columns | None = None
         self._subs = 0           # SubcircuitInstance elements in _items
         self._dagger_fixups = 0  # instructions whose dagger flag must resolve
 
@@ -387,6 +446,7 @@ class Circuit:
         self.name = name
         self._items = None
         self._cols = cols
+        self._tail = None
         self._subs = 0
         self._dagger_fixups = 0
         return self
@@ -400,24 +460,32 @@ class Circuit:
         return self
 
     # -- body views ---------------------------------------------------------
+    #
+    # Until its body is read, a circuit holds columns: _cols, finalized and
+    # never written to, then _tail, the rows the builders have appended
+    # since, in growable buffers (None when there are none).  Reading .body
+    # builds the instruction list once; from then on _items is the body,
+    # appends go to it, and _cols is a cache of its packing, or None.
 
     @property
     def body(self) -> list:
         """Body elements, in order.  Treat as read-only; use append()."""
         if self._items is None:
-            self._items = _unpack_body(self._cols)
+            self._items = _unpack_body(self._columns())
         return self._items
 
     def _columns(self) -> _Columns:
-        if self._cols is None:
-            if self._subs:
-                raise CircuitError("cannot pack a circuit with sub-circuits")
+        if self._tail is not None:
+            self._cols = self._cols.extended(self._tail)
+            self._tail = None
+        elif self._cols is None:
             self._cols = _pack_body(self._items)
         return self._cols
 
     def __len__(self):
         if self._items is None:
-            return len(self._cols)
+            n = len(self._cols)
+            return n if self._tail is None else n + len(self._tail)
         return len(self._items)
 
     # -- building -----------------------------------------------------------
@@ -425,7 +493,6 @@ class Circuit:
     def append(self, item) -> None:
         if isinstance(item, Instruction):
             check_operands(item, self.num_qubits, self.num_cbits)
-            self.body.append(item)
             if item.dagger and item.kind is not _X1:
                 self._dagger_fixups += 1
         elif isinstance(item, SubcircuitInstance):
@@ -436,10 +503,10 @@ class Circuit:
                     f"{self.num_qubits}q/{self.num_cbits}c")
             if sub is self or _contains(sub, self):
                 raise CircuitError("circular sub-circuit containment")
-            self.body.append(item)
             self._subs += 1
         else:
             raise CircuitError(f"cannot append {type(item).__name__} to circuit")
+        self.body.append(item)
         self._cols = None
 
     def extend(self, items) -> None:
@@ -448,43 +515,110 @@ class Circuit:
 
     def append_gate(self, kind: GateKind, qubits, params=(), cbit=None,
                     dagger: bool = False) -> "Circuit":
-        self.append(Instruction(kind, qubits, params, cbit, dagger))
+        """Append one instruction given by its fields; raises as
+        ``Instruction(...)`` and ``append`` do."""
+        fields = _checked(kind, qubits, params, cbit, dagger)
+        kind, qubits, params, cbit, dagger = fields
+        if self._items is not None or (dagger and kind is not _X1):
+            # a read body, or a flag only an instruction can hold
+            self.append(_new(Instruction, fields))
+            return self
+        check_operands(fields, self.num_qubits, self.num_cbits)
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = _Columns(bytearray(), [], [], [], [])
+        op = kind._value_
+        kcls = kind.opclass
+        if kcls == CLS_2Q:
+            a, b = qubits
+        elif kcls == CLS_MEASURE:
+            a, b = qubits[0], cbit
+        elif kcls == CLS_BARRIER:
+            a, b = len(qubits), -1
+            tail.extra += qubits
+        else:
+            a, b = qubits[0], -1
+            tail.params += params
+            if dagger:
+                op = X1_DAGGER_OPCODE
+        tail.code.append(op)
+        tail.a.append(a)
+        tail.b.append(b)
         return self
 
-    # gate builders; each returns self so circuits can be chained together
-    def i(self, q): self.append(Instruction(GateKind.I, (q,))); return self
-    def h(self, q): self.append(Instruction(GateKind.H, (q,))); return self
-    def x(self, q): self.append(Instruction(GateKind.X, (q,))); return self
-    def y(self, q): self.append(Instruction(GateKind.Y, (q,))); return self
-    def z(self, q): self.append(Instruction(GateKind.Z, (q,))); return self
-    def s(self, q): self.append(Instruction(GateKind.S, (q,))); return self
-    def sdg(self, q): self.append(Instruction(GateKind.SDG, (q,))); return self
-    def t(self, q): self.append(Instruction(GateKind.T, (q,))); return self
-    def tdg(self, q): self.append(Instruction(GateKind.TDG, (q,))); return self
+    # Gate builders; each returns self so circuits can be chained together.
+    # A call whose qubits and bit are plain ints in range, and whose angles
+    # are finite floats, passes every check, so _one, _rot, _two and
+    # measure write its row straight into the tail; any other call goes
+    # through append_gate.
+
+    def _one(self, kind, q):
+        tail = self._tail
+        if tail is not None and q.__class__ is int and 0 <= q < self.num_qubits:
+            tail.code.append(kind._value_)
+            tail.a.append(q)
+            tail.b.append(-1)
+            return self
+        return self.append_gate(kind, (q,))
+
+    def _rot(self, kind, q, theta):
+        tail = self._tail
+        if (tail is not None and q.__class__ is int and 0 <= q < self.num_qubits
+                and theta.__class__ is float and -_INF < theta < _INF):
+            tail.code.append(kind._value_)
+            tail.a.append(q)
+            tail.b.append(-1)
+            tail.params.append(theta)
+            return self
+        return self.append_gate(kind, (q,), (theta,))
+
+    def _two(self, kind, a, b):
+        tail = self._tail
+        if (tail is not None and a.__class__ is int and b.__class__ is int
+                and a != b and 0 <= a < self.num_qubits
+                and 0 <= b < self.num_qubits):
+            tail.code.append(kind._value_)
+            tail.a.append(a)
+            tail.b.append(b)
+            return self
+        return self.append_gate(kind, (a, b))
+
+    def i(self, q): return self._one(_I, q)
+    def h(self, q): return self._one(_H, q)
+    def x(self, q): return self._one(_X, q)
+    def y(self, q): return self._one(_Y, q)
+    def z(self, q): return self._one(_Z, q)
+    def s(self, q): return self._one(_S, q)
+    def sdg(self, q): return self._one(_SDG, q)
+    def t(self, q): return self._one(_T, q)
+    def tdg(self, q): return self._one(_TDG, q)
 
     def x1(self, q, dagger=False):
-        self.append(Instruction(GateKind.X1, (q,), dagger=dagger))
-        return self
+        return self.append_gate(_X1, (q,), dagger=dagger)
 
-    def rx(self, q, theta): self.append(Instruction(GateKind.RX, (q,), (theta,))); return self
-    def ry(self, q, theta): self.append(Instruction(GateKind.RY, (q,), (theta,))); return self
-    def rz(self, q, theta): self.append(Instruction(GateKind.RZ, (q,), (theta,))); return self
+    def rx(self, q, theta): return self._rot(_RX, q, theta)
+    def ry(self, q, theta): return self._rot(_RY, q, theta)
+    def rz(self, q, theta): return self._rot(_RZ, q, theta)
 
     def u3(self, q, theta, phi, lam):
-        self.append(Instruction(GateKind.U3, (q,), (theta, phi, lam)))
-        return self
+        return self.append_gate(_U3, (q,), (theta, phi, lam))
 
-    def cnot(self, c, t): self.append(Instruction(GateKind.CNOT, (c, t))); return self
-    def cz(self, a, b): self.append(Instruction(GateKind.CZ, (a, b))); return self
-    def swap(self, a, b): self.append(Instruction(GateKind.SWAP, (a, b))); return self
+    def cnot(self, c, t): return self._two(_CNOT, c, t)
+    def cz(self, a, b): return self._two(_CZ, a, b)
+    def swap(self, a, b): return self._two(_SWAP, a, b)
 
     def measure(self, q, c):
-        self.append(Instruction(GateKind.MEASURE, (q,), cbit=c))
-        return self
+        tail = self._tail
+        if (tail is not None and q.__class__ is int and c.__class__ is int
+                and 0 <= q < self.num_qubits and 0 <= c < self.num_cbits):
+            tail.code.append(_MEASURE_CODE)
+            tail.a.append(q)
+            tail.b.append(c)
+            return self
+        return self.append_gate(_MEASURE, (q,), cbit=c)
 
     def barrier(self, *qubits):
-        self.append(Instruction(GateKind.BARRIER, qubits))
-        return self
+        return self.append_gate(_BARRIER, qubits)
 
     def sub(self, circuit: "Circuit", dagger=False, name=None):
         self.append(SubcircuitInstance(circuit, dagger=dagger, name=name))
@@ -514,12 +648,24 @@ class Circuit:
 
 
 def _contains(root: Circuit, target: Circuit) -> bool:
-    if root._items is None:
-        return False
-    for el in root._items:
-        if isinstance(el, SubcircuitInstance):
-            if el.circuit is target or _contains(el.circuit, target):
-                return True
+    """Whether ``target`` is a sub-circuit of ``root`` at any depth.
+
+    Each definition is visited once, however many placements share it.
+    """
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        c = stack.pop()
+        if not c._subs:  # a body not read, or flat, holds no sub-circuit
+            continue
+        for el in c._items:
+            if isinstance(el, SubcircuitInstance):
+                sub = el.circuit
+                if sub is target:
+                    return True
+                if id(sub) not in seen:
+                    seen.add(id(sub))
+                    stack.append(sub)
     return False
 
 
@@ -575,7 +721,7 @@ def depth(c: Circuit) -> int:
     """
     flat = flatten(c)
     if flat._items is None:  # packed: read the wires without building a body
-        return layered_depth(flat.num_qubits, _column_qubits(flat._cols))
+        return layered_depth(flat.num_qubits, _column_qubits(flat._columns()))
     return layered_depth(flat.num_qubits, map(_qubits_of, flat.body))
 
 

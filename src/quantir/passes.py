@@ -208,8 +208,6 @@ def merge_adjacent_rotations(c: Circuit) -> Circuit:
     the pair.
     """
     def merge(prev, ins):
-        if prev.kind is not ins.kind:
-            return ins
         total = prev.params[0] + ins.params[0]
         if abs(math.remainder(total, math.tau)) <= _FULL_TURN_TOL:
             return None

@@ -293,6 +293,17 @@ def test_round_trip_that_drops_a_gate_is_rejected(monkeypatch, fmt):
         run_transmission_bench(cfg)
 
 
+def test_round_trip_that_drops_a_circuit_is_rejected(monkeypatch):
+    encode, decode = bench._CODECS["bis_compressed"]
+    monkeypatch.setitem(bench._CODECS, "bis_compressed",
+                        (encode, lambda payload: decode(payload)[:-1]))
+    cfg = BenchConfig(sweep="circuit_count", sweep_values=[3],
+                      formats=("bis_compressed",), **DESK)
+    with pytest.raises(BenchError) as e:
+        run_transmission_bench(cfg)
+    assert str(e.value) == "bis_compressed round trip lost circuits"
+
+
 # -- CSV --------------------------------------------------------------------------
 
 def test_csv_header_and_shape():

@@ -406,6 +406,15 @@ class TestStreamDecoder:
         with pytest.raises(TrailingBytes):
             dec.feed(b"junk")
 
+    def test_finish_after_trailing_bytes_raises_them_again(self):
+        dec = StreamDecoder()
+        with pytest.raises(TrailingBytes) as fed:
+            dec.feed(GOLDEN_H + b"junk")
+        with pytest.raises(TrailingBytes) as finished:
+            dec.finish()
+        assert str(finished.value) == str(fed.value)
+        assert "trailing bytes after last circuit" in str(fed.value)
+
     def test_errors_absolute_offsets(self):
         bad = bytearray(GOLDEN_H)
         bad[12] = 0x1F  # unknown opcode at absolute offset 12

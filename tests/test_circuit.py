@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantir import bis
+from quantir.bench import random_circuit
 from quantir.circuit import (
     Circuit, CircuitError, Instruction, SubcircuitInstance,
     dagger_instruction, depth, flatten, gate_counts, split_trailing_measures,
@@ -639,3 +640,255 @@ class TestFastPaths:
         assert out[1] == Circuit(2).h(0).cnot(0, 1).h(0).measure(1, 1).cnot(1, 0)
         assert out[2] == c
         assert [len(x) for x in out] == [6, 5, 4]
+
+
+# -- builders that write columns -----------------------------------------------
+
+_ONE_Q = ("i", "h", "x", "y", "z", "s", "sdg", "t", "tdg")
+_ROT = ("rx", "ry", "rz")
+_TWO_Q = ("cnot", "cz", "swap")
+_KIND_OF = {name: GateKind[name.upper()] for name in _ONE_Q + _ROT + _TWO_Q}
+
+# operands and angles a caller may pass, valid or not: out of range, bools,
+# NumPy integers, non-integers; non-finite angles and angle strings
+_operands = st.one_of(
+    st.integers(0, 3), st.integers(-2, 6),
+    st.sampled_from([True, False, 1.0, 2.5, "1", None,
+                     np.int64(1), np.int32(0), np.uint8(2)]))
+_odd_angles = st.one_of(
+    angles,
+    st.sampled_from([0.0, -0.0, 1, -2, math.inf, -math.inf, math.nan,
+                     "0.5", "nan", "pi", None, np.float64(0.25)]))
+
+
+@st.composite
+def _builder_calls(draw):
+    """``(builder, oracle)`` pairs: a builder call, and the same row as
+    ``append(Instruction(...))`` makes it; or a body read, or a sub()."""
+    calls = []
+    inner = Circuit(2).h(0).s(1)
+    for _ in range(draw(st.integers(0, 14))):
+        # a read or a sub() ends the columns, so they come less often
+        what = draw(st.sampled_from(
+            ["1q", "rot", "u3", "2q", "measure", "barrier", "x1",
+             "append_gate"] * 3 + ["read", "sub"]))
+        if what == "read":
+            calls.append(("read", None))
+            continue
+        if what == "sub":
+            args = (inner, draw(st.booleans()))
+            calls.append((("sub", args), ("sub", args)))
+            continue
+        q = draw(_operands)
+        if what == "1q":
+            name = draw(st.sampled_from(_ONE_Q))
+            call, fields = (name, (q,)), (_KIND_OF[name], (q,), (), None, False)
+        elif what == "rot":
+            name, theta = draw(st.sampled_from(_ROT)), draw(_odd_angles)
+            call = (name, (q, theta))
+            fields = (_KIND_OF[name], (q,), (theta,), None, False)
+        elif what == "u3":
+            ps = tuple(draw(_odd_angles) for _ in range(3))
+            call, fields = ("u3", (q, *ps)), (GateKind.U3, (q,), ps, None, False)
+        elif what == "2q":
+            name, b = draw(st.sampled_from(_TWO_Q)), draw(_operands)
+            call, fields = (name, (q, b)), (_KIND_OF[name], (q, b), (), None, False)
+        elif what == "measure":
+            cbit = draw(_operands)
+            call = ("measure", (q, cbit))
+            fields = (GateKind.MEASURE, (q,), (), cbit, False)
+        elif what == "barrier":
+            qs = tuple(draw(st.lists(_operands, max_size=3)))
+            call, fields = ("barrier", qs), (GateKind.BARRIER, qs, (), None, False)
+        elif what == "x1":
+            dagger = draw(st.booleans())
+            call = ("x1", (q, dagger))
+            fields = (GateKind.X1, (q,), (), None, dagger)
+        else:
+            fields = (draw(st.sampled_from(list(GateKind))),
+                      tuple(draw(st.lists(_operands, max_size=3))),
+                      tuple(draw(st.lists(_odd_angles, max_size=3))),
+                      draw(st.one_of(st.none(), _operands)),
+                      draw(st.booleans()))
+            call = ("append_gate", fields)
+        calls.append((call, ("append", fields)))
+    return calls
+
+
+def _outcome(f, *args):
+    try:
+        f(*args)
+    except Exception as e:  # compared by class and text
+        return type(e), str(e)
+    return None
+
+
+def _views(c):
+    """What a caller can see of a circuit, body last: reading it ends the
+    columns."""
+    return (len(c), _outcome(bis.encode, c) or bis.encode(c),
+            _outcome(depth, c) or depth(c), c.body)
+
+
+class TestBuilderColumns:
+    """Gate methods and append_gate write rows into columns, and behave as
+    ``append(Instruction(...))`` does."""
+
+    @staticmethod
+    def _starts():
+        built = Circuit(4, 3).h(0).cnot(0, 1).rz(2, 0.5)
+        return {
+            "fresh": lambda: Circuit(4, 3),
+            "generated": lambda: random_circuit(4, 3, seed=7),
+            "decoded": lambda: bis.decode(bis.encode([built, built]))[1],
+        }
+
+    @pytest.mark.parametrize("start", ["fresh", "generated", "decoded"])
+    @settings(max_examples=100, deadline=None)
+    @given(calls=_builder_calls())
+    def test_builders_match_appended_instructions(self, start, calls):
+        make = self._starts()[start]
+        built, oracle = make(), make()
+        for call, want in calls:
+            if call == "read":
+                assert built.body == oracle.body
+                continue
+            name, args = call
+            got = _outcome(getattr(built, name), *args)
+            how, args = want
+            if how == "append":
+                exp = _outcome(lambda f: oracle.append(Instruction(*f)), args)
+            else:
+                exp = _outcome(oracle.sub, *args)
+            assert got == exp
+            assert len(built) == len(oracle)
+        assert built == oracle
+        assert _views(built) == _views(oracle)
+
+    def test_builders_at_the_edges(self):
+        # every operand and angle at and past each edge, on a circuit whose
+        # columns already take rows
+        qubits = [-1, 0, 3, 4, 1.0, True, np.int64(3)]
+        thetas = [0.5, -0.0, 1, math.inf, -math.inf, math.nan, "0.5"]
+        cbits = [-1, 0, 2, 3, True, np.int32(2)]
+        cases = [(name, (q,), (_KIND_OF[name], (q,), (), None, False))
+                 for name in _ONE_Q for q in qubits]
+        cases += [(name, (q, t), (_KIND_OF[name], (q,), (t,), None, False))
+                  for name in _ROT for q in qubits for t in thetas]
+        cases += [(name, (a, b), (_KIND_OF[name], (a, b), (), None, False))
+                  for name in _TWO_Q for a in qubits for b in qubits]
+        cases += [("measure", (q, c), (GateKind.MEASURE, (q,), (), c, False))
+                  for q in qubits for c in cbits]
+        for name, args, fields in cases:
+            built, oracle = Circuit(4, 3).h(0), Circuit(4, 3).h(0)
+            want = (_outcome(Instruction, *fields)
+                    or _outcome(oracle.append, Instruction(*fields)))
+            assert _outcome(getattr(built, name), *args) == want, (name, args)
+            assert built._items is None and built == oracle, (name, args)
+
+    def test_fresh_circuit_holds_columns_until_body_is_read(self):
+        c = Circuit(3, 2).h(0).cnot(0, 1).rz(2, 0.5).measure(1, 1).x1(2, True)
+        c.u3(0, 0.1, 0.2, 0.3).barrier(0, 2).append_gate(GateKind.SWAP, (1, 2))
+        assert c._items is None and len(c) == 8
+        data = bis.encode(c)
+        assert depth(c) == 5 and c == bis.decode(data)[0]
+        assert c._items is None  # the encode packed nothing
+        body = c.body
+        c.h(0).cnot(1, 2)  # after a read, appends go to that body
+        assert c.body is body and len(body) == 10
+        assert body[-2:] == [Instruction(GateKind.H, (0,)),
+                             Instruction(GateKind.CNOT, (1, 2))]
+
+    def test_appends_leave_finalized_columns(self):
+        c = Circuit(2).h(0)
+        cols = c._columns()
+        code = cols.code.copy()
+        snapshot = bis.encode(c)
+        c.cnot(0, 1)
+        assert c._columns() is not cols
+        assert cols.code.tobytes() == code.tobytes() and len(cols) == 1
+        assert bis.encode(Circuit(2).h(0)) == snapshot and len(c) == 2
+
+    def test_decoded_row_table_carries_to_the_new_columns(self):
+        a, b = bis.decode(bis.encode([Circuit(2).h(0), Circuit(2).h(0)]))
+        table = a._cols.shared
+        a.h(1)
+        assert a._columns().shared is table
+        assert a.body[0] is b.body[0]
+
+    def test_flags_columns_cannot_hold_go_to_the_list(self):
+        c = Circuit(2).h(0)
+        c.append_gate(GateKind.S, (1,), dagger=True)
+        assert c._items is not None
+        assert flatten(c).body == [Instruction(GateKind.H, (0,)),
+                                   Instruction(GateKind.SDG, (1,))]
+        x1 = Circuit(1).x1(0, dagger=True)
+        assert x1._items is None and x1.body[0].dagger
+
+    def test_width_past_int64_keeps_a_list(self):
+        wide = 2**64
+        c = Circuit(wide, 1).h(wide - 1).measure(2**63, 0)
+        assert c.body == [Instruction(GateKind.H, (wide - 1,)),
+                          Instruction(GateKind.MEASURE, (2**63,), cbit=0)]
+
+    def test_numpy_integers_accepted(self):
+        c = Circuit(np.int64(3), np.int32(2)).h(np.int64(2))
+        c.measure(np.int32(1), np.uint8(1)).cnot(np.int64(0), 2)
+        assert (c.num_qubits, c.num_cbits) == (3, 2)
+        assert c == Circuit(3, 2).h(2).measure(1, 1).cnot(0, 2)
+        assert all(type(q) is int for ins in c.body for q in ins.qubits)
+
+
+class TestBoolOperands:
+    """A bool is not a width, a qubit or a classical bit."""
+
+    @pytest.mark.parametrize("args, what", [((True,), "num_qubits"),
+                                            ((2, False), "num_cbits")])
+    def test_width(self, args, what):
+        with pytest.raises(CircuitError) as e:
+            Circuit(*args)
+        assert str(e.value) == f"{what} must be an integer, got {args[-1]}"
+
+    def test_gate_method(self):
+        with pytest.raises(CircuitError) as e:
+            Circuit(2).h(True)
+        assert str(e.value) == "qubits must be integers, got (True,)"
+
+    def test_append_gate(self):
+        with pytest.raises(CircuitError) as e:
+            Circuit(2).append_gate(GateKind.CNOT, (0, True))
+        assert str(e.value) == "qubits must be integers, got (0, True)"
+
+    def test_instruction(self):
+        with pytest.raises(CircuitError) as e:
+            Instruction(GateKind.BARRIER, (False, 1))
+        assert str(e.value) == "qubits must be integers, got (False, 1)"
+
+    def test_measure_cbit(self):
+        with pytest.raises(CircuitError) as e:
+            Circuit(2).measure(0, True)
+        assert str(e.value) == "cbit must be an integer, got True"
+
+
+class TestContainment:
+    """``sub`` refuses a cycle, visiting each definition once."""
+
+    def test_shared_chain(self):
+        # each level places the one below twice: 2**levels containment
+        # paths, one definition per level
+        c = Circuit(1).h(0)
+        for _ in range(40):
+            c = Circuit(1).sub(c).sub(c)
+        top = Circuit(1).sub(c)
+        with pytest.raises(CircuitError, match="^circular sub-circuit containment$"):
+            c.sub(top)
+
+    def test_deep_linear_chain(self):
+        root = cur = Circuit(1)
+        for _ in range(5000):
+            nxt = Circuit(1).x(0)
+            cur.sub(nxt)
+            cur = nxt
+        Circuit(1).sub(root)  # walks the whole chain
+        with pytest.raises(CircuitError, match="^circular sub-circuit containment$"):
+            cur.sub(root)

@@ -33,6 +33,12 @@ class TestGateMatrices:
             m = gate_matrix(kind, params)
             assert np.allclose(m @ m.conj().T, np.eye(2 ** n)), kind
 
+    @pytest.mark.parametrize("kind", [GateKind.MEASURE, GateKind.BARRIER])
+    def test_non_unitary_kinds_rejected(self, kind):
+        with pytest.raises(SimulationError) as e:
+            gate_matrix(kind)
+        assert str(e.value) == f"{kind.name} has no unitary"
+
     def test_dagger_is_adjoint(self):
         for kind, params in [(GateKind.S, ()), (GateKind.X1, ()),
                              (GateKind.RX, (0.4,)), (GateKind.U3, (0.4, 1.0, 2.0))]:
@@ -82,6 +88,16 @@ class TestSimulate:
     def test_width_cap(self):
         with pytest.raises(SimulationError):
             simulate(Circuit(MAX_SIM_QUBITS + 1))
+
+    def test_narrower_width_rejected(self):
+        with pytest.raises(SimulationError) as e:
+            simulate(Circuit(3), num_qubits=2)
+        assert str(e.value) == "num_qubits narrower than the circuit"
+
+    def test_state_of_wrong_length_rejected(self):
+        with pytest.raises(SimulationError) as e:
+            simulate(Circuit(2).h(0), state=np.ones(3))
+        assert str(e.value) == "state must have length 4"
 
     def test_padding(self):
         s = simulate(Circuit(1).x(0), num_qubits=3)

@@ -179,3 +179,11 @@ class TestBuilders:
     def test_random_always_valid(self, n, seed):
         g = random_topology(n, seed=seed)
         assert g.num_qubits == n  # constructor enforces connectivity
+
+
+@pytest.mark.parametrize("build, what", [(square, "square"),
+                                         (random_topology, "random")])
+def test_topology_with_no_qubit_is_refused(build, what):
+    with pytest.raises(TopologyError) as e:
+        build(0)
+    assert str(e.value) == f"{what} topology needs at least one qubit"
