@@ -152,10 +152,6 @@ _X1 = GateKind.X1
 _X1_CODE = _X1._value_
 _MEASURE = GateKind.MEASURE
 _MEASURE_CODE = _MEASURE._value_
-# the builders' kinds: reading a member off GateKind costs ~100 ns a call
-(_I, _H, _X, _Y, _Z, _S, _SDG, _T, _TDG, _RX, _RY, _RZ, _U3, _CNOT, _CZ,
- _SWAP, _BARRIER) = (GateKind[name] for name in (
-    "I H X Y Z S SDG T TDG RX RY RZ U3 CNOT CZ SWAP BARRIER".split()))
 
 
 def dagger_instruction(ins: Instruction) -> Instruction:
@@ -333,7 +329,6 @@ class _Columns:
 _NO_ROWS = _Columns.from_lists([], [], [], [], [])
 # operands live in int64 columns; a wider circuit keeps its body as a list
 _I64_MAX = 2**63 - 1
-_INF = math.inf
 
 
 def _pack_body(body) -> _Columns:
@@ -547,67 +542,34 @@ class Circuit:
         return self
 
     # Gate builders; each returns self so circuits can be chained together.
-    # A call whose qubits and bit are plain ints in range, and whose angles
-    # are finite floats, passes every check, so _one, _rot, _two and
-    # measure write its row straight into the tail; any other call goes
-    # through append_gate.
-
-    def _one(self, kind, q):
-        tail = self._tail
-        if tail is not None and q.__class__ is int and 0 <= q < self.num_qubits:
-            tail.code.append(kind._value_)
-            tail.a.append(q)
-            tail.b.append(-1)
-            return self
-        return self.append_gate(kind, (q,))
-
-    def _rot(self, kind, q, theta):
-        tail = self._tail
-        if (tail is not None and q.__class__ is int and 0 <= q < self.num_qubits
-                and theta.__class__ is float and -_INF < theta < _INF):
-            tail.code.append(kind._value_)
-            tail.a.append(q)
-            tail.b.append(-1)
-            tail.params.append(theta)
-            return self
-        return self.append_gate(kind, (q,), (theta,))
-
-    def _two(self, kind, a, b):
-        tail = self._tail
-        if (tail is not None and a.__class__ is int and b.__class__ is int
-                and a != b and 0 <= a < self.num_qubits
-                and 0 <= b < self.num_qubits):
-            tail.code.append(kind._value_)
-            tail.a.append(a)
-            tail.b.append(b)
-            return self
-        return self.append_gate(kind, (a, b))
-
-    def i(self, q): return self._one(_I, q)
-    def h(self, q): return self._one(_H, q)
-    def x(self, q): return self._one(_X, q)
-    def y(self, q): return self._one(_Y, q)
-    def z(self, q): return self._one(_Z, q)
-    def s(self, q): return self._one(_S, q)
-    def sdg(self, q): return self._one(_SDG, q)
-    def t(self, q): return self._one(_T, q)
-    def tdg(self, q): return self._one(_TDG, q)
+    def i(self, q): return self.append_gate(GateKind.I, (q,))
+    def h(self, q): return self.append_gate(GateKind.H, (q,))
+    def x(self, q): return self.append_gate(GateKind.X, (q,))
+    def y(self, q): return self.append_gate(GateKind.Y, (q,))
+    def z(self, q): return self.append_gate(GateKind.Z, (q,))
+    def s(self, q): return self.append_gate(GateKind.S, (q,))
+    def sdg(self, q): return self.append_gate(GateKind.SDG, (q,))
+    def t(self, q): return self.append_gate(GateKind.T, (q,))
+    def tdg(self, q): return self.append_gate(GateKind.TDG, (q,))
 
     def x1(self, q, dagger=False):
-        return self.append_gate(_X1, (q,), dagger=dagger)
+        return self.append_gate(GateKind.X1, (q,), dagger=dagger)
 
-    def rx(self, q, theta): return self._rot(_RX, q, theta)
-    def ry(self, q, theta): return self._rot(_RY, q, theta)
-    def rz(self, q, theta): return self._rot(_RZ, q, theta)
+    def rx(self, q, theta): return self.append_gate(GateKind.RX, (q,), (theta,))
+    def ry(self, q, theta): return self.append_gate(GateKind.RY, (q,), (theta,))
+    def rz(self, q, theta): return self.append_gate(GateKind.RZ, (q,), (theta,))
 
     def u3(self, q, theta, phi, lam):
-        return self.append_gate(_U3, (q,), (theta, phi, lam))
+        return self.append_gate(GateKind.U3, (q,), (theta, phi, lam))
 
-    def cnot(self, c, t): return self._two(_CNOT, c, t)
-    def cz(self, a, b): return self._two(_CZ, a, b)
-    def swap(self, a, b): return self._two(_SWAP, a, b)
+    def cnot(self, c, t): return self.append_gate(GateKind.CNOT, (c, t))
+    def cz(self, a, b): return self.append_gate(GateKind.CZ, (a, b))
+    def swap(self, a, b): return self.append_gate(GateKind.SWAP, (a, b))
 
     def measure(self, q, c):
+        # compile_route's set-up makes 2,736 of these calls; plain ints in
+        # range pass every check, so the row goes straight into the tail.
+        # Through append_gate alone that set-up was no faster than a list.
         tail = self._tail
         if (tail is not None and q.__class__ is int and c.__class__ is int
                 and 0 <= q < self.num_qubits and 0 <= c < self.num_cbits):
@@ -618,7 +580,7 @@ class Circuit:
         return self.append_gate(_MEASURE, (q,), cbit=c)
 
     def barrier(self, *qubits):
-        return self.append_gate(_BARRIER, qubits)
+        return self.append_gate(GateKind.BARRIER, qubits)
 
     def sub(self, circuit: "Circuit", dagger=False, name=None):
         self.append(SubcircuitInstance(circuit, dagger=dagger, name=name))

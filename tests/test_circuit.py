@@ -870,6 +870,104 @@ class TestBoolOperands:
         assert str(e.value) == "cbit must be an integer, got True"
 
 
+_NAN, _INF = math.nan, math.inf
+
+# (fields of Instruction(...) and append_gate, class, text): every raise of
+# the one field check, then the width check that append and append_gate make
+_FIELD_RAISES = [
+    ((GateKind.H, (0, 1)), CircuitError, "H takes 1 qubit, got 2"),
+    ((GateKind.MEASURE, (), (), 0), CircuitError, "MEASURE takes 1 qubit, got 0"),
+    ((GateKind.CNOT, (0,)), CircuitError, "CNOT takes 2 qubits, got 1"),
+    ((GateKind.SWAP, (0, 1, 2)), CircuitError, "SWAP takes 2 qubits, got 3"),
+    ((GateKind.BARRIER, ()), CircuitError, "BARRIER needs at least one qubit"),
+    ((GateKind.CZ, (1, 1)), CircuitError, "CZ qubits must be distinct: (1, 1)"),
+    ((GateKind.BARRIER, (0, 1, 0)), CircuitError,
+     "BARRIER qubits must be distinct: (0, 1, 0)"),
+    ((GateKind.RZ, (0,)), CircuitError, "RZ takes 1 params, got 0"),
+    ((GateKind.H, (0,), (0.5,)), CircuitError, "H takes 0 params, got 1"),
+    ((GateKind.U3, (0,), (0.1, 0.2)), CircuitError, "U3 takes 3 params, got 2"),
+    ((GateKind.RX, (0,), (_NAN,)), CircuitError, "RX param not finite: nan"),
+    ((GateKind.U3, (0,), (0.1, -_INF, 0.3)), CircuitError,
+     "U3 param not finite: -inf"),
+    ((GateKind.RY, (0,), ("x",)), ValueError,
+     "could not convert string to float: 'x'"),
+    ((GateKind.MEASURE, (0,)), CircuitError, "MEASURE needs a classical bit"),
+    ((GateKind.H, (0,), (), 0), CircuitError, "H takes no classical bit"),
+    ((GateKind.MEASURE, (0,), (), 0, True), CircuitError,
+     "MEASURE cannot be daggered"),
+    ((GateKind.H, (True,)), CircuitError, "qubits must be integers, got (True,)"),
+    ((GateKind.MEASURE, (0,), (), False), CircuitError,
+     "cbit must be an integer, got False"),
+    ((GateKind.H, (1.0,)), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    ((GateKind.MEASURE, (0,), (), "0"), TypeError,
+     "'str' object cannot be interpreted as an integer"),
+]
+_WIDTH_RAISES = [
+    ((GateKind.H, (2,)), "qubit 2 out of range for 2-qubit circuit"),
+    ((GateKind.CNOT, (0, -1)), "qubit -1 out of range for 2-qubit circuit"),
+    ((GateKind.BARRIER, (0, 5)), "qubit 5 out of range for 2-qubit circuit"),
+    ((GateKind.MEASURE, (1,), (), 1), "cbit 1 out of range for 1 cbits"),
+    ((GateKind.MEASURE, (0,), (), -1), "cbit -1 out of range for 1 cbits"),
+]
+
+
+class TestFieldChecks:
+    """The class and text of each raise, whichever entry point makes it."""
+
+    @pytest.mark.parametrize("fields, cls, text", _FIELD_RAISES)
+    def test_instruction(self, fields, cls, text):
+        with pytest.raises(cls) as e:
+            Instruction(*fields)
+        assert type(e.value) is cls and str(e.value) == text
+
+    @pytest.mark.parametrize("read", [False, True])
+    @pytest.mark.parametrize("fields, cls, text", _FIELD_RAISES)
+    def test_append_gate(self, fields, cls, text, read):
+        c = Circuit(2, 1).h(0)
+        if read:  # the body is a list
+            c.body
+        with pytest.raises(cls) as e:
+            c.append_gate(*fields)
+        assert type(e.value) is cls and str(e.value) == text
+        assert len(c) == 1
+
+    @pytest.mark.parametrize("read", [False, True])
+    @pytest.mark.parametrize("fields, text", _WIDTH_RAISES)
+    def test_widths(self, fields, text, read):
+        c = Circuit(2, 1).h(0)
+        if read:
+            c.body
+        for add in (c.append_gate, lambda *f: c.append(Instruction(*f))):
+            with pytest.raises(CircuitError) as e:
+                add(*fields)
+            assert type(e.value) is CircuitError and str(e.value) == text
+        assert len(c) == 1
+
+    @pytest.mark.parametrize("name, args, cls, text", [
+        ("h", (2,), CircuitError, "qubit 2 out of range for 2-qubit circuit"),
+        ("x", (0.0,), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        ("rz", (0, _INF), CircuitError, "RZ param not finite: inf"),
+        ("rx", (0, "0.5x"), ValueError,
+         "could not convert string to float: '0.5x'"),
+        ("cnot", (1, 1), CircuitError, "CNOT qubits must be distinct: (1, 1)"),
+        ("swap", (0, 2), CircuitError,
+         "qubit 2 out of range for 2-qubit circuit"),
+        ("measure", (0, 1), CircuitError, "cbit 1 out of range for 1 cbits"),
+        ("measure", (2, 0), CircuitError,
+         "qubit 2 out of range for 2-qubit circuit"),
+        ("measure", (0, None), CircuitError, "MEASURE needs a classical bit"),
+        ("barrier", (), CircuitError, "BARRIER needs at least one qubit"),
+    ])
+    def test_gate_method(self, name, args, cls, text):
+        c = Circuit(2, 1).h(0)
+        with pytest.raises(cls) as e:
+            getattr(c, name)(*args)
+        assert type(e.value) is cls and str(e.value) == text
+        assert len(c) == 1
+
+
 class TestContainment:
     """``sub`` refuses a cycle, visiting each definition once."""
 
