@@ -20,9 +20,12 @@ Encode and decode run on the packed column form of flat circuits.  A
 record-layout table gives each mode's fixed-size record shape (u32 index
 fields, or one-byte varints), so one encoder and one gatherer serve both
 modes: offsets are computed for all records up front and fields move as
-bulk array copies.  The encoder works over a group of circuits: their
-columns are concatenated, checked and laid out in one pass, and each
-circuit's header and slice of the records are appended in turn.
+bulk array copies, one index per field.  A u32 or an angle is read and
+written whole, through a byte-strided view of the record bytes that holds
+one value of its type starting at every byte; only varints move octet by
+octet.  The encoder works over a group of circuits: their columns are
+concatenated, checked and laid out in one pass, and each circuit's header
+and slice of the records are appended in turn.
 :func:`encode` and :class:`StreamEncoder` close a group once its
 circuits hold 4,096 rows, so a circuit that long closes the group it
 joins.  Barriers and compressed indices >= 128 are laid out in the same
@@ -125,22 +128,14 @@ class TrailingBytes(BisDecodeError):
 # -- varints ------------------------------------------------------------------
 
 def _write_varint(out: bytearray, v: int) -> None:
-    while True:
-        b = v & 0x7F
+    while v >> 7:
+        out.append(v & 0x7F | 0x80)
         v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+    out.append(v)
 
 
 def _write_varint_padded5(out: bytearray, v: int) -> None:
-    out.append((v & 0x7F) | 0x80)
-    out.append(((v >> 7) & 0x7F) | 0x80)
-    out.append(((v >> 14) & 0x7F) | 0x80)
-    out.append(((v >> 21) & 0x7F) | 0x80)
-    out.append((v >> 28) & 0x7F)
+    out.extend(v >> s & 0x7F | (s < 28) << 7 for s in (0, 7, 14, 21, 28))
 
 
 def _read_varint(data, o: int, end: int) -> tuple[int, int]:
@@ -206,13 +201,20 @@ def _layout(itype: str, limit: int, compress: bool) -> _Layout:
 _LAYOUTS = (_layout("<u4", 1 << 32, False), _layout("u1", 128, True))
 
 
-def _angle_bytes(starts, cls):
-    """Positions of every angle byte, in record order, given where each
-    record's angles start and the records' opcode classes."""
-    n = _ANGLE_BYTES_BY_CLASS[cls]
+def _fields(buf, dtype: str) -> np.ndarray:
+    """The bytes ``buf`` viewed as one ``dtype`` value starting at every
+    byte: the field at byte ``o`` is element ``o``.  Empty if none fits."""
+    n = len(buf) - np.dtype(dtype).itemsize + 1
+    return np.ndarray((max(n, 0),), dtype, buffer=buf, strides=(1,))
+
+
+def _angle_starts(starts, cls):
+    """Where every angle starts, in record order, given where each record's
+    angles start and the records' opcode classes."""
+    n = _ANGLE_BYTES_BY_CLASS[cls] >> 3
     ends = np.cumsum(n)
-    first = np.repeat(starts - (ends - n), n)
-    return first + np.arange(len(first))
+    first = np.repeat(starts - 8 * (ends - n), n)
+    return first + 8 * np.arange(len(first))
 
 
 # -- encoding -----------------------------------------------------------------
@@ -255,7 +257,7 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
     n = len(code)
     layout = _LAYOUTS[compress]
     w = layout.width
-    cls = code >> 5
+    cls = (code >> 5).astype(np.intp)  # an intp index takes numpy's fast path
     two = cls >= 3
     bar = cls == 5
     la = w  # bytes of each record's first field
@@ -275,7 +277,7 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
         size = np.full(len(vals), w)
         # a varint's octets: one, and one more for each of 2**7, 2**14,
         # 2**21 and 2**28 that its value reaches
-        size[var] = 1 + sum(vint >= 1 << s for s in (7, 14, 21, 28))
+        vsize = size[var] = 1 + sum(vint >= 1 << s for s in (7, 14, 21, 28))
         la = size[:n]
         # the bytes of the barriers' indices before each one, and each
         # barrier's first index
@@ -295,36 +297,30 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
     buf = np.zeros(int(starts[-1]), dtype=np.uint8)
     buf[offs] = code
     if sized:
-        # each field's start (a barrier's indices follow its count), then
-        # its k-th octet: a varint's k-th 7-bit group with a continuation
-        # bit if more follow, or a u32's k-th byte
+        # each field's start (a barrier's indices follow its count); a u32
+        # is written whole, a varint's k-th octet is its k-th 7-bit group
+        # with a continuation bit if more follow
         at = np.concatenate((offs + 1, offs[two] + 1 + la[two], np.repeat(
             offs[bar] + 1 + la[bar] - pool[first], cnt) + pool[:-1]))
-        row = np.repeat(np.arange(len(vals)), size)
-        k = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
-        u32 = ~var[row]
-        g = vals[row] >> (7 + u32) * k
-        buf[at[row] + k] = np.where(u32, g & 0xFF, g & 0x7F | (g > 0x7F) << 7)
+        _fields(buf, "<u4")[at[~var]] = vals[~var]
+        row = np.repeat(np.arange(len(vint)), vsize)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(vsize) - vsize, vsize)
+        g = vint[row] >> 7 * k
+        buf[at[var][row] + k] = g & 0x7F | (g > 0x7F) << 7
     else:
-        field = 1 + np.arange(w)
-        buf[offs[:, None] + field] = a.astype(layout.itype).view(np.uint8).reshape(n, w)
-        buf[offs[two][:, None] + w + field] = (
-            b[two].astype(layout.itype).view(np.uint8).reshape(-1, w))
-    buf[_angle_bytes(offs + 1 + la, cls)] = (
-        params.astype("<f8", copy=False).view(np.uint8))
+        ix = _fields(buf, layout.itype)
+        ix[offs + 1] = a
+        ix[offs[two] + 1 + w] = b[two]
+    _fields(buf, "<f8")[_angle_starts(offs + 1 + la, cls)] = params
+    # where each circuit's records start, then where the last one ends
+    cut = starts[list(accumulate((len(c) for _, _, c in group),
+                                 initial=0))].tolist()
     view = buf.data
-    if len(group) == 1:
-        bodies = [view]
-    else:
-        # where each circuit's records start, then where the last one ends
-        cut = starts[list(accumulate((len(c) for _, _, c in group),
-                                     initial=0))].tolist()
-        bodies = [view[cut[k]:cut[k + 1]] for k in range(len(group))]
-    for (nq, nc, cols), body in zip(group, bodies):
+    for k, (nq, nc, cols) in enumerate(group):
         _write_varint(out, nq)
         _write_varint(out, nc)
         _write_varint(out, len(cols))
-        out += body
+        out += view[cut[k]:cut[k + 1]]
 
 
 def _stream_header(compress: bool) -> bytearray:
@@ -490,12 +486,12 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
     # the fixed-shape branch: every record of a fixed shape, inside arr
     fixed = not ((step == 0).any() or (offs + step > end).any())
     if fixed:
-        field = 1 + np.arange(w)
-        a = arr[offs[:, None] + field].view(layout.itype).ravel().astype(np.int64)
+        ix = _fields(arr, layout.itype)
+        a = ix[offs + 1].astype(np.int64)
         two = cls >= 3
         b = np.full(m, -1, dtype=np.int64)
-        b[two] = arr[offs[two][:, None] + w + field].view(layout.itype).ravel()
-        params = arr[_angle_bytes(offs + 1 + w, cls)].view("<f8")
+        b[two] = ix[offs[two] + 1 + w]
+        params = _fields(arr, "<f8")[_angle_starts(offs + 1 + w, cls)]
         qlim = np.repeat([min(nq, layout.limit) for _, nq, _ in blocks], counts)
         clim = np.repeat([min(nc, layout.limit) for _, _, nc in blocks], counts)
         q2 = cls == 3
@@ -549,9 +545,11 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
         stops = (at + size)[first + n - 1] + ang
     cbit = (k == 1) & (cls[row] == 4)
     lim = np.array(blocks)[:, 1:].repeat(counts, axis=0)[row, cbit * 1]
-    apos = _angle_bytes(stops - ang, cls)
-    params = arr[np.minimum(apos, end - 1)].view("<f8")
-    apos = apos[::8]
+    # an angle past the view's last start is in a block cut short by the
+    # end of arr, which its cut key faults first
+    apos = _angle_starts(stops - ang, cls)
+    f8 = _fields(arr, "<f8")
+    params = f8[np.minimum(apos, len(f8) - 1)] if len(f8) else np.zeros(len(apos))
     pool = (k > 0) & bar[row]
     dup = np.zeros(m, dtype=bool)
     if pool.any():  # a barrier's indices side by side in (record, value) order

@@ -604,6 +604,15 @@ class Circuit:
 
     __hash__ = None
 
+    def __copy__(self) -> "Circuit":
+        # the two share only finalized columns, which nothing writes to
+        items = self._items
+        new = Circuit._from_columns(self.num_qubits, self.num_cbits, self._cols
+                                    if items is not None else self._columns(), self.name)
+        new._items = None if items is None else list(items)
+        new._subs, new._dagger_fixups = self._subs, self._dagger_fixups
+        return new
+
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<Circuit{tag} {self.num_qubits}q/{self.num_cbits}c, {len(self)} elements>"
@@ -641,17 +650,19 @@ def flatten(c: Circuit) -> Circuit:
     if c._items is None or (c._subs == 0 and c._dagger_fixups == 0):
         return c
     out: list[Instruction] = []
-    _expand(c._items, False, out)
-    return Circuit._from_items(c.num_qubits, c.num_cbits, out, c.name)
-
-
-def _expand(items, block_dagger: bool, out: list) -> None:
-    seq = reversed(items) if block_dagger else items
-    for el in seq:
-        if isinstance(el, SubcircuitInstance):
-            _expand(el.circuit.body, block_dagger ^ el.dagger, out)
+    # a stack of (rest of a body, its dagger flag): no recursion limit
+    stack = [(iter(c._items), False)]
+    while stack:
+        seq, dagger = stack[-1]
+        for el in seq:
+            if isinstance(el, SubcircuitInstance):
+                d, body = dagger ^ el.dagger, el.circuit.body
+                stack.append((reversed(body) if d else iter(body), d))
+                break
+            out.append(_resolve(el, dagger))
         else:
-            out.append(_resolve(el, block_dagger))
+            stack.pop()
+    return Circuit._from_items(c.num_qubits, c.num_cbits, out, c.name)
 
 
 def split_trailing_measures(c: Circuit) -> tuple[Circuit, list[Instruction]]:

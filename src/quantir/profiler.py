@@ -75,22 +75,26 @@ def _collect_defs(root: Circuit):
     each one's direct contents: gate counts by name and child counts by id,
     both in the order the body first names them."""
     order: list[Circuit] = []
-    gate_counts: dict[int, Counter] = {}
-    child_mults: dict[int, Counter] = {}
-
-    def visit(c: Circuit):
-        gc = gate_counts[id(c)] = Counter()
-        cm = child_mults[id(c)] = Counter()
-        for el in c.body:
+    gate_counts: dict[int, Counter] = {id(root): Counter()}
+    child_mults: dict[int, Counter] = {id(root): Counter()}
+    # a stack of (definition, rest of its body): no recursion limit
+    stack = [(root, iter(root.body))]
+    while stack:
+        c, rest = stack[-1]
+        gc, cm = gate_counts[id(c)], child_mults[id(c)]
+        for el in rest:
             if isinstance(el, SubcircuitInstance):
-                if id(el.circuit) not in gate_counts:
-                    visit(el.circuit)
-                cm[id(el.circuit)] += 1
+                sub = el.circuit
+                cm[id(sub)] += 1
+                if id(sub) not in gate_counts:  # visit it before the rest
+                    gate_counts[id(sub)], child_mults[id(sub)] = Counter(), Counter()
+                    stack.append((sub, iter(sub.body)))
+                    break
             elif el.kind is not GateKind.BARRIER:
                 gc[el.kind.name] += 1
-        order.append(c)
-
-    visit(root)
+        else:
+            stack.pop()
+            order.append(c)
     return order, gate_counts, child_mults
 
 

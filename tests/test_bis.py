@@ -1170,3 +1170,121 @@ class TestOneDecoder:
         assert dec.feed(encode(cs, compress=compress)) == cs
         dec.finish()
         assert walks == [] and batches == [len(cs)]
+
+
+# -- fields through byte-strided views -------------------------------------------
+
+# angles whose bytes hold signed zero, a subnormal, the largest finite
+# magnitude and sums that round
+_ANGLES = (-0.0, 5e-324, -1.7976931348623157e308, math.pi, 0.1 + 0.2)
+
+
+def _angle_prefix(k: int, compress: bool) -> Circuit:
+    """``k`` records of an odd length before whatever is added next, so
+    that k = 0..7 start the next record's angles at every offset mod 8: H
+    uncompressed (5 bytes), CZ compressed (3)."""
+    c = Circuit(2)
+    for _ in range(k):
+        c.cz(0, 1) if compress else c.h(1)
+    return c
+
+
+def _first_angle(k: int, compress: bool) -> int:
+    """Where, in ``encode([c])``, the first angle of a one-qubit record added
+    to ``_angle_prefix(k, compress)`` starts."""
+    return len(encode([_angle_prefix(k, compress)], compress=compress)) + (
+        2 if compress else 5)
+
+
+def _bits(params) -> bytes:
+    return struct.pack(f"<{len(params)}d", *params)
+
+
+class TestStridedFields:
+    """Indices and angles move whole through byte-strided views, at any
+    byte offset, and the gather still faults a bad or cut angle where the
+    per-record parser does."""
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_angle_at_every_offset_mod_8(self, compress):
+        offsets, cs = set(), []
+        for k in range(8):
+            offsets.add(_first_angle(k, compress) % 8)
+            for x in _ANGLES:
+                cs.append(_angle_prefix(k, compress).rz(0, x))
+            cs.append(_angle_prefix(k, compress).u3(1, *_ANGLES[2:]))
+        assert offsets == set(range(8))
+        data = encode(cs, compress=compress)
+        assert data == _stream_of([_reference(c, compress) for c in cs], compress)
+        for c in cs:
+            assert _payload(c, compress) == _reference(c, compress)
+        for got in (decode(data), _stream_read(data, range(1, len(data)))):
+            assert got == cs
+            assert [_bits(g.body[-1].params) for g in got] == [
+                _bits(c.body[-1].params) for c in cs]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_at_an_odd_offset(self, compress, bad):
+        odd = 0
+        for k in range(8):
+            start = _first_angle(k, compress)
+            data = encode([_angle_prefix(k, compress).u3(0, 0.5, 1.5, -2.5)],
+                          compress=compress)
+            for at in range(start, start + 24, 8):
+                if at % 2 == 0:
+                    continue
+                odd += 1
+                blob = data[:at] + struct.pack("<d", bad) + data[at + 8:]
+                want = (BadOperand, at, f"angle is not finite (at byte {at})")
+                assert _columns_outcome(lambda: [Circuit._from_columns(*cols)
+                                                 for cols in _careful_decode(blob)]) == want
+                assert _columns_outcome(lambda: decode(blob)) == want
+                assert _columns_outcome(
+                    lambda: _stream_read(blob, range(1, len(blob)))) == want
+        assert odd == 12
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("kind", ["rz", "u3"])
+    def test_stream_cut_inside_an_angle(self, compress, kind):
+        # a circuit of one record, so that a stream decoder holds only the
+        # circuit's header and the record's first bytes: fewer than 8
+        # bytes when compressed and cut within an angle's first three
+        c = Circuit(1).rz(0, 0.5) if kind == "rz" else Circuit(1).u3(0, 0.5, 1.5, -2.5)
+        data = encode([c], compress=compress)
+        start = len(data) - 8 * len(c.body[0].params)
+        for cut in range(start, len(data)):
+            blob = data[:cut]
+            want = _columns_outcome(lambda: [Circuit._from_columns(*cols)
+                                             for cols in _careful_decode(blob)])
+            assert want[0] is Truncated
+            for read in (lambda: decode(blob), lambda: _stream_read(blob, []),
+                         lambda: _stream_read(blob, range(1, len(blob)))):
+                assert _columns_outcome(read) == want
+
+
+class TestCountLimits:
+    """The 32-bit instruction and circuit counts, reached through a lower
+    limit."""
+
+    def test_instruction_count(self, monkeypatch):
+        monkeypatch.setattr(bis, "_U32_MAX", 2)
+        assert decode(encode([Circuit(2).h(0).h(1)])) == [Circuit(2).h(0).h(1)]
+        for add in (lambda c: encode([c]), StreamEncoder().add):
+            with pytest.raises(BisEncodeError) as e:
+                add(Circuit(2).h(0).h(1).h(0))
+            assert type(e.value) is BisEncodeError
+            assert str(e.value) == "instruction count exceeds 32 bits"
+
+    @pytest.mark.parametrize("sink", [False, True])
+    def test_circuit_count(self, monkeypatch, sink):
+        monkeypatch.setattr(bis, "_U32_MAX", 2)
+        enc = StreamEncoder(sink=io.BytesIO() if sink else None)
+        for _ in range(3):
+            enc.add(Circuit(1).h(0))
+        with pytest.raises(BisEncodeError) as e:
+            enc.finish()
+        assert type(e.value) is BisEncodeError
+        assert str(e.value) == "circuit count exceeds 32 bits"
+        assert encode([Circuit(1).h(0)] * 2) == _stream_of(
+            [_reference(Circuit(1).h(0), False)] * 2, False)

@@ -18,6 +18,8 @@ from quantir.gates import (
     CLS_2Q, CLS_BARRIER, CLS_MEASURE, PARAM_COUNT, GateKind, KIND_BY_OPCODE,
     X1_DAGGER_OPCODE,
 )
+from quantir.metrics import circuit_metrics
+from quantir.profiler import profile
 
 from conftest import angles, circuits, ghz
 
@@ -990,3 +992,111 @@ class TestContainment:
         Circuit(1).sub(root)  # walks the whole chain
         with pytest.raises(CircuitError, match="^circular sub-circuit containment$"):
             cur.sub(root)
+
+
+def _two_rows() -> Circuit:
+    return Circuit(2, 1).h(0).rz(1, 0.5)
+
+
+class TestCopy:
+    """``copy.copy`` of a circuit owns its growable buffers, whether its body
+    is still in columns or was read: appending to either circuit leaves the
+    other as it was."""
+
+    @pytest.mark.parametrize("read", [False, True], ids=["columns", "read"])
+    @pytest.mark.parametrize("grow", ["copy", "source"])
+    def test_append_reaches_one_side(self, read, grow):
+        src = _two_rows()
+        if read:
+            src.body
+        assert (src._tail is None) == read and (src._items is None) != read
+        dup = copy.copy(src)
+        grown, kept = (dup, src) if grow == "copy" else (src, dup)
+        grown.cnot(0, 1).barrier(0, 1).measure(1, 0)
+        assert len(kept) == 2 and bis.encode([kept]) == bis.encode([_two_rows()])
+        assert kept.body == _two_rows().body
+        want = _two_rows().cnot(0, 1).barrier(0, 1).measure(1, 0)
+        assert len(grown) == 5 and grown.body == want.body
+        assert bis.encode([grown]) == bis.encode([want])
+        # and back the other way
+        kept.x(0)
+        assert len(grown) == 5 and grown.body == want.body
+
+    def test_copy_keeps_sub_circuits_and_name(self):
+        inner = Circuit(1).s(0)
+        src = Circuit(2, name="outer").h(1).sub(inner, dagger=True)
+        dup = copy.copy(src)
+        dup.sub(inner)
+        assert dup.name == "outer" and len(src) == 2 and len(dup) == 3
+        assert flatten(src).body == flatten(Circuit(2).h(1).sdg(0)).body
+        assert flatten(dup).body == flatten(Circuit(2).h(1).sdg(0).s(0)).body
+
+
+# gates placed one per level of a chain, and whether the next level is
+# placed with a dagger flag
+_LEVEL_GATES = [("s", ()), ("t", ()), ("h", ()), ("rz", (0.25,)), ("x1", ())]
+
+
+def _chain(depth: int) -> tuple[Circuit, list, list]:
+    """A chain ``depth`` definitions deep: level i holds one gate and then
+    level i + 1, which is placed daggered when i + 1 is 2 mod 3.  Returns
+    the root, the gates as written, and the flat body worked out level by
+    level: under an odd number of dagger flags, a level's gate follows
+    everything below it."""
+    written, pre, post = [], [], []
+    dagger = False
+    root = cur = None
+    for i in range(depth):
+        name, args = _LEVEL_GATES[i % len(_LEVEL_GATES)]
+        level = getattr(Circuit(1), name)(0, *args)
+        if i == 0:
+            root = level
+        else:
+            cur.sub(level, dagger=i % 3 == 2)
+            dagger ^= i % 3 == 2
+        ins = level.body[0]
+        written.append(ins)
+        if dagger:
+            post.append(dagger_instruction(ins))
+        else:
+            pre.append(ins)
+        cur = level
+    return root, written, pre + post[::-1]
+
+
+def _flat_reference(c: Circuit, dagger: bool = False) -> list:
+    """Recursive expansion, as ``flatten`` did before it took a stack."""
+    out = []
+    for el in (reversed(c.body) if dagger else c.body):
+        if isinstance(el, SubcircuitInstance):
+            out += _flat_reference(el.circuit, dagger ^ el.dagger)
+        else:
+            out.append(dagger_instruction(el) if dagger else el)
+    return out
+
+
+class TestDeepNesting:
+    """``flatten``, ``circuit_metrics`` and ``profile`` walk nesting of any
+    depth with a stack, in the order the recursive walk took."""
+
+    def test_shallow_chain_matches_the_recursive_walk(self):
+        for depth in (1, 2, 3, 4, 7, 30):
+            root, _, flat = _chain(depth)
+            assert flatten(root).body == _flat_reference(root) == flat
+
+    def test_deep_chain(self):
+        root, written, flat = _chain(5000)
+        shallow = Circuit(1)
+        shallow.extend(flat)
+        assert flatten(root).body == flat
+        assert flatten(root) == shallow
+        assert circuit_metrics(root) == circuit_metrics(shallow)
+        # profile counts gates as written, dagger flags aside
+        times = {"S": 1.0, "T": 2.0, "H": 3.0, "RZ": 5.0, "X1": 7.0}
+        as_written = Circuit(1)
+        as_written.extend(written)
+        deep, flat_report = profile(root, times), profile(as_written, times)
+        gates = [[n for n in r.nodes if n.kind == "gate"]
+                 for r in (deep, flat_report)]
+        assert gates[0] == gates[1] and deep.total_time == flat_report.total_time
+        assert [n.calls for n in deep.nodes if n.kind == "circuit"] == [1] * 5000
