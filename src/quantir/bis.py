@@ -57,7 +57,6 @@ materialized; separate reads share none.
 """
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -246,7 +245,7 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
     vectorized pass.  Each record takes its mode's fixed shape, unless the
     group holds a barrier or a compressed index >= 128: then each field
     (index or barrier count) takes the layout's width or its varint's
-    octets, and one scatter writes every field's octets.
+    octets, and one scatter writes every varint's octets.
     """
     if len(group) == 1:
         cols = group[0][2]
@@ -312,15 +311,15 @@ def _encode_group(out: bytearray, group: list, compress: bool) -> None:
         ix[offs + 1] = a
         ix[offs[two] + 1 + w] = b[two]
     _fields(buf, "<f8")[_angle_starts(offs + 1 + la, cls)] = params
-    # where each circuit's records start, then where the last one ends
-    cut = starts[list(accumulate((len(c) for _, _, c in group),
-                                 initial=0))].tolist()
-    view = buf.data
-    for k, (nq, nc, cols) in enumerate(group):
+    view, row, at = buf.data, 0, 0
+    for nq, nc, cols in group:
         _write_varint(out, nq)
         _write_varint(out, nc)
         _write_varint(out, len(cols))
-        out += view[cut[k]:cut[k + 1]]
+        row += len(cols)
+        stop = int(starts[row])  # where the circuit's last record ends
+        out += view[at:stop]
+        at = stop
 
 
 def _stream_header(compress: bool) -> bytearray:
@@ -545,8 +544,9 @@ def _gather(arr, offs_list, blocks, layout: _Layout, shared: dict,
         stops = (at + size)[first + n - 1] + ang
     cbit = (k == 1) & (cls[row] == 4)
     lim = np.array(blocks)[:, 1:].repeat(counts, axis=0)[row, cbit * 1]
-    # an angle past the view's last start is in a block cut short by the
-    # end of arr, which its cut key faults first
+    # an angle past the view's last start (every angle, if arr is shorter
+    # than one) is in a block cut short by the end of arr: its cut key
+    # faults first, so the value read for it is never used
     apos = _angle_starts(stops - ang, cls)
     f8 = _fields(arr, "<f8")
     params = f8[np.minimum(apos, len(f8) - 1)] if len(f8) else np.zeros(len(apos))

@@ -607,8 +607,8 @@ class Circuit:
     def __copy__(self) -> "Circuit":
         # the two share only finalized columns, which nothing writes to
         items = self._items
-        new = Circuit._from_columns(self.num_qubits, self.num_cbits, self._cols
-                                    if items is not None else self._columns(), self.name)
+        cols = self._columns() if items is None else self._cols
+        new = Circuit._from_columns(self.num_qubits, self.num_cbits, cols, self.name)
         new._items = None if items is None else list(items)
         new._subs, new._dagger_fixups = self._subs, self._dagger_fixups
         return new
